@@ -183,11 +183,16 @@ class Report:
         return "\n".join(f"{key}: {value}" for key, value in self.items)
 
 
-def _load(path: str, max_n: int | None = None) -> tuple[str, ConvexGeometry]:
-    with open(path, "r", encoding="utf-8") as handle:
+def _guard(args, default: int) -> int:
+    """The ``--max-n`` value if one was given (0 included), else ``default``."""
+    return default if args.max_n is None else args.max_n
+
+
+def _load(args) -> tuple[str, ConvexGeometry]:
+    with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
     basis = parse_geometry(text)
-    return text, validate_geometry(basis, max_n=max_n or 20)
+    return text, validate_geometry(basis, max_n=_guard(args, 20))
 
 
 def _describe_basis(report: Report, geom: ConvexGeometry) -> None:
@@ -205,7 +210,7 @@ def _finish(report: Report, geom: ConvexGeometry, args, started: float) -> None:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     report = Report("check", args.file, text)
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
@@ -222,7 +227,7 @@ def cmd_check(args) -> int:
 
 def cmd_represent(args) -> int:
     started = time.monotonic()
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     report = Report("represent", args.file, text)
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
@@ -232,7 +237,7 @@ def cmd_represent(args) -> int:
         return 1
     rep = build_representation(geom, strategy=args.builder)
     if args.exhaustive:
-        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=args.max_n or 12)
+        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
         report.add("verified_exhaustively", ok)
     report.add("representation", chain_display(geom.ground, rep))
     report.add("segments", "\n" + layout_table(geom.ground, rep))
@@ -242,7 +247,7 @@ def cmd_represent(args) -> int:
 
 def cmd_unique(args) -> int:
     started = time.monotonic()
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     report = Report("unique", args.file, text)
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
@@ -252,7 +257,7 @@ def cmd_unique(args) -> int:
         return 1
     rep = build_representation(geom, strategy=args.builder)
     if args.exhaustive:
-        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=args.max_n or 12)
+        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
         report.add("verified_exhaustively", ok)
     report.add("representation", chain_display(geom.ground, rep))
     report.add("blocks", "\n" + block_decomposition(rep).describe(geom.ground))
@@ -265,7 +270,7 @@ def cmd_unique(args) -> int:
 
 def cmd_closure(args) -> int:
     started = time.monotonic()
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     report = Report("closure", args.file, text)
     seed = geom.ground.mask(args.set)
     closed = geom.closure(seed)
@@ -278,14 +283,14 @@ def cmd_closure(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.monotonic()
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     report = Report("oracle", args.file, text)
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
-    subset_guard = args.max_n or 15
+    subset_guard = _guard(args, 15)
     exhaustive_2ex = properties.check_2ex_exhaustive(geom, max_n=subset_guard)
     exhaustive_sq = properties.check_sq_exhaustive(geom, max_n=subset_guard)
-    brute = brute_force_cdim2(geom, max_n=args.max_n or 8)
+    brute = brute_force_cdim2(geom, max_n=_guard(args, 8))
     report.add("cdim2", decision.cdim2)
     report.add("two_ex", decision.two_ex.holds)
     report.add("two_ex_exhaustive", exhaustive_2ex.holds)
@@ -306,7 +311,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text, geom = _load(args.file, args.max_n)
+    text, geom = _load(args)
     decision = decide_cdim2(geom)
     if not decision.cdim2:
         print("not representable by segments on a line", file=sys.stderr)

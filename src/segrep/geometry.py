@@ -11,6 +11,7 @@ procedure in :mod:`segrep.properties` never needs that enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .core import (
     GroundSet,
@@ -134,24 +135,41 @@ class ConvexGeometry:
     """A validated closure system: basis, ground set, and closure oracle.
 
     Instances come from :func:`validate_geometry` and are immutable apart
-    from the closure-call counter in ``stats``.
+    from the closure-call counter in ``stats`` and the closure cache that a
+    :func:`closure_scope` operation holds while it runs.
     """
 
-    __slots__ = ("ground", "basis", "_closed", "stats")
+    __slots__ = ("ground", "basis", "_closed", "stats", "_memo")
 
     def __init__(self, basis: ImplicationBasis, closed: tuple[int, ...]):
         self.ground = basis.ground
         self.basis = basis
         self._closed = closed
         self.stats = ClosureStats()
+        self._memo: dict[int, int] | None = None
 
     @property
     def n(self) -> int:
         return self.ground.n
 
     def closure(self, seed: int) -> int:
+        """Closure of ``seed`` under the basis.
+
+        While an operation marked with :func:`closure_scope` runs, answers
+        come from a seed -> closure dict that the operation (and any
+        operation nested in it) shares, so each distinct seed reaches the
+        basis once; the dict is dropped when the outermost operation
+        returns or raises.  Outside such an operation every call goes to
+        the basis.  ``stats.closures`` counts every query, cached or not.
+        """
         self.stats.closures += 1
-        return self.basis.closure(seed)
+        memo = self._memo
+        if memo is None:
+            return self.basis.closure(seed)
+        closed = memo.get(seed)
+        if closed is None:
+            closed = memo[seed] = self.basis.closure(seed)
+        return closed
 
     def restricted_closure(self, subset: int, seed: int) -> int:
         """Closure within the restriction to ``subset``: closure(seed) & subset."""
@@ -180,19 +198,45 @@ class ConvexGeometry:
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"
 
 
+def closure_scope(operation):
+    """Cache ``geom.closure`` for the duration of ``operation(geom, ...)``.
+
+    The first argument of the decorated function must be the geometry.  A
+    call made while another scoped operation on the same geometry runs
+    shares that operation's cache; the outermost call drops it on exit.
+    """
+
+    @wraps(operation)
+    def scoped(geom, *args, **kwargs):
+        if geom._memo is not None:
+            return operation(geom, *args, **kwargs)
+        geom._memo = {}
+        try:
+            return operation(geom, *args, **kwargs)
+        finally:
+            geom._memo = None
+
+    return scoped
+
+
 def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometry:
     """Check the convex-geometry axioms and return the validated system.
 
     Raises :class:`NotAGeometry` with a concrete witness when the empty set
-    is not closed or when anti-exchange fails.  Anti-exchange only needs to
-    be checked at closed sets, and the scan order is canonical, so the first
-    witness is deterministic.
+    is not closed or when anti-exchange fails.  With the empty set closed,
+    anti-exchange holds exactly when every proper closed set has a
+    one-element extension that is closed too (Edelman and Jamison, 1985),
+    so the closed-set walk is all the closure work a valid geometry costs.
+    Only when that test fails does the literal anti-exchange scan run, over
+    the closed sets in canonical order, to produce the first witness.
     """
     empty = basis.closure(0)
     if empty:
         raise NotAGeometry("empty-set-not-closed", empty, basis.ground)
     family = closed_family(basis, max_n=max_n)
     full = basis.ground.full
+    if _first_dead_end(family, full) is None:
+        return ConvexGeometry(basis, family)
     for y in family:
         outside = full & ~y
         if outside.bit_count() < 2:
@@ -203,7 +247,10 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
             for z in members[i + 1:]:
                 if (added[x] >> z) & 1 and (added[z] >> x) & 1:
                     raise NotAGeometry("anti-exchange", (y, x, z), basis.ground)
-    return ConvexGeometry(basis, family)
+    raise RuntimeError(
+        "a closed set has no closed one-element extension, yet no "
+        "anti-exchange violation was found"
+    )
 
 
 def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
@@ -216,13 +263,17 @@ def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
     empty = basis.closure(0)
     if empty:
         return ("empty-set-not-closed", empty)
-    family = set(closed_family(basis, max_n=max_n))
-    full = basis.ground.full
-    for y in sorted(family, key=canonical_key):
-        if y == full:
-            continue
-        if not any(y | (1 << x) in family for x in iter_bits(full & ~y)):
-            return ("no-extension", y)
+    dead_end = _first_dead_end(closed_family(basis, max_n=max_n), basis.ground.full)
+    return None if dead_end is None else ("no-extension", dead_end)
+
+
+def _first_dead_end(family: tuple[int, ...], full: int):
+    """First set of the family, other than ``full``, that no single added
+    element turns into another member; None if there is none."""
+    members = set(family)
+    for y in family:
+        if y != full and not any(y | (1 << x) in members for x in iter_bits(full & ~y)):
+            return y
     return None
 
 

@@ -29,7 +29,7 @@ from .core import (
     iter_bits,
     mask_of,
 )
-from .geometry import ConvexGeometry
+from .geometry import ConvexGeometry, closure_scope
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,12 @@ class SqWitness:
 
 @dataclass(frozen=True)
 class CaratheodoryWitness:
-    """A membership ``element in closure(subset)`` no small part of the subset explains."""
+    """A membership ``element in closure(subset)`` no part of the subset with
+    at most ``order`` members explains."""
 
     subset: int
     element: int
+    order: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ class PropertyReport:
     witness: Optional[Witness] = None
 
     def __post_init__(self):
-        assert self.holds == (self.witness is None)
+        if self.holds != (self.witness is None):
+            raise ValueError("a report holds exactly when it carries no witness")
 
     def describe(self, ground) -> str:
         if self.holds:
@@ -147,6 +150,7 @@ def _pair_closures(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
     return out
 
 
+@closure_scope
 def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     """At most two extreme points in every subset, via the triple test.
 
@@ -200,7 +204,7 @@ def check_caratheodory(geom: ConvexGeometry, order: int, max_n: int = 15) -> Pro
         members = list(iter_bits(subset))
         for a in iter_bits(closed & ~subset):
             if not _small_part_generates(geom, members, a, order):
-                return PropertyReport(name, False, CaratheodoryWitness(subset, a))
+                return PropertyReport(name, False, CaratheodoryWitness(subset, a, order))
     return PropertyReport(name, True)
 
 
@@ -244,7 +248,8 @@ def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> Implication
                         break
                 if replacement is not None:
                     break
-            assert replacement is not None  # guaranteed by the 2-part property
+            if replacement is None:
+                raise CaratheodoryFails(CaratheodoryWitness(imp.premise, b, 2))
             units.append((replacement, b))
 
     grouped: dict[int, int] = {}
@@ -303,6 +308,7 @@ def _sq_scan(geom: ConvexGeometry, subsets) -> PropertyReport:
     return PropertyReport("Sq", True)
 
 
+@closure_scope
 def check_sq(geom: ConvexGeometry) -> PropertyReport:
     """Square condition over the closed sets generated by pairs.
 
@@ -376,6 +382,7 @@ def _exr_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optiona
     return None
 
 
+@closure_scope
 def decide_cdim2(geom: ConvexGeometry) -> Decision:
     """Decide representability by segments on a line.
 
@@ -387,6 +394,7 @@ def decide_cdim2(geom: ConvexGeometry) -> Decision:
     return Decision(two_ex.holds and sq.holds, two_ex, sq)
 
 
+@closure_scope
 def verify_witness(geom: ConvexGeometry, report: PropertyReport) -> bool:
     """Recompute a failure witness directly from the definitions."""
     if report.holds or report.witness is None:
@@ -415,8 +423,7 @@ def verify_witness(geom: ConvexGeometry, report: PropertyReport) -> bool:
         if not (geom.closure(w.subset) >> w.element) & 1:
             return False
         members = list(iter_bits(w.subset))
-        order = int(report.name.split("(")[1].rstrip(")"))
-        return not _small_part_generates(geom, members, w.element, order)
+        return not _small_part_generates(geom, members, w.element, w.order)
     if isinstance(w, ExRWitness):
         return (
             geom.extreme_points(w.subset) == (1 << w.a) | (1 << w.b)

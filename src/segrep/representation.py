@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import GroundSetTooLarge, SegrepError, canonical_key, iter_bits, mask_of
-from .geometry import ConvexGeometry
+from .geometry import ConvexGeometry, closure_scope
 
 
 class Infeasible(SegrepError):
@@ -154,6 +154,7 @@ def _powerset(members):
     return out
 
 
+@closure_scope
 def build_representation(
     geom: ConvexGeometry, strategy: str = "paper"
 ) -> SegmentRepresentation:

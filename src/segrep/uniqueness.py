@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .core import SegrepError, iter_bits, mask_of
-from .geometry import ConvexGeometry
+from .geometry import ConvexGeometry, closure_scope
 from .representation import SegmentRepresentation, verify_representation
 
 
@@ -191,6 +191,7 @@ def enumerate_representations(
     return tuple(sorted(found, key=lambda r: (r.left, r.right)))
 
 
+@closure_scope
 def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     """Rebuild the chain pair purely from extreme points of shrinking subsets.
 

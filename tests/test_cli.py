@@ -91,6 +91,12 @@ class TestExitCodes:
     def test_guard_exits_three(self, files):
         assert run("oracle", files["un"], "--max-n", "2")[0] == 3
 
+    @pytest.mark.parametrize("command", ["check", "represent", "unique", "oracle"])
+    def test_max_n_zero_is_a_guard_not_unset(self, files, command):
+        code, _, err = run(command, files["un"], "--max-n", "0")
+        assert code == 3
+        assert "guard is 0" in err
+
 
 class TestCheck:
     def test_notsuf_report_carries_sq_witness(self, files):
@@ -114,6 +120,18 @@ class TestCheck:
         assert keys[:3] == ["command", "input", "sha256"]
         assert payload["cdim2"] is True
         assert keys[-1] == "closure_calls"
+
+    # Every closure query counts, answered from the cache or not, so these
+    # match the counts from before the operation-scoped closure cache.
+    @pytest.mark.parametrize("name, calls", [
+        ("fivepoint", 70), ("notsuf", 51), ("seven", 128), ("switch", 74),
+        ("triangle", 41), ("un", 47), ("unique", 81),
+    ])
+    def test_closure_calls_pinned_on_fixtures(self, tmp_path, name, calls):
+        path = tmp_path / f"{name}.geom"
+        path.write_text(fixture_text(name))
+        _, out, _ = run("check", str(path), "--json")
+        assert json.loads(out)["closure_calls"] == calls
 
 
 class TestRepresent:

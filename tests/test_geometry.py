@@ -10,8 +10,11 @@ from segrep import (
     GroundSetMismatch,
     Implication,
     ImplicationBasis,
+    Infeasible,
     NotAGeometry,
+    build_representation,
     closed_family,
+    decide_cdim2,
     enumerate_closed_sets,
     extendability_witness,
     join_alignments,
@@ -19,8 +22,9 @@ from segrep import (
     restrict_basis,
     validate_geometry,
 )
+from segrep import geometry
 from segrep.cli import parse_geometry
-from segrep.fixtures import fixture_text
+from segrep.fixtures import fixture_text, load_fixture
 
 
 def random_basis(rng, n, m):
@@ -31,6 +35,49 @@ def random_basis(rng, n, m):
         z = rng.randrange(n)
         imps.append(Implication(premise & ~(1 << z), 1 << z))
     return ImplicationBasis(gs, tuple(imps))
+
+
+def naive_closure(basis, seed):
+    """Fire implications until nothing changes."""
+    closed = seed
+    changed = True
+    while changed:
+        changed = False
+        for imp in basis.implications:
+            if imp.premise & ~closed == 0 and imp.conclusion & ~closed:
+                closed |= imp.conclusion
+                changed = True
+    return closed
+
+
+def literal_axiom_violation(basis):
+    """First failure of the convex-geometry axioms, read off the definitions.
+
+    Enumerates every subset, keeps the closed ones in canonical order (size,
+    then members), and tests anti-exchange for every pair ``x < z`` outside
+    each of them.  Returns ``(reason, witness)`` in the form NotAGeometry
+    carries, or None.
+    """
+    n = basis.ground.n
+    empty = naive_closure(basis, 0)
+    if empty:
+        return ("empty-set-not-closed", empty)
+
+    def canonical(s):
+        members = [i for i in range(n) if (s >> i) & 1]
+        return (len(members), members)
+
+    closed = sorted((s for s in range(1 << n) if naive_closure(basis, s) == s), key=canonical)
+    for y in closed:
+        outside = [i for i in range(n) if not (y >> i) & 1]
+        for i, x in enumerate(outside):
+            for z in outside[i + 1:]:
+                if (
+                    (naive_closure(basis, y | (1 << x)) >> z) & 1
+                    and (naive_closure(basis, y | (1 << z)) >> x) & 1
+                ):
+                    return ("anti-exchange", (y, x, z))
+    return None
 
 
 class TestValidate:
@@ -74,6 +121,69 @@ class TestValidate:
                 seen_invalid += 1
             assert anti_exchange_ok == (extendability_witness(basis) is None)
         assert seen_invalid > 20  # the sample really exercises both outcomes
+
+    def test_agrees_with_literal_anti_exchange_scan(self):
+        rng = random.Random(21)
+        anti_exchange_failures = 0
+        for _ in range(500):
+            basis = random_basis(rng, rng.randint(1, 6), rng.randint(0, 8))
+            expected = literal_axiom_violation(basis)
+            try:
+                validate_geometry(basis)
+                got = None
+            except NotAGeometry as err:
+                got = (err.reason, err.witness)
+            assert got == expected
+            anti_exchange_failures += got is not None and got[0] == "anti-exchange"
+        assert anti_exchange_failures >= 20
+
+    def test_dead_end_without_violation_raises(self, monkeypatch):
+        # Unreachable by the Edelman-Jamison theorem; forced here to show the
+        # inconsistency stops the run instead of passing the geometry.
+        monkeypatch.setattr(geometry, "_first_dead_end", lambda family, full: 0)
+        with pytest.raises(RuntimeError):
+            validate_geometry(parse_geometry(fixture_text("un")))
+
+
+class TestClosureScope:
+    @pytest.fixture()
+    def kernel_seeds(self, monkeypatch):
+        """Seeds that reach ImplicationBasis.closure, in call order."""
+        seeds = []
+        original = ImplicationBasis.closure
+
+        def counting(basis, seed):
+            seeds.append(seed)
+            return original(basis, seed)
+
+        monkeypatch.setattr(ImplicationBasis, "closure", counting)
+        return seeds
+
+    def test_each_seed_reaches_the_kernel_once_per_operation(self, kernel_seeds):
+        geom = load_fixture("seven").geometry
+        geom.stats.reset()
+        kernel_seeds.clear()
+        assert decide_cdim2(geom).cdim2
+        # check_2ex and check_sq run nested inside decide and share its cache
+        assert len(kernel_seeds) == len(set(kernel_seeds))
+        assert len(kernel_seeds) < geom.stats.closures  # hits count as queries
+
+    def test_cache_is_dropped_on_return(self, kernel_seeds):
+        geom = load_fixture("un").geometry
+        decide_cdim2(geom)
+        kernel_seeds.clear()
+        geom.closure(0b11)
+        geom.closure(0b11)
+        assert kernel_seeds == [0b11, 0b11]
+
+    def test_cache_is_dropped_on_raise(self, kernel_seeds):
+        geom = load_fixture("notsuf").geometry
+        with pytest.raises(Infeasible):
+            build_representation(geom)
+        kernel_seeds.clear()
+        geom.closure(geom.ground.full)
+        geom.closure(geom.ground.full)
+        assert len(kernel_seeds) == 2
 
 
 class TestExtremePoints:

@@ -9,6 +9,7 @@ from segrep import (
     GroundSetTooLarge,
     Implication,
     ImplicationBasis,
+    PropertyReport,
     SqWitness,
     TwoExWitness,
     check_2ex,
@@ -22,6 +23,7 @@ from segrep import (
     validate_geometry,
     verify_witness,
 )
+from segrep import properties
 from segrep.fixtures import load_fixture
 
 
@@ -39,6 +41,16 @@ def un():
 def free3():
     gs = GroundSet(("a", "b", "c"))
     return validate_geometry(ImplicationBasis(gs, ()))
+
+
+class TestPropertyReport:
+    def test_holding_report_with_witness_raises(self):
+        with pytest.raises(ValueError):
+            PropertyReport("TwoEx", True, TwoExWitness(0b111))
+
+    def test_failing_report_without_witness_raises(self):
+        with pytest.raises(ValueError):
+            PropertyReport("TwoEx", False)
 
 
 class TestTwoEx:
@@ -78,6 +90,16 @@ class TestCaratheodory:
         assert report.witness.element == geom.ground.index("x")
         assert verify_witness(geom, report)
 
+    def test_witness_carries_its_order(self):
+        geom = load_fixture("fivepoint").geometry
+        w = check_caratheodory(geom, 2).witness
+        assert w.order == 2
+        # the order comes from the witness, not from the report's name
+        assert verify_witness(geom, PropertyReport("renamed", False, w))
+        # {a,b,c} itself generates x, so the membership is no order-3 witness
+        wider = CaratheodoryWitness(w.subset, w.element, 3)
+        assert not verify_witness(geom, PropertyReport("Caratheodory(2)", False, wider))
+
     def test_order_at_least_n_trivially_holds(self, notsuf):
         assert check_caratheodory(notsuf, notsuf.n).holds
 
@@ -107,6 +129,22 @@ class TestBinaryReduction:
         with pytest.raises(CaratheodoryFails) as err:
             reduce_to_binary_basis(geom)
         assert err.value.witness.subset == geom.ground.mask("abc")
+
+    def test_missing_pair_replacement_raises(self, monkeypatch):
+        # Reached only if the 2-part check were wrong; forced here by
+        # pretending it holds where no part of {a,b,c} smaller than itself
+        # generates x.
+        gs = GroundSet(("a", "b", "c", "x"))
+        geom = validate_geometry(
+            ImplicationBasis(gs, (Implication(gs.mask("abc"), gs.mask("x")),))
+        )
+        monkeypatch.setattr(
+            properties, "check_caratheodory",
+            lambda geom, order, max_n: PropertyReport(f"Caratheodory({order})", True),
+        )
+        with pytest.raises(CaratheodoryFails) as err:
+            reduce_to_binary_basis(geom)
+        assert err.value.witness == CaratheodoryWitness(gs.mask("abc"), gs.index("x"), 2)
 
 
 class TestSq:
