@@ -5,7 +5,7 @@ premise elements are present, the conclusion elements must be too.  The
 closure of a seed set is what forward chaining adds to it.
 """
 
-from segrep import enumerate_closed_sets, validate_geometry
+from segrep import validate_geometry
 from segrep.cli import parse_geometry
 
 TEXT = """
@@ -25,7 +25,7 @@ for label in gs.labels:
 
 # the whole family of closed sets, smallest first
 print("\nclosed sets:")
-for member in enumerate_closed_sets(geom).sets:
+for member in geom.closed_sets().sets:
     print(" ", gs.format_set(member))
 
 # extreme points: members a set cannot re-generate after dropping them

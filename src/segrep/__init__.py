@@ -8,7 +8,6 @@ from .core import (
     ImplicationBasis,
     SegrepError,
     UnknownLabel,
-    closure,
     iter_bits,
     mask_of,
     restrict_basis,
@@ -16,11 +15,9 @@ from .core import (
 from .geometry import (
     Alignment,
     ConvexGeometry,
-    ExtremeReport,
     GroundSetMismatch,
     NotAGeometry,
     closed_family,
-    enumerate_closed_sets,
     extendability_witness,
     join_alignments,
     linear_alignment,

@@ -19,10 +19,9 @@ import sys
 import time
 
 from .core import GroundSet, GroundSetTooLarge, Implication, ImplicationBasis, SegrepError
-from .geometry import ConvexGeometry, NotAGeometry, validate_geometry
+from .geometry import ConvexGeometry, validate_geometry
 from .properties import decide_cdim2
 from .representation import (
-    Infeasible,
     SegmentRepresentation,
     brute_force_cdim2,
     build_representation,
@@ -103,13 +102,23 @@ def layout_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
 
 
 def parse_layout_table(ground: GroundSet, text: str) -> SegmentRepresentation:
-    """Re-read a layout table into its canonical representation."""
+    """Re-read a layout table into its canonical representation.
+
+    Line numbers in errors count from the header line; a missing element is
+    reported at the line after the table.
+    """
+    lines = text.strip().splitlines()
     intervals: dict[int, tuple[float, float]] = {}
-    for line in text.strip().splitlines()[1:]:
-        label, lo, hi = line.split()
-        intervals[ground.index(label)] = (float(lo), float(hi))
-    ordered = [intervals[e] for e in range(ground.n)]
-    return normalize_layout(ordered)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            label, lo, hi = line.split()
+            intervals[ground.index(label)] = (float(lo), float(hi))
+        except (ValueError, SegrepError) as exc:
+            raise ParseError(lineno, f"bad layout row ({exc})") from None
+    for e in range(ground.n):
+        if e not in intervals:
+            raise ParseError(len(lines) + 1, f"no row for element {ground.labels[e]!r}")
+    return normalize_layout([intervals[e] for e in range(ground.n)])
 
 
 def render_ascii(ground: GroundSet, rep: SegmentRepresentation) -> str:
@@ -188,11 +197,19 @@ def _guard(args, default: int) -> int:
     return default if args.max_n is None else args.max_n
 
 
-def _load(args) -> tuple[str, ConvexGeometry]:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    basis = parse_geometry(text)
-    return text, validate_geometry(basis, max_n=_guard(args, 20))
+def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
+    """Read, parse and validate the input file; start the command's report."""
+    with open(args.file, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
+    # The newline translation that reading in text mode does.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    geom = validate_geometry(parse_geometry(text), max_n=_guard(args, 20))
+    return Report(command, args.file, text), geom
 
 
 def _describe_basis(report: Report, geom: ConvexGeometry) -> None:
@@ -201,17 +218,23 @@ def _describe_basis(report: Report, geom: ConvexGeometry) -> None:
     report.add("basis_size", geom.basis.size)
 
 
-def _finish(report: Report, geom: ConvexGeometry, args, started: float) -> None:
-    report.add("closure_calls", geom.stats.closures)
-    if args.timing:
-        report.add("elapsed_ms", round((time.monotonic() - started) * 1000, 3))
-    print(report.emit(args.json))
+def _represent(args, report: Report, geom: ConvexGeometry) -> SegmentRepresentation | None:
+    """Decide; on a yes, build the representation, verify it on every subset
+    under ``--exhaustive``, and report its chain display.  None on a no."""
+    _describe_basis(report, geom)
+    decision = decide_cdim2(geom)
+    report.add("cdim2", decision.cdim2)
+    if not decision.cdim2:
+        return None
+    rep = build_representation(geom)
+    if getattr(args, "exhaustive", False):
+        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
+        report.add("verified_exhaustively", ok)
+    report.add("representation", chain_display(geom.ground, rep))
+    return rep
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    text, geom = _load(args)
-    report = Report("check", args.file, text)
+def cmd_check(args, report: Report, geom: ConvexGeometry) -> int:
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
     report.add("two_ex", decision.two_ex.holds)
@@ -221,70 +244,37 @@ def cmd_check(args) -> int:
     if not decision.sq.holds:
         report.add("sq_witness", decision.sq.describe(geom.ground))
     report.add("cdim2", decision.cdim2)
-    _finish(report, geom, args, started)
     return 0 if decision.cdim2 else 1
 
 
-def cmd_represent(args) -> int:
-    started = time.monotonic()
-    text, geom = _load(args)
-    report = Report("represent", args.file, text)
-    _describe_basis(report, geom)
-    decision = decide_cdim2(geom)
-    report.add("cdim2", decision.cdim2)
-    if not decision.cdim2:
-        _finish(report, geom, args, started)
+def cmd_represent(args, report: Report, geom: ConvexGeometry) -> int:
+    rep = _represent(args, report, geom)
+    if rep is None:
         return 1
-    rep = build_representation(geom, strategy=args.builder)
-    if args.exhaustive:
-        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
-        report.add("verified_exhaustively", ok)
-    report.add("representation", chain_display(geom.ground, rep))
     report.add("segments", "\n" + layout_table(geom.ground, rep))
-    _finish(report, geom, args, started)
     return 0
 
 
-def cmd_unique(args) -> int:
-    started = time.monotonic()
-    text, geom = _load(args)
-    report = Report("unique", args.file, text)
-    _describe_basis(report, geom)
-    decision = decide_cdim2(geom)
-    report.add("cdim2", decision.cdim2)
-    if not decision.cdim2:
-        _finish(report, geom, args, started)
+def cmd_unique(args, report: Report, geom: ConvexGeometry) -> int:
+    rep = _represent(args, report, geom)
+    if rep is None:
         return 1
-    rep = build_representation(geom, strategy=args.builder)
-    if args.exhaustive:
-        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
-        report.add("verified_exhaustively", ok)
-    report.add("representation", chain_display(geom.ground, rep))
     report.add("blocks", "\n" + block_decomposition(rep).describe(geom.ground))
     report.add("representation_count", count_representations(rep))
-    verdict = is_unique(rep)
-    report.add("unique", verdict.unique)
-    _finish(report, geom, args, started)
+    report.add("unique", is_unique(rep).unique)
     return 0
 
 
-def cmd_closure(args) -> int:
-    started = time.monotonic()
-    text, geom = _load(args)
-    report = Report("closure", args.file, text)
+def cmd_closure(args, report: Report, geom: ConvexGeometry) -> int:
     seed = geom.ground.mask(args.set)
     closed = geom.closure(seed)
     report.add("seed", geom.ground.format_set(seed))
     report.add("closure", geom.ground.format_set(closed))
     report.add("extreme_points", geom.ground.format_set(geom.extreme_points(closed)))
-    _finish(report, geom, args, started)
     return 0
 
 
-def cmd_oracle(args) -> int:
-    started = time.monotonic()
-    text, geom = _load(args)
-    report = Report("oracle", args.file, text)
+def cmd_oracle(args, report: Report, geom: ConvexGeometry) -> int:
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
     subset_guard = _guard(args, 15)
@@ -306,22 +296,40 @@ def cmd_oracle(args) -> int:
     if decision.cdim2 != brute.cdim2:
         mismatches.append("cdim2")
     report.add("mismatch", ",".join(mismatches) if mismatches else "none")
-    _finish(report, geom, args, started)
     return 0 if decision.cdim2 else 1
 
 
-def cmd_render(args) -> int:
-    text, geom = _load(args)
-    decision = decide_cdim2(geom)
-    if not decision.cdim2:
+def cmd_render(args, report: Report, geom: ConvexGeometry) -> int:
+    rep = _represent(args, report, geom)
+    if rep is None:
         print("not representable by segments on a line", file=sys.stderr)
         return 1
-    rep = build_representation(geom, strategy=args.builder)
-    if args.format == "ascii":
-        print(render_ascii(geom.ground, rep))
-    else:
-        print(render_svg(geom.ground, rep))
+    draw = render_ascii if args.format == "ascii" else render_svg
+    print(draw(geom.ground, rep))
     return 0
+
+
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable report"),
+    "--timing": dict(action="store_true", help="include elapsed time"),
+    "--exhaustive": dict(action="store_true",
+                         help="verify representations on every subset, not only pairs"),
+    "--max-n": dict(type=int, default=None, dest="max_n",
+                    help="override the guards on exhaustive scans"),
+}
+_REPORT = ("--json", "--timing", "--max-n")
+_REPORT_EXHAUSTIVE = ("--json", "--timing", "--exhaustive", "--max-n")
+
+# Each subcommand with its handler, help line, and the flags it reads.
+# Commands that take --json print their report; render prints a drawing.
+_COMMANDS = {
+    "check": (cmd_check, "decide representability by segments", _REPORT),
+    "represent": (cmd_represent, "print chain display and interval table", _REPORT_EXHAUSTIVE),
+    "unique": (cmd_unique, "block report, count, uniqueness verdict", _REPORT_EXHAUSTIVE),
+    "closure": (cmd_closure, "closure and extreme points of a set", _REPORT),
+    "oracle": (cmd_oracle, "diff exhaustive checks against the fast ones", _REPORT),
+    "render": (cmd_render, "draw the nested segments", ("--max-n",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,53 +339,32 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, builder=False):
-        p.add_argument("file", help="geometry file")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--timing", action="store_true", help="include elapsed time")
-        p.add_argument("--exhaustive", action="store_true",
-                       help="verify representations on every subset, not only pairs")
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help="override the guards on exhaustive scans")
-        if builder:
-            p.add_argument("--builder", choices=("paper", "backtrack"),
-                           default="paper", help="construction strategy")
-
-    common(sub.add_parser("check", help="decide representability by segments"))
-    common(sub.add_parser("represent", help="print chain display and interval table"),
-           builder=True)
-    common(sub.add_parser("unique", help="block report, count, uniqueness verdict"),
-           builder=True)
-    closure = sub.add_parser("closure", help="closure and extreme points of a set")
-    common(closure)
-    closure.add_argument("set", nargs="*", help="element labels")
-    oracle = sub.add_parser("oracle", help="diff exhaustive checks against the fast ones")
-    common(oracle)
-    render = sub.add_parser("render", help="draw the nested segments")
-    common(render, builder=True)
-    render.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("file", help="geometry file")
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(handler=handler)
+    sub.choices["closure"].add_argument("set", nargs="*", help="element labels")
+    sub.choices["render"].add_argument("--format", choices=("ascii", "svg"), default="ascii")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "represent": cmd_represent,
-        "unique": cmd_unique,
-        "closure": cmd_closure,
-        "oracle": cmd_oracle,
-        "render": cmd_render,
-    }
+    started = time.monotonic()
     try:
-        return handlers[args.command](args)
-    except GroundSetTooLarge as exc:
+        report, geom = _load(args, args.command)
+        code = args.handler(args, report, geom)
+        if "json" in args:
+            report.add("closure_calls", geom.stats.closures)
+            if args.timing:
+                report.add("elapsed_ms", round((time.monotonic() - started) * 1000, 3))
+            print(report.emit(args.json))
+        return code
+    except (OSError, SegrepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, NotAGeometry, OSError, Infeasible, SegrepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GroundSetTooLarge) else 2
 
 
 if __name__ == "__main__":

@@ -59,9 +59,20 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
-def subsets_canonical(n: int) -> list[int]:
-    """All subsets of an ``n``-element ground set in canonical order."""
-    return sorted(range(1 << n), key=canonical_key)
+def subsets_canonical(mask: int) -> list[int]:
+    """Every subset of ``mask`` in canonical order."""
+    subsets = [0]
+    for e in iter_bits(mask):
+        subsets += [s | (1 << e) for s in subsets]
+    return sorted(subsets, key=canonical_key)
+
+
+def prefix_masks(order: Iterable[int]) -> tuple[int, ...]:
+    """The prefixes of a chain as masks, from the empty one to the whole chain."""
+    prefixes = [0]
+    for e in order:
+        prefixes.append(prefixes[-1] | (1 << e))
+    return tuple(prefixes)
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,6 @@ class ImplicationBasis:
                         closed |= new
                         stack.extend(iter_bits(new))
         return closed
-
-
-def closure(basis: ImplicationBasis, seed: int) -> int:
-    return basis.closure(seed)
 
 
 def restrict_basis(basis: ImplicationBasis, subset: int) -> ImplicationBasis:

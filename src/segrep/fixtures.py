@@ -14,7 +14,7 @@ from importlib import resources
 
 from .core import GroundSet, Implication, ImplicationBasis, SegrepError
 from .geometry import ConvexGeometry, NotAGeometry, validate_geometry
-from .properties import check_2ex, decide_cdim2
+from .properties import decide_cdim2
 from .representation import SegmentRepresentation, build_representation
 from .uniqueness import count_representations
 
@@ -97,7 +97,7 @@ def _verify_expectations(fixture: Fixture) -> None:
     decision = decide_cdim2(geom)
     if decision.cdim2 != expected["cdim2"]:
         raise FixtureMismatch(f"{fixture.name}: cdim2 expectation drifted")
-    if check_2ex(geom).holds != expected["two_ex"]:
+    if decision.two_ex.holds != expected["two_ex"]:
         raise FixtureMismatch(f"{fixture.name}: two_ex expectation drifted")
     if expected["cdim2"]:
         rep = build_representation(geom)

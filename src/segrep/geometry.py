@@ -20,6 +20,7 @@ from .core import (
     SegrepError,
     canonical_key,
     iter_bits,
+    prefix_masks,
 )
 
 
@@ -76,9 +77,6 @@ class Alignment:
     def from_masks(cls, ground: GroundSet, masks) -> "Alignment":
         return cls(ground, tuple(sorted(set(masks), key=canonical_key)))
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.sets)
-
     def generated_closure(self, seed: int) -> int:
         """Closure operator induced by the family: meet of covering members."""
         out = self.ground.full
@@ -97,14 +95,6 @@ class Alignment:
                 if a & b not in members:
                     return False
         return True
-
-
-@dataclass(frozen=True)
-class ExtremeReport:
-    """A subset together with its extreme points."""
-
-    subject: int
-    extreme: int
 
 
 def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
@@ -187,9 +177,6 @@ class ConvexGeometry:
             if not (self.closure(subset & ~(1 << x)) >> x) & 1:
                 out |= 1 << x
         return out
-
-    def extreme_report(self, subset: int) -> ExtremeReport:
-        return ExtremeReport(subject=subset, extreme=self.extreme_points(subset))
 
     def closed_sets(self) -> Alignment:
         return Alignment(self.ground, self._closed)
@@ -277,11 +264,6 @@ def _first_dead_end(family: tuple[int, ...], full: int):
     return None
 
 
-def enumerate_closed_sets(geom: ConvexGeometry) -> Alignment:
-    """The alignment of all closed sets, canonically ordered."""
-    return geom.closed_sets()
-
-
 def join_alignments(first: Alignment, second: Alignment) -> Alignment:
     """Family of all pairwise intersections of members of the two inputs."""
     if first.ground != second.ground:
@@ -295,9 +277,4 @@ def linear_alignment(ground: GroundSet, order) -> Alignment:
     order = tuple(order)
     if sorted(order) != list(range(ground.n)):
         raise ValueError("order must be a permutation of the ground set")
-    prefixes = [0]
-    acc = 0
-    for e in order:
-        acc |= 1 << e
-        prefixes.append(acc)
-    return Alignment.from_masks(ground, prefixes)
+    return Alignment.from_masks(ground, prefix_masks(order))

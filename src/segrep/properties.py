@@ -28,6 +28,7 @@ from .core import (
     canonical_key,
     iter_bits,
     mask_of,
+    subsets_canonical,
 )
 from .geometry import ConvexGeometry, closure_scope
 
@@ -174,14 +175,17 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     return PropertyReport("TwoEx", True)
 
 
+def _all_subsets(geom: ConvexGeometry, operation: str, max_n: int, min_size: int) -> list[int]:
+    """Every subset with at least ``min_size`` members, in canonical order,
+    for the exhaustive ``operation``; guarded at ``max_n`` elements."""
+    if geom.n > max_n:
+        raise GroundSetTooLarge(operation, geom.n, max_n)
+    return [s for s in subsets_canonical(geom.ground.full) if s.bit_count() >= min_size]
+
+
 def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
     """Literal evaluation of the two-extreme-points bound over all subsets."""
-    n = geom.n
-    if n > max_n:
-        raise GroundSetTooLarge("check_2ex_exhaustive", n, max_n)
-    for subset in sorted(range(1 << n), key=canonical_key):
-        if subset.bit_count() < 3:
-            continue
+    for subset in _all_subsets(geom, "check_2ex_exhaustive", max_n, 3):
         extreme = geom.extreme_points(subset)
         if extreme.bit_count() > 2:
             triple = mask_of(list(iter_bits(extreme))[:3])
@@ -193,27 +197,26 @@ def check_caratheodory(geom: ConvexGeometry, order: int, max_n: int = 15) -> Pro
     """Every closure membership is witnessed by at most ``order`` generators."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    n = geom.n
-    if n > max_n:
-        raise GroundSetTooLarge("check_caratheodory", n, max_n)
     name = f"Caratheodory({order})"
-    for subset in sorted(range(1 << n), key=canonical_key):
-        if subset.bit_count() <= order:
-            continue
+    for subset in _all_subsets(geom, "check_caratheodory", max_n, order + 1):
         closed = geom.closure(subset)
         members = list(iter_bits(subset))
         for a in iter_bits(closed & ~subset):
-            if not _small_part_generates(geom, members, a, order):
+            if _generating_part(geom, members, a, order) is None:
                 return PropertyReport(name, False, CaratheodoryWitness(subset, a, order))
     return PropertyReport(name, True)
 
 
-def _small_part_generates(geom: ConvexGeometry, members: list[int], a: int, order: int) -> bool:
+def _generating_part(
+    geom: ConvexGeometry, members: list[int], a: int, order: int
+) -> Optional[int]:
+    """First part of ``members`` with at most ``order`` elements, smallest
+    first, whose closure contains ``a``; None when there is none."""
     for size in range(1, order + 1):
         for part in combinations(members, size):
             if (geom.closure(mask_of(part)) >> a) & 1:
-                return True
-    return False
+                return mask_of(part)
+    return None
 
 
 def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> ImplicationBasis:
@@ -238,16 +241,7 @@ def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> Implication
             if imp.premise.bit_count() <= 2:
                 units.append((imp.premise, b))
                 continue
-            members = list(iter_bits(imp.premise))
-            replacement = None
-            for size in (1, 2):
-                for part in combinations(members, size):
-                    pm = mask_of(part)
-                    if (geom.closure(pm) >> b) & 1:
-                        replacement = pm
-                        break
-                if replacement is not None:
-                    break
+            replacement = _generating_part(geom, list(iter_bits(imp.premise)), b, 2)
             if replacement is None:
                 raise CaratheodoryFails(CaratheodoryWitness(imp.premise, b, 2))
             units.append((replacement, b))
@@ -281,10 +275,9 @@ def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional
     and are skipped.  Returns a witness when the conclusion (removing ``b``
     leaves ``{a, d}`` or ``{a}``) fails.
     """
-    after_a = geom.extreme_points(subset & ~(1 << a))
-    if not (after_a >> b) & 1 or after_a.bit_count() != 2:
+    c = _replacement(geom, subset, a, b)
+    if c is None:
         return None
-    c = next(iter_bits(after_a & ~(1 << b)))
     after_ab = geom.extreme_points(subset & ~(1 << a) & ~(1 << b))
     if not (after_ab >> c) & 1 or after_ab.bit_count() != 2:
         return None
@@ -295,17 +288,28 @@ def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional
     return SqWitness(subset, a, b, c, d, after_b)
 
 
-def _sq_scan(geom: ConvexGeometry, subsets) -> PropertyReport:
+def _replacement(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[int]:
+    """The ``c != b`` with ``{c, b}`` the extreme points of ``subset`` minus
+    ``a``; None when removing ``a`` leaves other extreme points."""
+    after_a = geom.extreme_points(subset & ~(1 << a))
+    if not (after_a >> b) & 1 or after_a.bit_count() != 2:
+        return None
+    return next(iter_bits(after_a & ~(1 << b)))
+
+
+def _pair_scan(geom: ConvexGeometry, name: str, subsets, violation) -> PropertyReport:
+    """First ``violation(geom, subset, a, b)`` witness over the subsets with
+    exactly two extreme points, trying both labellings of the pair."""
     for subset in subsets:
         extreme = geom.extreme_points(subset)
         if extreme.bit_count() != 2:
             continue
         first, second = iter_bits(extreme)
         for a, b in ((first, second), (second, first)):
-            witness = _sq_violation(geom, subset, a, b)
+            witness = violation(geom, subset, a, b)
             if witness is not None:
-                return PropertyReport("Sq", False, witness)
-    return PropertyReport("Sq", True)
+                return PropertyReport(name, False, witness)
+    return PropertyReport(name, True)
 
 
 @closure_scope
@@ -318,20 +322,14 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
     The exhaustive twin exists because that reduction ranges over closed
     sets only; the suite asserts agreement between the two on small inputs.
     """
-    seen = set()
-    for i in range(geom.n):
-        for j in range(i + 1, geom.n):
-            seen.add(geom.closure((1 << i) | (1 << j)))
-    return _sq_scan(geom, sorted(seen, key=canonical_key))
+    seen = set(_pair_closures(geom).values())
+    return _pair_scan(geom, "Sq", sorted(seen, key=canonical_key), _sq_violation)
 
 
 def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
     """Square condition evaluated over every subset of the ground set."""
-    n = geom.n
-    if n > max_n:
-        raise GroundSetTooLarge("check_sq_exhaustive", n, max_n)
-    subsets = [s for s in sorted(range(1 << n), key=canonical_key) if s.bit_count() >= 3]
-    return _sq_scan(geom, subsets)
+    subsets = _all_subsets(geom, "check_sq_exhaustive", max_n, 3)
+    return _pair_scan(geom, "Sq", subsets, _sq_violation)
 
 
 def check_exr(geom: ConvexGeometry, max_n: int = 15, closed_only: bool = False) -> PropertyReport:
@@ -343,32 +341,17 @@ def check_exr(geom: ConvexGeometry, max_n: int = 15, closed_only: bool = False) 
     ``y`` is generated by ``a`` (alone or with ``z``), then ``{c, z}`` must
     generate ``y``.  Instances with ``c == b`` hold vacuously.
     """
-    n = geom.n
     if closed_only:
-        subsets = list(geom.closed_sets().sets)
+        subsets = [s for s in geom.closed_sets().sets if s.bit_count() >= 2]
     else:
-        if n > max_n:
-            raise GroundSetTooLarge("check_exr", n, max_n)
-        subsets = sorted(range(1 << n), key=canonical_key)
-    for subset in subsets:
-        if subset.bit_count() < 2:
-            continue
-        extreme = geom.extreme_points(subset)
-        if extreme.bit_count() != 2:
-            continue
-        first, second = iter_bits(extreme)
-        for a, b in ((first, second), (second, first)):
-            witness = _exr_violation(geom, subset, a, b)
-            if witness is not None:
-                return PropertyReport("ExR", False, witness)
-    return PropertyReport("ExR", True)
+        subsets = _all_subsets(geom, "check_exr", max_n, 2)
+    return _pair_scan(geom, "ExR", subsets, _exr_violation)
 
 
 def _exr_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[ExRWitness]:
-    after_a = geom.extreme_points(subset & ~(1 << a))
-    if not (after_a >> b) & 1 or after_a.bit_count() != 2:
+    c = _replacement(geom, subset, a, b)
+    if c is None:
         return None
-    c = next(iter_bits(after_a & ~(1 << b)))
     from_a = geom.closure(1 << a)
     rest = subset & ~(1 << a)
     for z in iter_bits(rest & ~from_a):
@@ -423,7 +406,7 @@ def verify_witness(geom: ConvexGeometry, report: PropertyReport) -> bool:
         if not (geom.closure(w.subset) >> w.element) & 1:
             return False
         members = list(iter_bits(w.subset))
-        return not _small_part_generates(geom, members, w.element, w.order)
+        return _generating_part(geom, members, w.element, w.order) is None
     if isinstance(w, ExRWitness):
         return (
             geom.extreme_points(w.subset) == (1 << w.a) | (1 << w.b)

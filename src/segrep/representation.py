@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import GroundSetTooLarge, SegrepError, canonical_key, iter_bits, mask_of
+from .core import (
+    GroundSetTooLarge, SegrepError, iter_bits, mask_of, prefix_masks, subsets_canonical,
+)
 from .geometry import ConvexGeometry, closure_scope
 
 
@@ -64,8 +66,8 @@ class SegmentRepresentation:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_lrank", {e: i + 1 for i, e in enumerate(left)})
         object.__setattr__(self, "_rrank", {e: i + 1 for i, e in enumerate(right)})
-        object.__setattr__(self, "_lpref", _prefix_masks(left))
-        object.__setattr__(self, "_rpref", _prefix_masks(right))
+        object.__setattr__(self, "_lpref", prefix_masks(left))
+        object.__setattr__(self, "_rpref", prefix_masks(right))
 
     @property
     def n(self) -> int:
@@ -80,15 +82,6 @@ class SegmentRepresentation:
 
     def right_rank(self, element: int) -> int:
         return self._rrank[element]
-
-
-def _prefix_masks(chain: Sequence[int]) -> tuple[int, ...]:
-    prefixes = [0]
-    acc = 0
-    for e in chain:
-        acc |= 1 << e
-        prefixes.append(acc)
-    return tuple(prefixes)
 
 
 def segment_closure(rep: SegmentRepresentation, seed: int) -> int:
@@ -128,10 +121,7 @@ def verify_representation(
     if exhaustive:
         if domain.bit_count() > max_n:
             raise GroundSetTooLarge("verify_representation", domain.bit_count(), max_n)
-        members = list(iter_bits(domain))
-        seeds = sorted(
-            (mask_of(chosen) for chosen in _powerset(members)), key=canonical_key
-        )
+        seeds = subsets_canonical(domain)
     else:
         members = list(iter_bits(domain))
         seeds = [0]
@@ -147,17 +137,8 @@ def verify_representation(
     return (True, None)
 
 
-def _powerset(members):
-    out = [[]]
-    for e in members:
-        out.extend(part + [e] for part in list(out))
-    return out
-
-
 @closure_scope
-def build_representation(
-    geom: ConvexGeometry, strategy: str = "paper"
-) -> SegmentRepresentation:
+def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     """Construct a verified segment representation, or raise Infeasible.
 
     Peel an extreme point ``a`` (at most two exist when construction can
@@ -169,30 +150,25 @@ def build_representation(
     restriction before being returned, and the final result is verified
     against the full geometry.
 
-    ``strategy="paper"`` pins the insertion position from the peeled point's
-    closure; ``strategy="backtrack"`` tries every right-chain position and
-    exists for differential testing.  Peeling prefers the lexicographically
-    least extreme point and retries with the other before giving up.
+    The insertion position is pinned by the peeled point's closure.
+    Peeling prefers the lexicographically least extreme point and retries
+    with the other before giving up.
     """
-    if strategy not in ("paper", "backtrack"):
-        raise ValueError("strategy must be 'paper' or 'backtrack'")
-    rep = _peel(geom, geom.ground.full, strategy, {})
+    rep = _peel(geom, geom.ground.full, {})
     ok, seed = verify_representation(geom, rep)
     if not ok:
         raise Infeasible("final-verification", seed)
     return rep
 
 
-def _peel(
-    geom: ConvexGeometry, subset: int, strategy: str, memo: dict
-) -> SegmentRepresentation:
+def _peel(geom: ConvexGeometry, subset: int, memo: dict) -> SegmentRepresentation:
     if subset in memo:
         result = memo[subset]
         if isinstance(result, Infeasible):
             raise result
         return result
     try:
-        result = _peel_uncached(geom, subset, strategy, memo)
+        result = _peel_uncached(geom, subset, memo)
     except Infeasible as err:
         memo[subset] = err
         raise
@@ -200,9 +176,7 @@ def _peel(
     return result
 
 
-def _peel_uncached(
-    geom: ConvexGeometry, subset: int, strategy: str, memo: dict
-) -> SegmentRepresentation:
+def _peel_uncached(geom: ConvexGeometry, subset: int, memo: dict) -> SegmentRepresentation:
     count = subset.bit_count()
     if count == 0:
         return SegmentRepresentation((), ())
@@ -217,7 +191,7 @@ def _peel_uncached(
         raise Infeasible("extreme-count", (subset, extreme))
     if k == 1:
         a = next(iter_bits(extreme))
-        sub = _peel(geom, subset & ~(1 << a), strategy, memo)
+        sub = _peel(geom, subset & ~(1 << a), memo)
         rep = SegmentRepresentation(sub.left + (a,), sub.right + (a,))
         ok, _ = verify_representation(geom, rep)
         if not ok:
@@ -225,39 +199,30 @@ def _peel_uncached(
         return rep
     first, second = iter_bits(extreme)
     for a, b in ((first, second), (second, first)):
-        rep = _insert(geom, subset, a, b, strategy, memo)
+        rep = _insert(geom, subset, a, b, memo)
         if rep is not None:
             return rep
     raise Infeasible("insertion", (subset, extreme))
 
 
 def _insert(
-    geom: ConvexGeometry, subset: int, a: int, b: int, strategy: str, memo: dict
+    geom: ConvexGeometry, subset: int, a: int, b: int, memo: dict
 ) -> Optional[SegmentRepresentation]:
     from .uniqueness import block_orientations
 
     try:
-        sub = _peel(geom, subset & ~(1 << a), strategy, memo)
+        sub = _peel(geom, subset & ~(1 << a), memo)
     except Infeasible:
         return None
     below_a = (geom.closure(1 << a) & subset) & ~(1 << a)
     cut = below_a.bit_count()
     for left, right in block_orientations(sub):
-        if strategy == "paper":
-            if right[-1] != b:
-                continue
-            if mask_of(right[:cut]) != below_a:
-                continue
-            positions = (cut,)
-        else:
-            positions = tuple(range(len(right) + 1))
-        for pos in positions:
-            candidate = SegmentRepresentation(
-                left + (a,), right[:pos] + (a,) + right[pos:]
-            )
-            ok, _ = verify_representation(geom, candidate)
-            if ok:
-                return candidate
+        if right[-1] != b or mask_of(right[:cut]) != below_a:
+            continue
+        candidate = SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
+        ok, _ = verify_representation(geom, candidate)
+        if ok:
+            return candidate
     return None
 
 
@@ -303,7 +268,7 @@ def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
 
     if 0 in family:
         grow(0, [])
-    prefix_sets = [_prefix_masks(chain) for chain in chains]
+    prefix_sets = [prefix_masks(chain) for chain in chains]
 
     found: set[SegmentRepresentation] = set()
     for i in range(len(chains)):

@@ -87,6 +87,20 @@ class TestExitCodes:
         not_geometry.write_text("elements a b\nimp a -> b\nimp b -> a\n")
         assert run("check", str(not_geometry))[0] == 2
         assert run("check", str(tmp_path / "missing.geom"))[0] == 2
+        not_utf8 = tmp_path / "bytes.geom"
+        not_utf8.write_bytes(b"elements a b\nimp a -> \xff\n")
+        code, out, err = run("check", str(not_utf8))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ") and "UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),
+    ])
+    def test_removed_flags_are_rejected(self, files, argv):
+        with pytest.raises(SystemExit) as exit_info, \
+                contextlib.redirect_stderr(io.StringIO()):
+            main([argv[0], files["un"], *argv[1:]])
+        assert exit_info.value.code == 2
 
     def test_guard_exits_three(self, files):
         assert run("oracle", files["un"], "--max-n", "2")[0] == 3
@@ -122,16 +136,36 @@ class TestCheck:
         assert keys[-1] == "closure_calls"
 
     # Every closure query counts, answered from the cache or not, so these
-    # match the counts from before the operation-scoped closure cache.
-    @pytest.mark.parametrize("name, calls", [
-        ("fivepoint", 70), ("notsuf", 51), ("seven", 128), ("switch", 74),
-        ("triangle", 41), ("un", 47), ("unique", 81),
+    # match the counts from before the operation-scoped closure cache.  The
+    # key sequence of each report is pinned alongside.
+    @pytest.mark.parametrize("command, name, calls", [
+        pytest.param(command, name, calls,
+                     id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
+        for command, counts in (
+            ("check", (70, 51, 128, 74, 41, 47, 81)),
+            ("represent", (70, 51, 276, 179, 41, 97, 151)),
+            ("unique", (70, 51, 276, 179, 41, 97, 151)),
+        )
+        for name, calls in zip(
+            ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
     ])
-    def test_closure_calls_pinned_on_fixtures(self, tmp_path, name, calls):
+    def test_closure_calls_pinned_on_fixtures(self, tmp_path, command, name, calls):
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
-        _, out, _ = run("check", str(path), "--json")
-        assert json.loads(out)["closure_calls"] == calls
+        code, out, _ = run(command, str(path), "--json")
+        payload = json.loads(out)
+        assert payload["closure_calls"] == calls
+        head = ["command", "input", "sha256", "elements", "implications", "basis_size"]
+        if command == "check":
+            body = ["two_ex"] + (["two_ex_witness"] if name in ("fivepoint", "triangle") else [])
+            body += ["sq"] + (["sq_witness"] if name == "notsuf" else []) + ["cdim2"]
+        elif code == 1:
+            body = ["cdim2"]
+        elif command == "represent":
+            body = ["cdim2", "representation", "segments"]
+        else:
+            body = ["cdim2", "representation", "blocks", "representation_count", "unique"]
+        assert list(payload) == head + body + ["closure_calls"]
 
 
 class TestRepresent:
@@ -221,9 +255,22 @@ class TestDisplayHelpers:
             intervals.append((float(lo), float(hi)))
         assert normalize_layout(intervals) == rep
 
+    @pytest.mark.parametrize("body, line", [
+        ("a 1\nb -2 2\nc -3 3\nd -4 4", 2),
+        ("a -1 one\nb -2 2\nc -3 3\nd -4 4", 2),
+        ("a -1 1\nb -2 2\nc -3 3", 5),
+    ], ids=["short-row", "non-numeric", "missing-element"])
+    def test_bad_layout_tables_raise_parse_error(self, body, line):
+        gs = load_fixture("un").geometry.ground
+        with pytest.raises(ParseError) as err:
+            parse_layout_table(gs, "element left_endpoint right_endpoint\n" + body)
+        assert err.value.line == line
+
 
 class TestExhaustiveFlag:
-    def test_represent_reports_exhaustive_verification(self, files):
-        code, out, _ = run("represent", files["un"], "--exhaustive")
+    @pytest.mark.parametrize("command", ["represent", "unique"])
+    def test_reports_exhaustive_verification(self, files, command):
+        code, out, _ = run(command, files["un"], "--exhaustive")
         assert code == 0
         assert "verified_exhaustively: True" in out
+        assert out.index("verified_exhaustively") < out.index("representation:")

@@ -8,7 +8,6 @@ from segrep import (
     GroundSet,
     Implication,
     ImplicationBasis,
-    closure,
     iter_bits,
     mask_of,
     restrict_basis,
@@ -38,23 +37,23 @@ class TestClosure:
     def test_notsuf_singleton(self):
         basis = parse_geometry(NOTSUF)
         gs = basis.ground
-        assert closure(basis, gs.mask("a")) == gs.mask("ad")
+        assert basis.closure(gs.mask("a")) == gs.mask("ad")
 
     def test_empty_seed_stays_empty(self):
         basis = parse_geometry(NOTSUF)
-        assert closure(basis, 0) == 0
+        assert basis.closure(0) == 0
 
     def test_un_pair_seed(self):
         basis = parse_geometry(UN)
         gs = basis.ground
-        assert closure(basis, gs.mask("ac")) == gs.mask("abc")
+        assert basis.closure(gs.mask("ac")) == gs.mask("abc")
 
     def test_un_closed_family_matches_hand_enumeration(self):
         # cross-check: the closed sets of the un basis are exactly the nine
         # sets obtained by joining the chains a<b<c<d and c<b<d<a
         basis = parse_geometry(UN)
         gs = basis.ground
-        family = {s for s in range(1 << 4) if closure(basis, s) == s}
+        family = {s for s in range(1 << 4) if basis.closure(s) == s}
         expected = {
             0,
             gs.mask("a"),
@@ -71,7 +70,7 @@ class TestClosure:
     def test_empty_premise_fires_immediately(self):
         gs = GroundSet(("a", "b"))
         basis = ImplicationBasis(gs, (Implication(0, gs.mask("a")),))
-        assert closure(basis, 0) == gs.mask("a")
+        assert basis.closure(0) == gs.mask("a")
 
     def test_agrees_with_naive_closure_and_terminates_fast(self):
         rng = random.Random(1)
@@ -87,7 +86,7 @@ class TestClosure:
             for _ in range(5):
                 seed = rng.getrandbits(n)
                 expected, rounds = naive_closure(basis, seed)
-                assert closure(basis, seed) == expected
+                assert basis.closure(seed) == expected
                 assert rounds <= n
 
     def test_closure_axioms_on_random_bases(self):
@@ -102,10 +101,10 @@ class TestClosure:
             basis = ImplicationBasis(gs, imps)
             y = rng.getrandbits(n)
             z = y | rng.getrandbits(n)
-            cy, cz = closure(basis, y), closure(basis, z)
+            cy, cz = basis.closure(y), basis.closure(z)
             assert y & ~cy == 0  # extensive
             assert cy & ~cz == 0  # monotone
-            assert closure(basis, cy) == cy  # idempotent
+            assert basis.closure(cy) == cy  # idempotent
 
 
 class TestRestrictBasis:

@@ -15,7 +15,6 @@ from segrep import (
     build_representation,
     closed_family,
     decide_cdim2,
-    enumerate_closed_sets,
     extendability_witness,
     join_alignments,
     linear_alignment,
@@ -288,7 +287,7 @@ class TestFamilies:
     def test_un_family(self):
         geom = validate_geometry(parse_geometry(fixture_text("un")))
         gs = geom.ground
-        family = enumerate_closed_sets(geom)
+        family = geom.closed_sets()
         assert set(family.sets) == {
             0, gs.mask("a"), gs.mask("b"), gs.mask("c"), gs.mask("ab"),
             gs.mask("bc"), gs.mask("abc"), gs.mask("bcd"), gs.full,
@@ -297,12 +296,12 @@ class TestFamilies:
     def test_free_two_element_family(self):
         gs = GroundSet(("a", "b"))
         geom = validate_geometry(ImplicationBasis(gs, ()))
-        assert set(enumerate_closed_sets(geom).sets) == {0, 1, 2, 3}
+        assert set(geom.closed_sets().sets) == {0, 1, 2, 3}
 
     def test_notsuf_meet_irreducibles(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
         gs = geom.ground
-        family = set(enumerate_closed_sets(geom).sets)
+        family = set(geom.closed_sets().sets)
         special = [gs.mask("bd"), gs.mask("ad"), gs.mask("c")]
         for s in special:
             assert s in family

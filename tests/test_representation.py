@@ -116,15 +116,13 @@ class TestBuilder:
         with pytest.raises(Infeasible):
             build_representation(geom)
 
-    def test_backtrack_strategy_agrees(self, pool_small):
+    def test_built_representation_verifies_exhaustively(self, pool_small):
         for geom in pool_small[:150]:
             decision = decide_cdim2(geom)
             if not decision.cdim2:
                 continue
-            paper = build_representation(geom, strategy="paper")
-            backtrack = build_representation(geom, strategy="backtrack")
-            for rep in (paper, backtrack):
-                assert verify_representation(geom, rep, exhaustive=True)[0]
+            rep = build_representation(geom)
+            assert verify_representation(geom, rep, exhaustive=True)[0]
 
     def test_infeasible_only_when_not_representable(self, pool_small):
         for geom in pool_small[:300]:
