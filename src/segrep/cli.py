@@ -7,7 +7,8 @@ File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
 Exit codes: 0 the geometry is representable by segments (convex dimension at
 most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 a guard on
-an exhaustive operation was hit (the message names the flag to raise).
+an exhaustive operation was hit (the message names the flag to raise) or the
+run ran out of recursion depth or memory.
 """
 
 from __future__ import annotations
@@ -365,6 +366,10 @@ def main(argv=None) -> int:
     except (OSError, SegrepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, GroundSetTooLarge) else 2
+    except (RecursionError, MemoryError) as exc:
+        limit = "recursion depth" if isinstance(exc, RecursionError) else "memory"
+        print(f"error: {args.command}: ran out of {limit}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -143,26 +143,55 @@ class Implication:
 class ImplicationBasis:
     """A finite list of implications plus the closure operator they generate.
 
-    ``closure`` computes the least fixpoint by forward chaining: a queue of
-    newly added elements drives per-implication missing-premise counters, so
-    each implication fires at most once per query and a call costs
-    O(m + k + n) in the number of implications, their total size, and the
-    ground-set size.
+    ``closure`` computes the least fixpoint in two phases over tables built
+    once per basis.  One bit-parallel pass over the elements outside the seed
+    ORs together the masks of the implications each of them blocks, and adds
+    every element that some unblocked implication concludes; a worklist over
+    the elements that pass added then fires the rules they complete.  A call
+    costs O(n) big-integer operations on m-bit masks, plus the rules touched
+    by the added elements, where n is the ground-set size and m the number
+    of implications.
     """
 
     ground: GroundSet
     implications: tuple[Implication, ...]
-    _watch: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # _uses[e] / _adds[e]: masks over implication indices whose premise /
+    # conclusion-minus-premise contains e.  _premised / _concluded: the
+    # elements in some premise / some conclusion-minus-premise.  _rules[e]:
+    # (premise, gain) of the implications with e in the premise and a gain.
+    _uses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _adds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _premised: int = field(init=False, repr=False, compare=False)
+    _concluded: int = field(init=False, repr=False, compare=False)
+    _rules: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        n = self.ground.n
         full = self.ground.full
-        watch: list[list[int]] = [[] for _ in range(self.ground.n)]
+        uses = [0] * n
+        adds = [0] * n
+        rules: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        premised = concluded = 0
         for i, imp in enumerate(self.implications):
             if imp.premise & ~full or imp.conclusion & ~full:
                 raise ValueError("implication references elements outside the ground set")
+            gain = imp.conclusion & ~imp.premise
+            rule = (imp.premise, gain)
+            premised |= imp.premise
+            concluded |= gain
             for e in iter_bits(imp.premise):
-                watch[e].append(i)
-        object.__setattr__(self, "_watch", tuple(tuple(w) for w in watch))
+                uses[e] |= 1 << i
+                if gain:
+                    rules[e].append(rule)
+            for e in iter_bits(gain):
+                adds[e] |= 1 << i
+        object.__setattr__(self, "_uses", tuple(uses))
+        object.__setattr__(self, "_adds", tuple(adds))
+        object.__setattr__(self, "_premised", premised)
+        object.__setattr__(self, "_concluded", concluded)
+        object.__setattr__(self, "_rules", tuple(tuple(r) for r in rules))
 
     @property
     def m(self) -> int:
@@ -179,26 +208,42 @@ class ImplicationBasis:
 
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""
-        if seed & ~self.ground.full:
+        full = self.ground.full
+        if seed & ~full:
             raise ValueError("seed is not a subset of the ground set")
-        closed = seed
-        missing = [(imp.premise & ~seed).bit_count() for imp in self.implications]
-        stack: list[int] = []
-        for i, cnt in enumerate(missing):
-            if cnt == 0:
-                new = self.implications[i].conclusion & ~closed
-                if new:
-                    closed |= new
-                    stack.extend(iter_bits(new))
+        outside = full & ~seed
+        # Pass 1: an implication is blocked if a premise element lies outside
+        # the seed; every unblocked one (empty premises included) fires now.
+        uses = self._uses
+        blocked = 0
+        rest = outside & self._premised
+        while rest:
+            low = rest & -rest
+            blocked |= uses[low.bit_length() - 1]
+            rest ^= low
+        live = ~blocked
+        adds = self._adds
+        added = 0
+        rest = outside & self._concluded
+        while rest:
+            low = rest & -rest
+            if adds[low.bit_length() - 1] & live:
+                added |= low
+            rest ^= low
+        # Pass 2: an implication that fires later has a premise element added
+        # after the seed, and is checked when the last such element is popped.
+        closed = seed | added
+        rules = self._rules
+        stack = added
         while stack:
-            e = stack.pop()
-            for i in self._watch[e]:
-                missing[i] -= 1
-                if missing[i] == 0:
-                    new = self.implications[i].conclusion & ~closed
+            low = stack & -stack
+            stack ^= low
+            for premise, gain in rules[low.bit_length() - 1]:
+                if not premise & ~closed:
+                    new = gain & ~closed
                     if new:
                         closed |= new
-                        stack.extend(iter_bits(new))
+                        stack |= new
         return closed
 
 

@@ -244,6 +244,12 @@ def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
     n! orders, then keeps the pairs whose prefix intersections reproduce the
     family exactly.  A family larger than (n+1)^2 cannot be a join of two
     chains at all and short-circuits to "no".
+
+    Every meet-irreducible closed set X (not the full set, and not the
+    intersection of strictly larger closed sets) must be a prefix of one of
+    the two chains: were X = L_i & R_j with X != L_i and X != R_j, the closed
+    sets L_i and R_j would be strictly larger with intersection X.  Only pairs
+    of chains whose prefixes cover every irreducible are joined and compared.
     """
     n = geom.n
     if n > max_n:
@@ -270,14 +276,48 @@ def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
         grow(0, [])
     prefix_sets = [prefix_masks(chain) for chain in chains]
 
+    # Group the chains by the meet-irreducibles among their prefixes; only
+    # groups that together hold every irreducible can pair (see docstring).
+    irreducible = _meet_irreducible_bits(family, full)
+    groups: dict[int, list[int]] = {}
+    for i, prefixes in enumerate(prefix_sets):
+        covered = 0
+        for p in prefixes:
+            covered |= irreducible.get(p, 0)
+        groups.setdefault(covered, []).append(i)
+    every = (1 << len(irreducible)) - 1
+    masks = list(groups)
+
     found: set[SegmentRepresentation] = set()
-    for i in range(len(chains)):
-        for j in range(i, len(chains)):
-            joined = {u & v for u in prefix_sets[i] for v in prefix_sets[j]}
-            if joined == family:
-                found.add(SegmentRepresentation(chains[i], chains[j]))
+    for a, mask_a in enumerate(masks):
+        for mask_b in masks[a:]:
+            if mask_a | mask_b != every:
+                continue
+            for i in groups[mask_a]:
+                for j in groups[mask_b]:
+                    if mask_a == mask_b and j < i:
+                        continue
+                    lo, hi = sorted((i, j))
+                    joined = {u & v for u in prefix_sets[lo] for v in prefix_sets[hi]}
+                    if joined == family:
+                        found.add(SegmentRepresentation(chains[lo], chains[hi]))
     reps = tuple(sorted(found, key=lambda r: (r.left, r.right)))
     return BruteForceResult(bool(reps), reps)
+
+
+def _meet_irreducible_bits(family: set[int], full: int) -> dict[int, int]:
+    """Map each meet-irreducible set of ``family`` to its own bit."""
+    irreducible: dict[int, int] = {}
+    for x in family:
+        if x == full:
+            continue
+        meet = full
+        for y in family:
+            if y != x and y & x == x:
+                meet &= y
+        if meet != x:
+            irreducible[x] = 1 << len(irreducible)
+    return irreducible
 
 
 def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ...]:

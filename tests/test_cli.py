@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from segrep import build_representation, normalize_layout
+from segrep import build_representation, cli, normalize_layout
 from segrep.cli import (
     ParseError,
     chain_display,
@@ -104,6 +104,17 @@ class TestExitCodes:
 
     def test_guard_exits_three(self, files):
         assert run("oracle", files["un"], "--max-n", "2")[0] == 3
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_resource_exhaustion_exits_three(self, files, monkeypatch, exc):
+        def exhausted(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(cli, "build_representation", exhausted)
+        code, out, err = run("represent", files["un"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: represent: ran out of ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check", "represent", "unique", "oracle"])
     def test_max_n_zero_is_a_guard_not_unset(self, files, command):

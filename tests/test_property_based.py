@@ -1,5 +1,6 @@
-"""Property-based differential tests: the polynomial decision and builder
-against the brute-force oracle on generated bases with n <= 7."""
+"""Property-based differential tests: the closure kernel against a naive
+fixpoint, and the polynomial decision and builder against the brute-force
+oracle on generated bases with n <= 7."""
 
 import pytest
 
@@ -42,6 +43,68 @@ def chain_pair_bases(draw):
     left = draw(st.permutations(range(n)))
     right = draw(st.permutations(range(n)))
     return geometry_from_chains(ground(n), left, right).basis
+
+
+def fixpoint(basis, seed):
+    """Fire every implication whose premise lies inside until nothing changes."""
+    closed = seed
+    while True:
+        grown = closed
+        for imp in basis.implications:
+            if imp.premise & ~grown == 0:
+                grown |= imp.conclusion
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@st.composite
+def kernel_cases(draw):
+    """A basis with n <= 12 and some seeds: empty premises, conclusions that
+    overlap their premise, duplicate implications and m = 0 all occur."""
+    n = draw(st.integers(0, 12))
+    full = (1 << n) - 1
+    subsets = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    imps = draw(st.lists(st.builds(Implication, subsets, subsets), max_size=16))
+    if imps:
+        imps += draw(st.lists(st.sampled_from(imps), max_size=4))
+    seeds = [0, full] + draw(st.lists(st.integers(0, full), max_size=6))
+    return ImplicationBasis(ground(n), tuple(draw(st.permutations(imps)))), seeds
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_closure_matches_naive_fixpoint(case):
+    basis, seeds = case
+    for seed in seeds:
+        assert basis.closure(seed) == fixpoint(basis, seed)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((60, 120)).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.integers(0, n - 1))))
+def test_closure_follows_long_implication_chains(case):
+    # order[0] -> order[1] -> ... -> order[n-1], over shuffled indices, so
+    # the worklist pass runs up to n - 1 steps deep
+    order, start = case
+    n = len(order)
+    imps = tuple(Implication(1 << a, 1 << b) for a, b in zip(order, order[1:]))
+    basis = ImplicationBasis(ground(n), imps)
+    expected = fixpoint(basis, 1 << order[start])
+    assert expected == sum(1 << e for e in order[start:])
+    assert basis.closure(1 << order[start]) == expected
+    assert basis.closure(1 << order[0]) == basis.ground.full
+    assert basis.closure(0) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_elements_outside_the_ground_set_are_rejected(n):
+    basis = ImplicationBasis(ground(n), ())
+    with pytest.raises(ValueError):
+        basis.closure(1 << n)
+    for imp in (Implication(1 << n, 0), Implication(0, 1 << n)):
+        with pytest.raises(ValueError):
+            ImplicationBasis(ground(n), (imp,))
 
 
 def convex_or_none(basis):

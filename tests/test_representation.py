@@ -15,7 +15,10 @@ from segrep import (
     build_representation,
     check_2ex,
     check_sq_exhaustive,
+    count_representations,
     decide_cdim2,
+    enumerate_representations,
+    geometry_from_chains,
     join_alignments,
     linear_alignment,
     normalize_layout,
@@ -157,6 +160,23 @@ class TestBruteForce:
         geom = validate_geometry(ImplicationBasis(gs, ()))
         with pytest.raises(GroundSetTooLarge):
             brute_force_cdim2(geom)
+
+    def test_sixteen_element_chain_pairs_agree_with_decision_and_count(self):
+        # the first geometry has 12,389 maximal chains: joining all 77M pairs
+        # would not finish, the meet-irreducible filter leaves a few joins
+        rng = random.Random(3)
+        order = list(range(16))
+        rng.shuffle(order)
+        blocks = [e for k in range(0, 16, 3) for e in reversed(order[k:k + 3])]
+        shuffled = rng.sample(order, 16)
+        gs = GroundSet(tuple(f"e{i}" for i in range(16)))
+        for left, right, count in ((order, shuffled, 1), (order, blocks, 16)):
+            geom = geometry_from_chains(gs, left, right)
+            result = brute_force_cdim2(geom, max_n=16)
+            assert result.cdim2 and decide_cdim2(geom).cdim2
+            rep = build_representation(geom)
+            assert len(result.representations) == count_representations(rep) == count
+            assert set(result.representations) == set(enumerate_representations(rep))
 
     def test_found_representations_satisfy_necessary_conditions(self, pool_small):
         # any geometry the oracle can represent passes both properties
