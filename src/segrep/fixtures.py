@@ -157,7 +157,10 @@ def _label(i: int) -> str:
 
 def geometry_from_chains(ground: GroundSet, left, right) -> ConvexGeometry:
     """The geometry whose closed sets are the prefix intersections of two
-    chains, handed back with an explicit (pairwise) implicational basis."""
+    chains, handed back with an explicit (pairwise) implicational basis.
+
+    A chain pair has at most (n+1)^2 closed sets, so validation is not
+    guarded on n."""
     left = tuple(left)
     right = tuple(right)
     n = ground.n
@@ -178,7 +181,7 @@ def geometry_from_chains(ground: GroundSet, left, right) -> ConvexGeometry:
             if extra:
                 implications.append(Implication(seed, extra))
     basis = ImplicationBasis(ground, tuple(implications))
-    return validate_geometry(basis)
+    return validate_geometry(basis, max_n=n)
 
 
 def disjoint_chains_geometry(sizes: tuple[int, ...]) -> ConvexGeometry:

@@ -225,8 +225,9 @@ def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> Implication
     Requires the 2-part generation property; each oversized premise is
     replaced by the first 1- or 2-element part of it that already generates
     the conclusion.  A basis that is already binary is returned unchanged.
-    The rewritten basis is checked to generate the same closure operator (on
-    every subset when the ground set is small, on pairs otherwise).
+    The rewritten basis is checked to generate the same closure operator on
+    every subset; like the Carathéodory check, that is guarded at ``max_n``
+    elements.
     """
     report = check_caratheodory(geom, 2, max_n=max_n)
     if not report.holds:
@@ -256,11 +257,7 @@ def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> Implication
     )
     reduced = ImplicationBasis(basis.ground, implications)
 
-    n = geom.n
-    seeds = range(1 << n) if n <= max_n else [
-        (1 << i) | (1 << j) for i in range(n) for j in range(i, n)
-    ]
-    for seed in seeds:
+    for seed in range(1 << geom.n):
         if reduced.closure(seed) != basis.closure(seed):
             raise AssertionError("binary reduction changed the closure operator")
     return reduced

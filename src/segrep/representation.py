@@ -141,79 +141,59 @@ def verify_representation(
 def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     """Construct a verified segment representation, or raise Infeasible.
 
-    Peel an extreme point ``a`` (at most two exist when construction can
-    succeed), represent the rest recursively, then re-enter ``a`` at the top
-    of the left chain and just above its own closure in the right chain.
-    The recursive representation may need some of its interchangeable blocks
-    flipped for that position to exist, so insertion searches the block
-    orientations; every accepted candidate is verified against the
-    restriction before being returned, and the final result is verified
-    against the full geometry.
+    Peel the least extreme point of the remaining set (at most two exist when
+    construction can succeed) down to at most one element, then re-insert
+    the peeled points in reverse order: a sole extreme point goes on top of
+    both chains; one of two goes on top of the left chain and just above its
+    own closure in the right chain.  The representation of the rest may need
+    some of its interchangeable blocks flipped for that position to exist, so
+    insertion searches the block orientations; every accepted candidate is
+    verified against the restriction, and the final result against the full
+    geometry.
 
-    The insertion position is pinned by the peeled point's closure.
-    Peeling prefers the lexicographically least extreme point and retries
-    with the other before giving up.
+    One peeling order suffices: every representation of a closed set is a
+    block flip of any other, so if the set is representable, one of its
+    representations has the least extreme point on top of a chain, and
+    dropping that point from both chains yields a representation of the rest
+    that the orientation search reaches.
     """
-    rep = _peel(geom, geom.ground.full, {})
+    subset = geom.ground.full
+    peeled = []
+    while subset.bit_count() > 1:
+        extreme = geom.extreme_points(subset)
+        k = extreme.bit_count()
+        if k == 0:
+            raise Infeasible("no-extreme-point", subset)
+        if k > 2:
+            raise Infeasible("extreme-count", (subset, extreme))
+        peeled.append((subset, extreme))
+        subset &= ~(1 << next(iter_bits(extreme)))
+    last = tuple(iter_bits(subset))
+    rep = SegmentRepresentation(last, last)
+    for subset, extreme in reversed(peeled):
+        a, *other = iter_bits(extreme)
+        if other:
+            rep = _insert(geom, subset, a, other[0], rep)
+            continue
+        rep = SegmentRepresentation(rep.left + (a,), rep.right + (a,))
+        ok, _ = verify_representation(geom, rep)
+        if not ok:
+            raise Infeasible("single-extreme-extension", subset)
     ok, seed = verify_representation(geom, rep)
     if not ok:
         raise Infeasible("final-verification", seed)
     return rep
 
 
-def _peel(geom: ConvexGeometry, subset: int, memo: dict) -> SegmentRepresentation:
-    if subset in memo:
-        result = memo[subset]
-        if isinstance(result, Infeasible):
-            raise result
-        return result
-    try:
-        result = _peel_uncached(geom, subset, memo)
-    except Infeasible as err:
-        memo[subset] = err
-        raise
-    memo[subset] = result
-    return result
-
-
-def _peel_uncached(geom: ConvexGeometry, subset: int, memo: dict) -> SegmentRepresentation:
-    count = subset.bit_count()
-    if count == 0:
-        return SegmentRepresentation((), ())
-    if count == 1:
-        e = next(iter_bits(subset))
-        return SegmentRepresentation((e,), (e,))
-    extreme = geom.extreme_points(subset)
-    k = extreme.bit_count()
-    if k == 0:
-        raise Infeasible("no-extreme-point", subset)
-    if k > 2:
-        raise Infeasible("extreme-count", (subset, extreme))
-    if k == 1:
-        a = next(iter_bits(extreme))
-        sub = _peel(geom, subset & ~(1 << a), memo)
-        rep = SegmentRepresentation(sub.left + (a,), sub.right + (a,))
-        ok, _ = verify_representation(geom, rep)
-        if not ok:
-            raise Infeasible("single-extreme-extension", subset)
-        return rep
-    first, second = iter_bits(extreme)
-    for a, b in ((first, second), (second, first)):
-        rep = _insert(geom, subset, a, b, memo)
-        if rep is not None:
-            return rep
-    raise Infeasible("insertion", (subset, extreme))
-
-
 def _insert(
-    geom: ConvexGeometry, subset: int, a: int, b: int, memo: dict
-) -> Optional[SegmentRepresentation]:
+    geom: ConvexGeometry, subset: int, a: int, b: int, sub: SegmentRepresentation
+) -> SegmentRepresentation:
+    """Re-enter ``a`` into ``sub``, a representation of ``subset`` without
+    ``a``: on top of the left chain and, in the right chain, just above its
+    own closure with ``b`` kept on top; raise Infeasible if no block
+    orientation of ``sub`` admits a verified candidate."""
     from .uniqueness import block_orientations
 
-    try:
-        sub = _peel(geom, subset & ~(1 << a), memo)
-    except Infeasible:
-        return None
     below_a = (geom.closure(1 << a) & subset) & ~(1 << a)
     cut = below_a.bit_count()
     for left, right in block_orientations(sub):
@@ -223,7 +203,7 @@ def _insert(
         ok, _ = verify_representation(geom, candidate)
         if ok:
             return candidate
-    return None
+    raise Infeasible("insertion", (subset, (1 << a) | (1 << b)))
 
 
 @dataclass(frozen=True)

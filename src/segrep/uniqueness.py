@@ -129,7 +129,6 @@ class UniquenessReport:
     decomposition: BlockDecomposition
     switchable_block: Optional[Block]
     ending_segments_distinct: Optional[bool]
-    rigid_rest: bool
 
     def describe(self, ground) -> str:
         lines = [self.decomposition.describe(ground)]
@@ -153,21 +152,17 @@ def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
 
     For a single switchable block the report also records whether its two
     sub-chains have distinct top-k segments for 1 <= k <= len-2 (the
-    condition that forces the block's own representation), and confirms that
-    the remaining blocks carry identical sub-chains.
+    condition that forces the block's own representation).
     """
     decomposition = block_decomposition(rep)
     switchable = [b for b in decomposition.blocks if b.switchable]
-    rigid_rest = all(
-        b.left_sub == b.right_sub for b in decomposition.blocks if b not in switchable
-    )
     if not switchable:
-        return UniquenessReport(True, decomposition, None, None, rigid_rest)
+        return UniquenessReport(True, decomposition, None, None)
     if len(switchable) == 1:
         block = switchable[0]
         distinct = _ending_segments_distinct(block.left_sub, block.right_sub)
-        return UniquenessReport(True, decomposition, block, distinct, rigid_rest)
-    return UniquenessReport(False, decomposition, None, None, rigid_rest)
+        return UniquenessReport(True, decomposition, block, distinct)
+    return UniquenessReport(False, decomposition, None, None)
 
 
 def _ending_segments_distinct(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -210,9 +205,10 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     if n == 0:
         return SegmentRepresentation((), ())
     outcomes: set[SegmentRepresentation] = set()
-    first_split: list[int] = []
-
-    def extend(det_l: tuple[int, ...], det_r: tuple[int, ...]):
+    first_split = None
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    while stack:
+        det_l, det_r = stack.pop()
         if len(det_l) == n and len(det_r) == n:
             candidate = SegmentRepresentation(
                 tuple(reversed(det_l)), tuple(reversed(det_r))
@@ -220,7 +216,7 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
             ok, _ = verify_representation(geom, candidate)
             if ok:
                 outcomes.add(candidate)
-            return
+            continue
         on_left = len(det_l) <= len(det_r) and len(det_l) < n
         det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
         remainder = full & ~mask_of(det_side)
@@ -231,7 +227,7 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
         survivor = next((e for e in det_other if (remainder >> e) & 1), None)
         if survivor is not None:
             if not (extreme >> survivor) & 1:
-                return  # inconsistent branch
+                continue  # inconsistent branch
             rest = extreme & ~(1 << survivor)
             new = next(iter_bits(rest)) if rest else survivor
             candidates = [new]
@@ -239,16 +235,12 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
             candidates = [next(iter_bits(extreme))]
         else:
             candidates = list(iter_bits(extreme))
-            if det_l or det_r:
-                if not first_split:
-                    first_split.append(remainder)
-        for new in candidates:
-            if on_left:
-                extend(det_l + (new,), det_r)
-            else:
-                extend(det_l, det_r + (new,))
+            if (det_l or det_r) and first_split is None:
+                first_split = remainder
+        # Pushed in reverse, so the branches are explored in ascending order.
+        for new in reversed(candidates):
+            stack.append((det_l + (new,), det_r) if on_left else (det_l, det_r + (new,)))
 
-    extend((), ())
     if len(outcomes) == 1:
         return next(iter(outcomes))
-    raise NotApplicable(first_split[0] if first_split else full, len(outcomes))
+    raise NotApplicable(full if first_split is None else first_split, len(outcomes))

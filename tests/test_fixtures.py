@@ -1,14 +1,20 @@
 """Fixture corpus loading and the randomized generator."""
 
+import random
+
 import pytest
 
 from segrep import (
+    GroundSet,
     Implication,
     RejectionBudgetExceeded,
+    SegmentRepresentation,
     UnknownFixture,
     check_2ex,
     decide_cdim2,
+    geometry_from_chains,
     random_geometry,
+    segment_closure,
 )
 from segrep.fixtures import FIXTURE_NAMES, load_fixture
 
@@ -43,6 +49,20 @@ class TestFixtures:
         assert fixture.geometry.basis.implications == (
             Implication(gs.mask("ab"), gs.mask("x")),
         )
+
+
+class TestGeometryFromChains:
+    def test_beyond_the_default_guard(self):
+        # 24 elements: past validate_geometry's default guard of 20
+        rng = random.Random(24)
+        left, right = rng.sample(range(24), 24), rng.sample(range(24), 24)
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(24))), left, right)
+        rep = SegmentRepresentation(left, right)
+        assert geom.n == 24
+        for x in range(24):
+            for y in range(x, 24):
+                seed = (1 << x) | (1 << y)
+                assert geom.closure(seed) == segment_closure(rep, seed)
 
 
 class TestRandomGeometry:

@@ -124,6 +124,13 @@ class TestBinaryReduction:
         for seed in range(1 << 4):
             assert reduced.closure(seed) == basis.closure(seed)
 
+    def test_guard_refuses_larger_ground_sets(self):
+        gs = GroundSet(("a", "b", "c", "d"))
+        geom = validate_geometry(
+            ImplicationBasis(gs, (Implication(gs.mask("abc"), gs.mask("d")),)))
+        with pytest.raises(GroundSetTooLarge):
+            reduce_to_binary_basis(geom, max_n=3)
+
     def test_fivepoint_raises(self):
         geom = load_fixture("fivepoint").geometry
         with pytest.raises(CaratheodoryFails) as err:

@@ -1,6 +1,7 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint, and the polynomial decision and builder against the brute-force
-oracle on generated bases with n <= 7."""
+oracle on generated bases with n <= 7, and the round trip from a chain pair
+through its basis back to the chain pair with n <= 10."""
 
 import pytest
 
@@ -13,10 +14,15 @@ from segrep import (  # noqa: E402
     Implication,
     ImplicationBasis,
     NotAGeometry,
+    NotApplicable,
+    SegmentRepresentation,
     brute_force_cdim2,
     build_representation,
+    count_representations,
     decide_cdim2,
+    enumerate_representations,
     geometry_from_chains,
+    reconstruct_by_peeling,
     validate_geometry,
     verify_representation,
 )
@@ -126,3 +132,40 @@ def test_decision_matches_brute_force_and_build_verifies(basis):
         rep = build_representation(geom)
         assert verify_representation(geom, rep, exhaustive=True) == (True, None)
         assert rep in brute.representations
+
+
+def switchable_blocks(left, right):
+    """Blocks of the chain pair (position ranges where both chains hold the
+    same elements) whose two sub-chains differ."""
+    count = start = 0
+    seen_l = seen_r = 0
+    for pos, (x, y) in enumerate(zip(left, right), start=1):
+        seen_l |= 1 << x
+        seen_r |= 1 << y
+        if seen_l == seen_r:
+            count += left[start:pos] != right[start:pos]
+            start = pos
+    return count
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_chain_pair_round_trip(chains):
+    left, right = chains
+    expected = SegmentRepresentation(left, right)
+    geom = geometry_from_chains(ground(len(left)), left, right)
+    assert decide_cdim2(geom).cdim2
+    rep = build_representation(geom)
+    assert verify_representation(geom, rep) == (True, None)
+    s = switchable_blocks(left, right)
+    count = count_representations(rep)
+    assert count == 2 ** max(s - 1, 0)
+    reps = enumerate_representations(rep)
+    assert len(reps) == count and expected in reps
+    if count == 1:
+        assert reconstruct_by_peeling(geom) == expected
+    else:
+        with pytest.raises(NotApplicable) as err:
+            reconstruct_by_peeling(geom)
+        assert err.value.outcomes == count

@@ -1,6 +1,7 @@
 """Segment model, constructive builder, exhaustive oracle, interval layouts."""
 
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from segrep import (
     join_alignments,
     linear_alignment,
     normalize_layout,
+    reconstruct_by_peeling,
     segment_closure,
     segment_layout,
     validate_geometry,
@@ -138,6 +140,26 @@ class TestBuilder:
             assert built == decision.cdim2
             if built:
                 assert verify_representation(geom, rep)[0]
+
+    def test_depth_does_not_grow_with_n(self):
+        # builder and reconstruction must fit in 40 frames above the caller
+        # however large n is; recursive peeling needs about 3n frames
+        rng = random.Random(30)
+        left, right = rng.sample(range(30), 30), rng.sample(range(30), 30)
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(30))), left, right)
+        expected = SegmentRepresentation(left, right)
+        assert count_representations(expected) == 1
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            built = build_representation(geom)
+            rebuilt = reconstruct_by_peeling(geom)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert built == rebuilt == expected
 
 
 class TestBruteForce:

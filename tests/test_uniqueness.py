@@ -106,7 +106,6 @@ class TestCountAndUnique:
         assert report.unique
         assert report.switchable_block.members == gs.mask("abcd")
         assert report.ending_segments_distinct
-        assert report.rigid_rest
 
     def test_count_matches_oracle(self, pool_small):
         for geom in pool_small[:300]:
