@@ -25,7 +25,7 @@ for label in gs.labels:
 
 # the whole family of closed sets, smallest first
 print("\nclosed sets:")
-for member in geom.closed_sets().sets:
+for member in geom.closed_sets():
     print(" ", gs.format_set(member))
 
 # extreme points: members a set cannot re-generate after dropping them

@@ -8,12 +8,12 @@ number of pairs the oracle finds.
 
 from segrep import (
     RejectionBudgetExceeded,
-    brute_force_cdim2,
     build_representation,
     count_representations,
     decide_cdim2,
     random_geometry,
 )
+from segrep.oracles import brute_force_cdim2
 
 samples = 0
 representable = 0

@@ -10,43 +10,22 @@ from .core import (
     UnknownLabel,
     iter_bits,
     mask_of,
-    restrict_basis,
 )
-from .geometry import (
-    Alignment,
-    ConvexGeometry,
-    GroundSetMismatch,
-    NotAGeometry,
-    closed_family,
-    extendability_witness,
-    join_alignments,
-    linear_alignment,
-    validate_geometry,
-)
+from .geometry import ConvexGeometry, NotAGeometry, closed_family, validate_geometry
 from .properties import (
-    CaratheodoryFails,
-    CaratheodoryWitness,
     Decision,
-    ExRWitness,
     PropertyReport,
     SqWitness,
     TwoExWitness,
     check_2ex,
-    check_2ex_exhaustive,
-    check_caratheodory,
-    check_exr,
     check_sq,
-    check_sq_exhaustive,
     decide_cdim2,
-    reduce_to_binary_basis,
     verify_witness,
 )
 from .representation import (
-    BruteForceResult,
     DuplicateEndpoint,
     Infeasible,
     SegmentRepresentation,
-    brute_force_cdim2,
     build_representation,
     normalize_layout,
     segment_closure,

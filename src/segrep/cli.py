@@ -24,14 +24,12 @@ from .geometry import ConvexGeometry, validate_geometry
 from .properties import decide_cdim2
 from .representation import (
     SegmentRepresentation,
-    brute_force_cdim2,
     build_representation,
     normalize_layout,
     segment_layout,
     verify_representation,
 )
 from .uniqueness import block_decomposition, count_representations, is_unique
-from . import properties
 
 
 class ParseError(SegrepError):
@@ -276,12 +274,14 @@ def cmd_closure(args, report: Report, geom: ConvexGeometry) -> int:
 
 
 def cmd_oracle(args, report: Report, geom: ConvexGeometry) -> int:
+    from . import oracles
+
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
     subset_guard = _guard(args, 15)
-    exhaustive_2ex = properties.check_2ex_exhaustive(geom, max_n=subset_guard)
-    exhaustive_sq = properties.check_sq_exhaustive(geom, max_n=subset_guard)
-    brute = brute_force_cdim2(geom, max_n=_guard(args, 8))
+    exhaustive_2ex = oracles.check_2ex_exhaustive(geom, max_n=subset_guard)
+    exhaustive_sq = oracles.check_sq_exhaustive(geom, max_n=subset_guard)
+    brute = oracles.brute_force_cdim2(geom, max_n=_guard(args, 8))
     report.add("cdim2", decision.cdim2)
     report.add("two_ex", decision.two_ex.holds)
     report.add("two_ex_exhaustive", exhaustive_2ex.holds)

@@ -122,10 +122,6 @@ class GroundSet:
     def format_set(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"
 
-    def restrict(self, mask: int) -> "GroundSet":
-        """Ground set of the elements in ``mask``, keeping declaration order."""
-        return GroundSet(self.labels_of(mask))
-
 
 @dataclass(frozen=True)
 class Implication:
@@ -245,31 +241,3 @@ class ImplicationBasis:
                         closed |= new
                         stack |= new
         return closed
-
-
-def restrict_basis(basis: ImplicationBasis, subset: int) -> ImplicationBasis:
-    """Sub-basis of the implications whose premises lie inside ``subset``.
-
-    The result is re-indexed over the restricted ground set.  Conclusions are
-    intersected with ``subset``; implications whose intersected conclusion is
-    empty are dropped.
-    """
-    if subset & ~basis.ground.full:
-        raise ValueError("subset is not a subset of the ground set")
-    positions = {e: i for i, e in enumerate(iter_bits(subset))}
-
-    def compress(mask: int) -> int:
-        out = 0
-        for e in iter_bits(mask):
-            out |= 1 << positions[e]
-        return out
-
-    kept = []
-    for imp in basis.implications:
-        if imp.premise & ~subset:
-            continue
-        conclusion = imp.conclusion & subset
-        if not conclusion:
-            continue
-        kept.append(Implication(compress(imp.premise), compress(conclusion)))
-    return ImplicationBasis(basis.ground.restrict(subset), tuple(kept))

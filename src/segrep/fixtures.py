@@ -15,7 +15,7 @@ from importlib import resources
 from .core import GroundSet, Implication, ImplicationBasis, SegrepError
 from .geometry import ConvexGeometry, NotAGeometry, validate_geometry
 from .properties import decide_cdim2
-from .representation import SegmentRepresentation, build_representation
+from .representation import SegmentRepresentation, build_representation, segment_closure
 from .uniqueness import count_representations
 
 
@@ -167,8 +167,6 @@ def geometry_from_chains(ground: GroundSet, left, right) -> ConvexGeometry:
     if sorted(left) != list(range(n)) or sorted(right) != list(range(n)):
         raise ValueError("chains must be permutations of the ground set")
     rep = SegmentRepresentation(left, right)
-    from .representation import segment_closure
-
     implications = []
     for x in range(n):
         extra = segment_closure(rep, 1 << x) & ~(1 << x)

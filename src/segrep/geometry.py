@@ -10,7 +10,6 @@ procedure in :mod:`segrep.properties` never needs that enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 
 from .core import (
@@ -20,7 +19,6 @@ from .core import (
     SegrepError,
     canonical_key,
     iter_bits,
-    prefix_masks,
 )
 
 
@@ -46,10 +44,6 @@ class NotAGeometry(SegrepError):
         super().__init__(f"not a convex geometry: {detail}")
 
 
-class GroundSetMismatch(SegrepError):
-    """Two alignments over different ground sets cannot be joined."""
-
-
 class ClosureStats:
     """Mutable closure-call counter attached to a geometry."""
 
@@ -60,41 +54,6 @@ class ClosureStats:
 
     def reset(self):
         self.closures = 0
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Intersection-closed family of subsets containing the ground set.
-
-    ``sets`` is stored in canonical order (by size, then lexicographically by
-    members) so families compare and diff deterministically.
-    """
-
-    ground: GroundSet
-    sets: tuple[int, ...]
-
-    @classmethod
-    def from_masks(cls, ground: GroundSet, masks) -> "Alignment":
-        return cls(ground, tuple(sorted(set(masks), key=canonical_key)))
-
-    def generated_closure(self, seed: int) -> int:
-        """Closure operator induced by the family: meet of covering members."""
-        out = self.ground.full
-        for member in self.sets:
-            if seed & ~member == 0:
-                out &= member
-        return out
-
-    def is_intersection_closed(self) -> bool:
-        members = set(self.sets)
-        if self.ground.full not in members:
-            return False
-        items = list(members)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if a & b not in members:
-                    return False
-        return True
 
 
 def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
@@ -161,12 +120,6 @@ class ConvexGeometry:
             closed = memo[seed] = self.basis.closure(seed)
         return closed
 
-    def restricted_closure(self, subset: int, seed: int) -> int:
-        """Closure within the restriction to ``subset``: closure(seed) & subset."""
-        if seed & ~subset:
-            raise ValueError("seed must lie inside the restriction subset")
-        return self.closure(seed) & subset
-
     def extreme_points(self, subset: int) -> int:
         """Members of ``subset`` not generated by the rest of it.
 
@@ -178,8 +131,9 @@ class ConvexGeometry:
                 out |= 1 << x
         return out
 
-    def closed_sets(self) -> Alignment:
-        return Alignment(self.ground, self._closed)
+    def closed_sets(self) -> tuple[int, ...]:
+        """Every closed set, in canonical order (by size, then by members)."""
+        return self._closed
 
     def __repr__(self):
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"
@@ -240,20 +194,6 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     )
 
 
-def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
-    """Witness against the alignment-style definition, or None if it holds.
-
-    The alternative definition asks that the empty set be closed and that
-    every proper closed set grow by a single element inside the family.
-    Returns ``("empty-set-not-closed", mask)`` or ``("no-extension", mask)``.
-    """
-    empty = basis.closure(0)
-    if empty:
-        return ("empty-set-not-closed", empty)
-    dead_end = _first_dead_end(closed_family(basis, max_n=max_n), basis.ground.full)
-    return None if dead_end is None else ("no-extension", dead_end)
-
-
 def _first_dead_end(family: tuple[int, ...], full: int):
     """First set of the family, other than ``full``, that no single added
     element turns into another member; None if there is none."""
@@ -262,19 +202,3 @@ def _first_dead_end(family: tuple[int, ...], full: int):
         if y != full and not any(y | (1 << x) in members for x in iter_bits(full & ~y)):
             return y
     return None
-
-
-def join_alignments(first: Alignment, second: Alignment) -> Alignment:
-    """Family of all pairwise intersections of members of the two inputs."""
-    if first.ground != second.ground:
-        raise GroundSetMismatch("alignments are defined over different ground sets")
-    sets = {u & v for u in first.sets for v in second.sets}
-    return Alignment.from_masks(first.ground, sets)
-
-
-def linear_alignment(ground: GroundSet, order) -> Alignment:
-    """The n+1 prefixes of a total order, bottom to top."""
-    order = tuple(order)
-    if sorted(order) != list(range(ground.n)):
-        raise ValueError("order must be a permutation of the ground set")
-    return Alignment.from_masks(ground, prefix_masks(order))

@@ -1,0 +1,403 @@
+"""Exponential oracles and lemma checks that cross-check the polynomial test.
+
+Nothing on the decision path imports this module; the test suite and
+``segrep oracle`` do.
+
+* ``check_2ex_exhaustive`` and ``check_sq_exhaustive`` evaluate the defining
+  quantifier of each polynomial check literally over all subsets;
+* ``brute_force_cdim2`` finds every representation by pairing the maximal
+  chains of the closed-set lattice;
+* ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
+  the lemmas between the two-extreme-points bound and the square condition;
+* ``join_alignments`` and ``linear_alignment`` build families of closed sets
+  as joins of chains (Edelman and Jamison, 1985), and
+  ``extendability_witness`` tests the alignment-style definition of a
+  convex geometry.
+
+The subset scans are guarded at ``max_n`` elements.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Optional
+
+from .core import (
+    GroundSet,
+    GroundSetTooLarge,
+    Implication,
+    ImplicationBasis,
+    SegrepError,
+    canonical_key,
+    iter_bits,
+    mask_of,
+    prefix_masks,
+    subsets_canonical,
+)
+from .geometry import ConvexGeometry, _first_dead_end, closed_family
+from .properties import (
+    PropertyReport, TwoExWitness, _pair_scan, _replacement, _sq_violation,
+)
+from .representation import SegmentRepresentation
+
+
+def _all_subsets(geom: ConvexGeometry, operation: str, max_n: int, min_size: int) -> list[int]:
+    """Every subset with at least ``min_size`` members, in canonical order,
+    for the exhaustive ``operation``; guarded at ``max_n`` elements."""
+    if geom.n > max_n:
+        raise GroundSetTooLarge(operation, geom.n, max_n)
+    return [s for s in subsets_canonical(geom.ground.full) if s.bit_count() >= min_size]
+
+
+def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
+    """Literal evaluation of the two-extreme-points bound over all subsets."""
+    for subset in _all_subsets(geom, "check_2ex_exhaustive", max_n, 3):
+        extreme = geom.extreme_points(subset)
+        if extreme.bit_count() > 2:
+            triple = mask_of(list(iter_bits(extreme))[:3])
+            return PropertyReport("TwoEx", False, TwoExWitness(triple))
+    return PropertyReport("TwoEx", True)
+
+
+def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
+    """Square condition evaluated over every subset of the ground set."""
+    subsets = _all_subsets(geom, "check_sq_exhaustive", max_n, 3)
+    return _pair_scan(geom, "Sq", subsets, _sq_violation)
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    """Exhaustive-search outcome: the decision plus every valid representation."""
+
+    cdim2: bool
+    representations: tuple[SegmentRepresentation, ...]
+
+
+def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
+    """Search all chain pairs for representations; independent of the
+    polynomial decision path.
+
+    A chain can take part in a valid pair only if all of its prefixes are
+    closed (each prefix is itself a member of the joined family), so the scan
+    enumerates the maximal chains of the closed-set family instead of all
+    n! orders, then keeps the pairs whose prefix intersections reproduce the
+    family exactly.  A family larger than (n+1)^2 cannot be a join of two
+    chains at all and short-circuits to "no".
+
+    Every meet-irreducible closed set X (not the full set, and not the
+    intersection of strictly larger closed sets) must be a prefix of one of
+    the two chains: were X = L_i & R_j with X != L_i and X != R_j, the closed
+    sets L_i and R_j would be strictly larger with intersection X.  Only pairs
+    of chains whose prefixes cover every irreducible are joined and compared.
+    """
+    n = geom.n
+    if n > max_n:
+        raise GroundSetTooLarge("brute_force_cdim2", n, max_n)
+    family = set(geom.closed_sets())
+    if len(family) > (n + 1) ** 2:
+        return BruteForceResult(False, ())
+
+    full = geom.ground.full
+    chains: list[tuple[int, ...]] = []
+
+    def grow(current: int, order: list[int]):
+        if current == full:
+            chains.append(tuple(order))
+            return
+        for x in iter_bits(full & ~current):
+            nxt = current | (1 << x)
+            if nxt in family:
+                order.append(x)
+                grow(nxt, order)
+                order.pop()
+
+    if 0 in family:
+        grow(0, [])
+    prefix_sets = [prefix_masks(chain) for chain in chains]
+
+    # Group the chains by the meet-irreducibles among their prefixes; only
+    # groups that together hold every irreducible can pair (see docstring).
+    irreducible = _meet_irreducible_bits(family, full)
+    groups: dict[int, list[int]] = {}
+    for i, prefixes in enumerate(prefix_sets):
+        covered = 0
+        for p in prefixes:
+            covered |= irreducible.get(p, 0)
+        groups.setdefault(covered, []).append(i)
+    every = (1 << len(irreducible)) - 1
+    masks = list(groups)
+
+    found: set[SegmentRepresentation] = set()
+    for a, mask_a in enumerate(masks):
+        for mask_b in masks[a:]:
+            if mask_a | mask_b != every:
+                continue
+            for i in groups[mask_a]:
+                for j in groups[mask_b]:
+                    if mask_a == mask_b and j < i:
+                        continue
+                    lo, hi = sorted((i, j))
+                    joined = {u & v for u in prefix_sets[lo] for v in prefix_sets[hi]}
+                    if joined == family:
+                        found.add(SegmentRepresentation(chains[lo], chains[hi]))
+    reps = tuple(sorted(found, key=lambda r: (r.left, r.right)))
+    return BruteForceResult(bool(reps), reps)
+
+
+def _meet_irreducible_bits(family: set[int], full: int) -> dict[int, int]:
+    """Map each meet-irreducible set of ``family`` to its own bit."""
+    irreducible: dict[int, int] = {}
+    for x in family:
+        if x == full:
+            continue
+        meet = full
+        for y in family:
+            if y != x and y & x == x:
+                meet &= y
+        if meet != x:
+            irreducible[x] = 1 << len(irreducible)
+    return irreducible
+
+
+@dataclass(frozen=True)
+class CaratheodoryWitness:
+    """A membership ``element in closure(subset)`` no part of the subset with
+    at most ``order`` members explains."""
+
+    subset: int
+    element: int
+    order: int
+
+    def describe(self, ground: GroundSet) -> str:
+        return (
+            f"{ground.labels[self.element]} in closure of {ground.format_set(self.subset)} "
+            f"but in no small-part closure"
+        )
+
+    def verify(self, geom: ConvexGeometry) -> bool:
+        """Recompute the witness from the definition."""
+        if not (geom.closure(self.subset) >> self.element) & 1:
+            return False
+        members = list(iter_bits(self.subset))
+        return _generating_part(geom, members, self.element, self.order) is None
+
+
+class CaratheodoryFails(SegrepError):
+    """Binary-premise reduction was requested but the 2-part property fails."""
+
+    def __init__(self, witness: CaratheodoryWitness):
+        self.witness = witness
+        super().__init__("cannot reduce to binary premises: 2-part generation fails")
+
+
+def check_caratheodory(geom: ConvexGeometry, order: int, max_n: int = 15) -> PropertyReport:
+    """Every closure membership is witnessed by at most ``order`` generators."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    name = f"Caratheodory({order})"
+    for subset in _all_subsets(geom, "check_caratheodory", max_n, order + 1):
+        closed = geom.closure(subset)
+        members = list(iter_bits(subset))
+        for a in iter_bits(closed & ~subset):
+            if _generating_part(geom, members, a, order) is None:
+                return PropertyReport(name, False, CaratheodoryWitness(subset, a, order))
+    return PropertyReport(name, True)
+
+
+def _generating_part(
+    geom: ConvexGeometry, members: list[int], a: int, order: int
+) -> Optional[int]:
+    """First part of ``members`` with at most ``order`` elements, smallest
+    first, whose closure contains ``a``; None when there is none."""
+    for size in range(1, order + 1):
+        for part in combinations(members, size):
+            if (geom.closure(mask_of(part)) >> a) & 1:
+                return mask_of(part)
+    return None
+
+
+def reduce_to_binary_basis(geom: ConvexGeometry, max_n: int = 15) -> ImplicationBasis:
+    """Rewrite the basis so every premise has at most two elements.
+
+    Requires the 2-part generation property; each oversized premise is
+    replaced by the first 1- or 2-element part of it that already generates
+    the conclusion.  A basis that is already binary is returned unchanged.
+    The rewritten basis is checked to generate the same closure operator on
+    every subset; like the Carathéodory check, that is guarded at ``max_n``
+    elements.
+    """
+    report = check_caratheodory(geom, 2, max_n=max_n)
+    if not report.holds:
+        raise CaratheodoryFails(report.witness)
+    basis = geom.basis
+    if all(imp.premise.bit_count() <= 2 for imp in basis.implications):
+        return basis
+
+    units: list[tuple[int, int]] = []
+    for imp in basis.implications:
+        for b in iter_bits(imp.conclusion & ~imp.premise):
+            if imp.premise.bit_count() <= 2:
+                units.append((imp.premise, b))
+                continue
+            replacement = _generating_part(geom, list(iter_bits(imp.premise)), b, 2)
+            if replacement is None:
+                raise CaratheodoryFails(CaratheodoryWitness(imp.premise, b, 2))
+            units.append((replacement, b))
+
+    grouped: dict[int, int] = {}
+    for premise, b in units:
+        grouped[premise] = grouped.get(premise, 0) | (1 << b)
+    implications = tuple(
+        Implication(premise, grouped[premise] & ~premise)
+        for premise in sorted(grouped, key=canonical_key)
+        if grouped[premise] & ~premise
+    )
+    reduced = ImplicationBasis(basis.ground, implications)
+
+    for seed in range(1 << geom.n):
+        if reduced.closure(seed) != basis.closure(seed):
+            raise AssertionError("binary reduction changed the closure operator")
+    return reduced
+
+
+@dataclass(frozen=True)
+class ExRWitness:
+    """An implication through a removed extreme point that its replacement misses.
+
+    ``a`` is extreme in ``subset`` alongside ``b``; ``c`` replaces ``a`` once
+    it is removed; ``y`` is generated by ``a`` (with ``z``) yet not by
+    ``{c, z}``.
+    """
+
+    subset: int
+    a: int
+    b: int
+    c: int
+    y: int
+    z: int
+
+    def describe(self, ground: GroundSet) -> str:
+        label = ground.labels
+        return (
+            f"X'={ground.format_set(self.subset)} a={label[self.a]} "
+            f"b={label[self.b]} c={label[self.c]}: "
+            f"{label[self.y]} follows from {label[self.a]} with "
+            f"{label[self.z]} but not from {label[self.c]} with {label[self.z]}"
+        )
+
+    def verify(self, geom: ConvexGeometry) -> bool:
+        """Recompute the witness from the definition."""
+        return (
+            geom.extreme_points(self.subset) == (1 << self.a) | (1 << self.b)
+            and geom.extreme_points(self.subset & ~(1 << self.a))
+            == (1 << self.c) | (1 << self.b)
+            and not (geom.closure(1 << self.a) >> self.z) & 1
+            and (
+                (geom.closure(1 << self.a) >> self.y) & 1
+                or (geom.closure((1 << self.a) | (1 << self.z)) >> self.y) & 1
+            )
+            and not (geom.closure((1 << self.c) | (1 << self.z)) >> self.y) & 1
+        )
+
+
+def check_exr(geom: ConvexGeometry, max_n: int = 15, closed_only: bool = False) -> PropertyReport:
+    """Extreme-point replacement: the element replacing a removed extreme
+    point inherits its implications.
+
+    For a subset with extreme points ``{a, b}`` where removing ``a`` makes
+    ``c`` extreme (``c != b``): whenever ``z`` is not generated by ``a`` but
+    ``y`` is generated by ``a`` (alone or with ``z``), then ``{c, z}`` must
+    generate ``y``.  Instances with ``c == b`` hold vacuously.
+    """
+    if closed_only:
+        subsets = [s for s in geom.closed_sets() if s.bit_count() >= 2]
+    else:
+        subsets = _all_subsets(geom, "check_exr", max_n, 2)
+    return _pair_scan(geom, "ExR", subsets, _exr_violation)
+
+
+def _exr_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[ExRWitness]:
+    c = _replacement(geom, subset, a, b)
+    if c is None:
+        return None
+    from_a = geom.closure(1 << a)
+    rest = subset & ~(1 << a)
+    for z in iter_bits(rest & ~from_a):
+        from_az = geom.closure((1 << a) | (1 << z))
+        from_cz = geom.closure((1 << c) | (1 << z))
+        for y in iter_bits(rest & ~(1 << z)):
+            if not ((from_a >> y) & 1 or (from_az >> y) & 1):
+                continue
+            if not (from_cz >> y) & 1:
+                return ExRWitness(subset, a, b, c, y, z)
+    return None
+
+
+class GroundSetMismatch(SegrepError):
+    """Two alignments over different ground sets cannot be joined."""
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """Intersection-closed family of subsets containing the ground set.
+
+    ``sets`` is stored in canonical order (by size, then lexicographically by
+    members) so families compare and diff deterministically.
+    """
+
+    ground: GroundSet
+    sets: tuple[int, ...]
+
+    @classmethod
+    def from_masks(cls, ground: GroundSet, masks) -> "Alignment":
+        return cls(ground, tuple(sorted(set(masks), key=canonical_key)))
+
+    def generated_closure(self, seed: int) -> int:
+        """Closure operator induced by the family: meet of covering members."""
+        out = self.ground.full
+        for member in self.sets:
+            if seed & ~member == 0:
+                out &= member
+        return out
+
+    def is_intersection_closed(self) -> bool:
+        members = set(self.sets)
+        if self.ground.full not in members:
+            return False
+        items = list(members)
+        for i, a in enumerate(items):
+            for b in items[i + 1:]:
+                if a & b not in members:
+                    return False
+        return True
+
+
+def join_alignments(first: Alignment, second: Alignment) -> Alignment:
+    """Family of all pairwise intersections of members of the two inputs."""
+    if first.ground != second.ground:
+        raise GroundSetMismatch("alignments are defined over different ground sets")
+    sets = {u & v for u in first.sets for v in second.sets}
+    return Alignment.from_masks(first.ground, sets)
+
+
+def linear_alignment(ground: GroundSet, order) -> Alignment:
+    """The n+1 prefixes of a total order, bottom to top."""
+    order = tuple(order)
+    if sorted(order) != list(range(ground.n)):
+        raise ValueError("order must be a permutation of the ground set")
+    return Alignment.from_masks(ground, prefix_masks(order))
+
+
+def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
+    """Witness against the alignment-style definition, or None if it holds.
+
+    The alternative definition asks that the empty set be closed and that
+    every proper closed set grow by a single element inside the family.
+    Returns ``("empty-set-not-closed", mask)`` or ``("no-extension", mask)``.
+    """
+    empty = basis.closure(0)
+    if empty:
+        return ("empty-set-not-closed", empty)
+    dead_end = _first_dead_end(closed_family(basis, max_n=max_n), basis.ground.full)
+    return None if dead_end is None else ("no-extension", dead_end)

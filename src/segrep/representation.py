@@ -147,9 +147,12 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     both chains; one of two goes on top of the left chain and just above its
     own closure in the right chain.  The representation of the rest may need
     some of its interchangeable blocks flipped for that position to exist, so
-    insertion searches the block orientations; every accepted candidate is
-    verified against the restriction, and the final result against the full
-    geometry.
+    insertion searches the block orientations.  Every accepted candidate is
+    verified against the restriction to its subset; the last subset is the
+    whole ground set, so the result is verified against the full geometry.
+    With at most one element nothing is peeled and nothing needs checking:
+    validation has made sure the empty set is closed, and a single element
+    closes to itself.
 
     One peeling order suffices: every representation of a closed set is a
     block flip of any other, so if the set is representable, one of its
@@ -179,9 +182,6 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
         ok, _ = verify_representation(geom, rep)
         if not ok:
             raise Infeasible("single-extreme-extension", subset)
-    ok, seed = verify_representation(geom, rep)
-    if not ok:
-        raise Infeasible("final-verification", seed)
     return rep
 
 
@@ -204,100 +204,6 @@ def _insert(
         if ok:
             return candidate
     raise Infeasible("insertion", (subset, (1 << a) | (1 << b)))
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    """Exhaustive-search outcome: the decision plus every valid representation."""
-
-    cdim2: bool
-    representations: tuple[SegmentRepresentation, ...]
-
-
-def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
-    """Search all chain pairs for representations; independent of the
-    polynomial decision path.
-
-    A chain can take part in a valid pair only if all of its prefixes are
-    closed (each prefix is itself a member of the joined family), so the scan
-    enumerates the maximal chains of the closed-set family instead of all
-    n! orders, then keeps the pairs whose prefix intersections reproduce the
-    family exactly.  A family larger than (n+1)^2 cannot be a join of two
-    chains at all and short-circuits to "no".
-
-    Every meet-irreducible closed set X (not the full set, and not the
-    intersection of strictly larger closed sets) must be a prefix of one of
-    the two chains: were X = L_i & R_j with X != L_i and X != R_j, the closed
-    sets L_i and R_j would be strictly larger with intersection X.  Only pairs
-    of chains whose prefixes cover every irreducible are joined and compared.
-    """
-    n = geom.n
-    if n > max_n:
-        raise GroundSetTooLarge("brute_force_cdim2", n, max_n)
-    family = set(geom.closed_sets().sets)
-    if len(family) > (n + 1) ** 2:
-        return BruteForceResult(False, ())
-
-    full = geom.ground.full
-    chains: list[tuple[int, ...]] = []
-
-    def grow(current: int, order: list[int]):
-        if current == full:
-            chains.append(tuple(order))
-            return
-        for x in iter_bits(full & ~current):
-            nxt = current | (1 << x)
-            if nxt in family:
-                order.append(x)
-                grow(nxt, order)
-                order.pop()
-
-    if 0 in family:
-        grow(0, [])
-    prefix_sets = [prefix_masks(chain) for chain in chains]
-
-    # Group the chains by the meet-irreducibles among their prefixes; only
-    # groups that together hold every irreducible can pair (see docstring).
-    irreducible = _meet_irreducible_bits(family, full)
-    groups: dict[int, list[int]] = {}
-    for i, prefixes in enumerate(prefix_sets):
-        covered = 0
-        for p in prefixes:
-            covered |= irreducible.get(p, 0)
-        groups.setdefault(covered, []).append(i)
-    every = (1 << len(irreducible)) - 1
-    masks = list(groups)
-
-    found: set[SegmentRepresentation] = set()
-    for a, mask_a in enumerate(masks):
-        for mask_b in masks[a:]:
-            if mask_a | mask_b != every:
-                continue
-            for i in groups[mask_a]:
-                for j in groups[mask_b]:
-                    if mask_a == mask_b and j < i:
-                        continue
-                    lo, hi = sorted((i, j))
-                    joined = {u & v for u in prefix_sets[lo] for v in prefix_sets[hi]}
-                    if joined == family:
-                        found.add(SegmentRepresentation(chains[lo], chains[hi]))
-    reps = tuple(sorted(found, key=lambda r: (r.left, r.right)))
-    return BruteForceResult(bool(reps), reps)
-
-
-def _meet_irreducible_bits(family: set[int], full: int) -> dict[int, int]:
-    """Map each meet-irreducible set of ``family`` to its own bit."""
-    irreducible: dict[int, int] = {}
-    for x in family:
-        if x == full:
-            continue
-        meet = full
-        for y in family:
-            if y != x and y & x == x:
-                meet &= y
-        if meet != x:
-            irreducible[x] = 1 << len(irreducible)
-    return irreducible
 
 
 def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ...]:

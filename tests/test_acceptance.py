@@ -9,21 +9,15 @@ import time
 from segrep import (
     SegmentRepresentation,
     SqWitness,
-    brute_force_cdim2,
     build_representation,
     check_2ex,
-    check_2ex_exhaustive,
-    check_caratheodory,
-    check_exr,
     check_sq,
-    check_sq_exhaustive,
     count_representations,
     decide_cdim2,
     enumerate_representations,
     is_unique,
     normalize_layout,
     reconstruct_by_peeling,
-    reduce_to_binary_basis,
     segment_closure,
     segment_layout,
     verify_representation,
@@ -31,6 +25,14 @@ from segrep import (
 from segrep.cli import main as cli_main
 from segrep.cli import parse_layout_table
 from segrep.fixtures import disjoint_chains_geometry, load_fixture
+from segrep.oracles import (
+    brute_force_cdim2,
+    check_2ex_exhaustive,
+    check_caratheodory,
+    check_exr,
+    check_sq_exhaustive,
+    reduce_to_binary_basis,
+)
 
 
 def criterion(number: int, description: str, passed: bool):

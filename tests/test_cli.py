@@ -3,10 +3,15 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import segrep
 from segrep import build_representation, cli, normalize_layout
 from segrep.cli import (
     ParseError,
@@ -146,16 +151,15 @@ class TestCheck:
         assert payload["cdim2"] is True
         assert keys[-1] == "closure_calls"
 
-    # Every closure query counts, answered from the cache or not, so these
-    # match the counts from before the operation-scoped closure cache.  The
-    # key sequence of each report is pinned alongside.
+    # Every closure query counts, answered from the cache or not.  The key
+    # sequence of each report is pinned alongside.
     @pytest.mark.parametrize("command, name, calls", [
         pytest.param(command, name, calls,
                      id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
         for command, counts in (
             ("check", (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", (70, 51, 276, 179, 41, 97, 151)),
-            ("unique", (70, 51, 276, 179, 41, 97, 151)),
+            ("represent", (70, 51, 247, 157, 41, 86, 135)),
+            ("unique", (70, 51, 247, 157, 41, 86, 135)),
         )
         for name, calls in zip(
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
@@ -177,6 +181,20 @@ class TestCheck:
         else:
             body = ["cdim2", "representation", "blocks", "representation_count", "unique"]
         assert list(payload) == head + body + ["closure_calls"]
+
+
+    # The exact witness text that `check --json` reports.
+    @pytest.mark.parametrize("name, key, text", [
+        ("triangle", "two_ex_witness", "TwoEx: fails (triple {a,b,c} has three extreme points)"),
+        ("fivepoint", "two_ex_witness", "TwoEx: fails (triple {a,b,c} has three extreme points)"),
+        ("notsuf", "sq_witness",
+         "Sq: fails (X'={a,b,c,d} a=a b=b c=c d=d observed Ex(X'-b)={a,c})"),
+    ])
+    def test_witness_text_pinned(self, tmp_path, name, key, text):
+        path = tmp_path / f"{name}.geom"
+        path.write_text(fixture_text(name))
+        _, out, _ = run("check", str(path), "--json")
+        assert json.loads(out)[key] == text
 
 
 class TestRepresent:
@@ -228,6 +246,19 @@ class TestOracle:
         code, out, _ = run("oracle", files[name])
         assert "mismatch: none" in out
         assert code == (0 if load_fixture(name).cdim2 else 1)
+
+    def test_oracles_are_imported_only_by_the_command(self, files):
+        # a fresh interpreter, so no other test has imported segrep.oracles
+        probe = (
+            "import sys, segrep, segrep.cli\n"
+            "print('segrep.oracles' in sys.modules)\n"
+            "sys.exit(segrep.cli.main(['oracle', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe, files["un"]],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.returncode == 0 and "mismatch: none" in proc.stdout
 
 
 class TestRender:

@@ -1,4 +1,4 @@
-"""Closure, restriction, and the set-algebra substrate."""
+"""Closure and the set-algebra substrate."""
 
 import random
 
@@ -10,7 +10,6 @@ from segrep import (
     ImplicationBasis,
     iter_bits,
     mask_of,
-    restrict_basis,
 )
 from segrep.cli import parse_geometry
 
@@ -105,33 +104,6 @@ class TestClosure:
             assert y & ~cy == 0  # extensive
             assert cy & ~cz == 0  # monotone
             assert basis.closure(cy) == cy  # idempotent
-
-
-class TestRestrictBasis:
-    def test_notsuf_restricted_to_abc(self):
-        basis = parse_geometry(NOTSUF)
-        gs = basis.ground
-        sub = restrict_basis(basis, gs.mask("abc"))
-        assert sub.ground.labels == ("a", "b", "c")
-        # ab->c survives; bc->d and a->d lose their conclusions and drop
-        assert len(sub.implications) == 1
-        imp = sub.implications[0]
-        assert imp.premise == sub.ground.mask("ab")
-        assert imp.conclusion == sub.ground.mask("c")
-
-    def test_identity_on_full_ground_set(self):
-        basis = parse_geometry(NOTSUF)
-        sub = restrict_basis(basis, basis.ground.full)
-        assert sub.ground.labels == basis.ground.labels
-        assert sub.implications == basis.implications
-
-    def test_un_restricted_to_bcd(self):
-        basis = parse_geometry(UN)
-        gs = basis.ground
-        sub = restrict_basis(basis, gs.mask("bcd"))
-        assert len(sub.implications) == 1
-        assert sub.implications[0].premise == sub.ground.mask("d")
-        assert sub.implications[0].conclusion == sub.ground.mask("bc")
 
 
 class TestGroundSet:

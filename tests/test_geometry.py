@@ -5,9 +5,7 @@ import random
 import pytest
 
 from segrep import (
-    Alignment,
     GroundSet,
-    GroundSetMismatch,
     Implication,
     ImplicationBasis,
     Infeasible,
@@ -15,13 +13,16 @@ from segrep import (
     build_representation,
     closed_family,
     decide_cdim2,
-    extendability_witness,
-    join_alignments,
-    linear_alignment,
-    restrict_basis,
     validate_geometry,
 )
 from segrep import geometry
+from segrep.oracles import (
+    Alignment,
+    GroundSetMismatch,
+    extendability_witness,
+    join_alignments,
+    linear_alignment,
+)
 from segrep.cli import parse_geometry
 from segrep.fixtures import fixture_text, load_fixture
 
@@ -206,7 +207,7 @@ class TestExtremePoints:
                 geom = validate_geometry(basis)
             except NotAGeometry:
                 continue
-            for y in geom.closed_sets().sets:
+            for y in geom.closed_sets():
                 assert geom.closure(geom.extreme_points(y)) == y
 
     def test_violators_break_extreme_generation_or_extendability(self):
@@ -250,7 +251,9 @@ class TestExtremePoints:
             assert ex & subset & ~geom.extreme_points(subset) == 0
 
     def test_restriction_soundness_outside_extreme_points(self):
-        # dropping only extreme points keeps the restricted basis faithful
+        # verify_representation compares closure(seed) & domain on a domain
+        # left by dropping extreme points: such a domain is closed, so every
+        # seed inside it closes inside it
         rng = random.Random(15)
         for _ in range(120):
             basis = random_basis(rng, rng.randint(2, 5), rng.randint(0, 6))
@@ -258,37 +261,25 @@ class TestExtremePoints:
                 geom = validate_geometry(basis)
             except NotAGeometry:
                 continue
-            ex = geom.extreme_points(geom.ground.full)
+            full = geom.ground.full
+            ex = geom.extreme_points(full)
             if not ex:
                 continue
             drop = ex & rng.getrandbits(geom.n)
             if not drop:
                 drop = ex & -ex
-            subset = geom.ground.full & ~drop
-            sub_basis = restrict_basis(basis, subset)
-            positions = {e: i for i, e in enumerate(
-                i for i in range(geom.n) if (subset >> i) & 1)}
-
-            def compress(mask):
-                out = 0
-                for e, i in positions.items():
-                    if (mask >> e) & 1:
-                        out |= 1 << i
-                return out
-
+            domain = full & ~drop
+            assert geom.closure(domain) == domain
             for seed in range(1 << geom.n):
-                if seed & ~subset:
-                    continue
-                assert sub_basis.closure(compress(seed)) == compress(
-                    geom.restricted_closure(subset, seed))
+                if not seed & ~domain:
+                    assert not geom.closure(seed) & ~domain
 
 
 class TestFamilies:
     def test_un_family(self):
         geom = validate_geometry(parse_geometry(fixture_text("un")))
         gs = geom.ground
-        family = geom.closed_sets()
-        assert set(family.sets) == {
+        assert set(geom.closed_sets()) == {
             0, gs.mask("a"), gs.mask("b"), gs.mask("c"), gs.mask("ab"),
             gs.mask("bc"), gs.mask("abc"), gs.mask("bcd"), gs.full,
         }
@@ -296,12 +287,12 @@ class TestFamilies:
     def test_free_two_element_family(self):
         gs = GroundSet(("a", "b"))
         geom = validate_geometry(ImplicationBasis(gs, ()))
-        assert set(geom.closed_sets().sets) == {0, 1, 2, 3}
+        assert set(geom.closed_sets()) == {0, 1, 2, 3}
 
     def test_notsuf_meet_irreducibles(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
         gs = geom.ground
-        family = set(geom.closed_sets().sets)
+        family = set(geom.closed_sets())
         special = [gs.mask("bd"), gs.mask("ad"), gs.mask("c")]
         for s in special:
             assert s in family
@@ -394,25 +385,3 @@ class TestAlignmentOps:
         with pytest.raises(GroundSetMismatch):
             join_alignments(fam1, fam2)
 
-
-class TestRestrictedClosure:
-    def test_notsuf_example(self):
-        geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
-        gs = geom.ground
-        assert geom.restricted_closure(gs.mask("abc"), gs.mask("ab")) == gs.mask("abc")
-
-    def test_full_subset_is_plain_closure(self):
-        geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
-        gs = geom.ground
-        for seed in range(1 << geom.n):
-            assert geom.restricted_closure(gs.full, seed) == geom.closure(seed)
-
-    def test_empty_seed(self):
-        geom = validate_geometry(parse_geometry(fixture_text("un")))
-        assert geom.restricted_closure(geom.ground.mask("ab"), 0) == 0
-
-    def test_seed_outside_subset_rejected(self):
-        geom = validate_geometry(parse_geometry(fixture_text("un")))
-        gs = geom.ground
-        with pytest.raises(ValueError):
-            geom.restricted_closure(gs.mask("ab"), gs.mask("c"))

@@ -3,8 +3,6 @@
 import pytest
 
 from segrep import (
-    CaratheodoryFails,
-    CaratheodoryWitness,
     GroundSet,
     GroundSetTooLarge,
     Implication,
@@ -13,18 +11,22 @@ from segrep import (
     SqWitness,
     TwoExWitness,
     check_2ex,
-    check_2ex_exhaustive,
-    check_caratheodory,
-    check_exr,
     check_sq,
-    check_sq_exhaustive,
     decide_cdim2,
-    reduce_to_binary_basis,
     validate_geometry,
     verify_witness,
 )
-from segrep import properties
+from segrep import oracles
 from segrep.fixtures import load_fixture
+from segrep.oracles import (
+    CaratheodoryFails,
+    CaratheodoryWitness,
+    check_2ex_exhaustive,
+    check_caratheodory,
+    check_exr,
+    check_sq_exhaustive,
+    reduce_to_binary_basis,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,8 @@ class TestCaratheodory:
         assert report.witness.subset == geom.ground.mask("abc")
         assert report.witness.element == geom.ground.index("x")
         assert verify_witness(geom, report)
+        assert report.describe(geom.ground) == (
+            "Caratheodory(2): fails (x in closure of {a,b,c} but in no small-part closure)")
 
     def test_witness_carries_its_order(self):
         geom = load_fixture("fivepoint").geometry
@@ -146,7 +150,7 @@ class TestBinaryReduction:
             ImplicationBasis(gs, (Implication(gs.mask("abc"), gs.mask("x")),))
         )
         monkeypatch.setattr(
-            properties, "check_caratheodory",
+            oracles, "check_caratheodory",
             lambda geom, order, max_n: PropertyReport(f"Caratheodory({order})", True),
         )
         with pytest.raises(CaratheodoryFails) as err:
@@ -193,6 +197,9 @@ class TestExR:
         report = check_exr(notsuf)
         assert not report.holds
         assert verify_witness(notsuf, report)
+        assert report.describe(notsuf.ground) == (
+            "ExR: fails (X'={a,b,c,d} a=a b=b c=c: d follows from a with c "
+            "but not from c with c)")
 
     def test_un_holds(self, un):
         assert check_exr(un).holds

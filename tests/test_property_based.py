@@ -16,7 +16,6 @@ from segrep import (  # noqa: E402
     NotAGeometry,
     NotApplicable,
     SegmentRepresentation,
-    brute_force_cdim2,
     build_representation,
     count_representations,
     decide_cdim2,
@@ -26,6 +25,7 @@ from segrep import (  # noqa: E402
     validate_geometry,
     verify_representation,
 )
+from segrep.oracles import brute_force_cdim2  # noqa: E402
 
 
 def ground(n):

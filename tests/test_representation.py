@@ -12,16 +12,12 @@ from segrep import (
     ImplicationBasis,
     Infeasible,
     SegmentRepresentation,
-    brute_force_cdim2,
     build_representation,
     check_2ex,
-    check_sq_exhaustive,
     count_representations,
     decide_cdim2,
     enumerate_representations,
     geometry_from_chains,
-    join_alignments,
-    linear_alignment,
     normalize_layout,
     reconstruct_by_peeling,
     segment_closure,
@@ -30,6 +26,12 @@ from segrep import (
     verify_representation,
 )
 from segrep.fixtures import load_fixture
+from segrep.oracles import (
+    brute_force_cdim2,
+    check_sq_exhaustive,
+    join_alignments,
+    linear_alignment,
+)
 
 
 @pytest.fixture(scope="module")

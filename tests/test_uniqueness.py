@@ -9,7 +9,6 @@ from segrep import (
     NotApplicable,
     SegmentRepresentation,
     block_decomposition,
-    brute_force_cdim2,
     build_representation,
     count_representations,
     decide_cdim2,
@@ -21,6 +20,7 @@ from segrep import (
     verify_representation,
 )
 from segrep.fixtures import load_fixture
+from segrep.oracles import brute_force_cdim2
 
 
 @pytest.fixture(scope="module")
