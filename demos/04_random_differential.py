@@ -6,13 +6,8 @@ two must agree everywhere, and the representation counter must match the
 number of pairs the oracle finds.
 """
 
-from segrep import (
-    RejectionBudgetExceeded,
-    build_representation,
-    count_representations,
-    decide_cdim2,
-    random_geometry,
-)
+from segrep import build_representation, count_representations, decide_cdim2
+from segrep.fixtures import RejectionBudgetExceeded, random_geometry
 from segrep.oracles import brute_force_cdim2
 
 samples = 0

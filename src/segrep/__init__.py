@@ -45,14 +45,5 @@ from .uniqueness import (
     is_unique,
     reconstruct_by_peeling,
 )
-from .fixtures import (
-    Fixture,
-    RejectionBudgetExceeded,
-    UnknownFixture,
-    disjoint_chains_geometry,
-    geometry_from_chains,
-    load_fixture,
-    random_geometry,
-)
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
-    elements <label>+          exactly one, before any implication
+    elements <label>+          exactly one, before any implication; no '->'
     imp <label>+ -> <label>+   zero or more
 
 Exit codes: 0 the geometry is representable by segments (convex dimension at
@@ -22,7 +22,8 @@ import time
 from .core import GroundSet, GroundSetTooLarge, Implication, ImplicationBasis, SegrepError
 from .geometry import ConvexGeometry, validate_geometry
 from .properties import decide_cdim2
-from .representation import (
+# Unused here, verify_representation stays bound for perfbench/layers.py.
+from .representation import (  # noqa: F401
     SegmentRepresentation,
     build_representation,
     normalize_layout,
@@ -54,6 +55,8 @@ def parse_geometry(text: str) -> ImplicationBasis:
                 raise ParseError(lineno, "duplicate 'elements' line")
             if not args:
                 raise ParseError(lineno, "'elements' needs at least one label")
+            if "->" in args:
+                raise ParseError(lineno, "'->' cannot be an element label")
             try:
                 ground = GroundSet(tuple(args))
             except ValueError as exc:
@@ -104,16 +107,20 @@ def parse_layout_table(ground: GroundSet, text: str) -> SegmentRepresentation:
     """Re-read a layout table into its canonical representation.
 
     Line numbers in errors count from the header line; a missing element is
-    reported at the line after the table.
+    reported at the line after the table, a repeated one at its second row.
     """
     lines = text.strip().splitlines()
     intervals: dict[int, tuple[float, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             label, lo, hi = line.split()
-            intervals[ground.index(label)] = (float(lo), float(hi))
+            interval = (float(lo), float(hi))
+            e = ground.index(label)
         except (ValueError, SegrepError) as exc:
             raise ParseError(lineno, f"bad layout row ({exc})") from None
+        if e in intervals:
+            raise ParseError(lineno, f"second row for element {label!r}")
+        intervals[e] = interval
     for e in range(ground.n):
         if e not in intervals:
             raise ParseError(len(lines) + 1, f"no row for element {ground.labels[e]!r}")
@@ -191,6 +198,17 @@ class Report:
         return "\n".join(f"{key}: {value}" for key, value in self.items)
 
 
+def _guard_value(text: str) -> int:
+    """Parse ``--max-n``: a guard counts elements, so it is 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a guard is 0 or more, not {value}")
+    return value
+
+
 def _guard(args, default: int) -> int:
     """The ``--max-n`` value if one was given (0 included), else ``default``."""
     return default if args.max_n is None else args.max_n
@@ -227,7 +245,9 @@ def _represent(args, report: Report, geom: ConvexGeometry) -> SegmentRepresentat
         return None
     rep = build_representation(geom)
     if getattr(args, "exhaustive", False):
-        ok, _ = verify_representation(geom, rep, exhaustive=True, max_n=_guard(args, 12))
+        from .oracles import verify_representation_exhaustive
+
+        ok, _ = verify_representation_exhaustive(geom, rep, max_n=_guard(args, 12))
         report.add("verified_exhaustively", ok)
     report.add("representation", chain_display(geom.ground, rep))
     return rep
@@ -315,7 +335,7 @@ _FLAGS = {
     "--timing": dict(action="store_true", help="include elapsed time"),
     "--exhaustive": dict(action="store_true",
                          help="verify representations on every subset, not only pairs"),
-    "--max-n": dict(type=int, default=None, dest="max_n",
+    "--max-n": dict(type=_guard_value, default=None, dest="max_n",
                     help="override the guards on exhaustive scans"),
 }
 _REPORT = ("--json", "--timing", "--max-n")

@@ -59,14 +59,6 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
-def subsets_canonical(mask: int) -> list[int]:
-    """Every subset of ``mask`` in canonical order."""
-    subsets = [0]
-    for e in iter_bits(mask):
-        subsets += [s | (1 << e) for s in subsets]
-    return sorted(subsets, key=canonical_key)
-
-
 def prefix_masks(order: Iterable[int]) -> tuple[int, ...]:
     """The prefixes of a chain as masks, from the empty one to the whole chain."""
     prefixes = [0]

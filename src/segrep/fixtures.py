@@ -1,4 +1,5 @@
-"""Worked-example geometries shipped as files, plus randomized generators.
+"""Worked-example geometries shipped as files, plus randomized generators:
+a test corpus that ``import segrep`` does not load.
 
 Fixture expectations live in ``data/expectations.json`` and are re-verified
 against the library when a fixture is loaded, so a drifting implementation
@@ -72,39 +73,27 @@ def fixture_text(name: str) -> str:
     return (resources.files("segrep") / "data" / f"{name}.geom").read_text()
 
 
-def _expectations() -> dict:
-    raw = (resources.files("segrep") / "data" / "expectations.json").read_text()
-    return json.loads(raw)
-
-
-def load_fixture(name: str, verify: bool = True) -> Fixture:
+def load_fixture(name: str) -> Fixture:
     """Parse a fixture file and re-verify its recorded expectations."""
     from .cli import parse_geometry
 
     text = fixture_text(name)
-    expected = _expectations()[name]
-    basis = parse_geometry(text)
-    geometry = validate_geometry(basis)
-    fixture = Fixture(name, text, geometry, expected)
-    if verify:
-        _verify_expectations(fixture)
-    return fixture
-
-
-def _verify_expectations(fixture: Fixture) -> None:
-    geom = fixture.geometry
-    expected = fixture.expected
+    manifest = resources.files("segrep") / "data" / "expectations.json"
+    expected = json.loads(manifest.read_text())[name]
+    geom = validate_geometry(parse_geometry(text))
+    fixture = Fixture(name, text, geom, expected)
     decision = decide_cdim2(geom)
     if decision.cdim2 != expected["cdim2"]:
-        raise FixtureMismatch(f"{fixture.name}: cdim2 expectation drifted")
+        raise FixtureMismatch(f"{name}: cdim2 expectation drifted")
     if decision.two_ex.holds != expected["two_ex"]:
-        raise FixtureMismatch(f"{fixture.name}: two_ex expectation drifted")
+        raise FixtureMismatch(f"{name}: two_ex expectation drifted")
     if expected["cdim2"]:
         rep = build_representation(geom)
         if rep not in fixture.expected_representations():
-            raise FixtureMismatch(f"{fixture.name}: built representation drifted")
+            raise FixtureMismatch(f"{name}: built representation drifted")
         if count_representations(rep) != expected["representation_count"]:
-            raise FixtureMismatch(f"{fixture.name}: representation count drifted")
+            raise FixtureMismatch(f"{name}: representation count drifted")
+    return fixture
 
 
 def random_geometry(

@@ -1,10 +1,12 @@
 """Exponential oracles and lemma checks that cross-check the polynomial test.
 
-Nothing on the decision path imports this module; the test suite and
-``segrep oracle`` do.
+Nothing on the decision path imports this module; the test suite,
+``segrep oracle`` and ``--exhaustive`` do.
 
 * ``check_2ex_exhaustive`` and ``check_sq_exhaustive`` evaluate the defining
-  quantifier of each polynomial check literally over all subsets;
+  quantifier of each polynomial check literally over all subsets, and
+  ``verify_representation_exhaustive`` compares a representation with the
+  geometry on every subset instead of only on pairs;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -33,26 +35,29 @@ from .core import (
     iter_bits,
     mask_of,
     prefix_masks,
-    subsets_canonical,
 )
 from .geometry import ConvexGeometry, _first_dead_end, closed_family
 from .properties import (
     PropertyReport, TwoExWitness, _pair_scan, _replacement, _sq_violation,
 )
-from .representation import SegmentRepresentation
+from .representation import SegmentRepresentation, segment_closure
 
 
-def _all_subsets(geom: ConvexGeometry, operation: str, max_n: int, min_size: int) -> list[int]:
-    """Every subset with at least ``min_size`` members, in canonical order,
-    for the exhaustive ``operation``; guarded at ``max_n`` elements."""
-    if geom.n > max_n:
-        raise GroundSetTooLarge(operation, geom.n, max_n)
-    return [s for s in subsets_canonical(geom.ground.full) if s.bit_count() >= min_size]
+def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
+    """Every subset of ``mask`` with at least ``min_size`` members, in
+    canonical order, for the exhaustive ``operation``; guarded at ``max_n``
+    elements."""
+    if mask.bit_count() > max_n:
+        raise GroundSetTooLarge(operation, mask.bit_count(), max_n)
+    subsets = [0]
+    for e in iter_bits(mask):
+        subsets += [s | (1 << e) for s in subsets]
+    return sorted((s for s in subsets if s.bit_count() >= min_size), key=canonical_key)
 
 
 def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
     """Literal evaluation of the two-extreme-points bound over all subsets."""
-    for subset in _all_subsets(geom, "check_2ex_exhaustive", max_n, 3):
+    for subset in _all_subsets(geom.ground.full, "check_2ex_exhaustive", max_n, 3):
         extreme = geom.extreme_points(subset)
         if extreme.bit_count() > 2:
             triple = mask_of(list(iter_bits(extreme))[:3])
@@ -62,8 +67,20 @@ def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyRepor
 
 def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
     """Square condition evaluated over every subset of the ground set."""
-    subsets = _all_subsets(geom, "check_sq_exhaustive", max_n, 3)
+    subsets = _all_subsets(geom.ground.full, "check_sq_exhaustive", max_n, 3)
     return _pair_scan(geom, "Sq", subsets, _sq_violation)
+
+
+def verify_representation_exhaustive(
+    geom: ConvexGeometry, rep: SegmentRepresentation, max_n: int = 12
+) -> tuple[bool, Optional[int]]:
+    """``verify_representation`` on every subset of the represented elements,
+    not only on seeds of size <= 2; guarded at ``max_n`` elements."""
+    domain = rep.elements
+    for seed in _all_subsets(domain, "verify_representation", max_n):
+        if segment_closure(rep, seed) != geom.closure(seed) & domain:
+            return (False, seed)
+    return (True, None)
 
 
 @dataclass(frozen=True)
@@ -196,7 +213,7 @@ def check_caratheodory(geom: ConvexGeometry, order: int, max_n: int = 15) -> Pro
     if order < 1:
         raise ValueError("order must be a positive integer")
     name = f"Caratheodory({order})"
-    for subset in _all_subsets(geom, "check_caratheodory", max_n, order + 1):
+    for subset in _all_subsets(geom.ground.full, "check_caratheodory", max_n, order + 1):
         closed = geom.closure(subset)
         members = list(iter_bits(subset))
         for a in iter_bits(closed & ~subset):
@@ -313,7 +330,7 @@ def check_exr(geom: ConvexGeometry, max_n: int = 15, closed_only: bool = False) 
     if closed_only:
         subsets = [s for s in geom.closed_sets() if s.bit_count() >= 2]
     else:
-        subsets = _all_subsets(geom, "check_exr", max_n, 2)
+        subsets = _all_subsets(geom.ground.full, "check_exr", max_n, 2)
     return _pair_scan(geom, "ExR", subsets, _exr_violation)
 
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import (
-    GroundSetTooLarge, SegrepError, iter_bits, mask_of, prefix_masks, subsets_canonical,
-)
+from .core import SegrepError, iter_bits, mask_of, prefix_masks
 from .geometry import ConvexGeometry, closure_scope
 
 
@@ -100,37 +98,29 @@ def segment_closure(rep: SegmentRepresentation, seed: int) -> int:
 
 
 def verify_representation(
-    geom: ConvexGeometry,
-    rep: SegmentRepresentation,
-    exhaustive: bool = False,
-    max_n: int = 12,
+    geom: ConvexGeometry, rep: SegmentRepresentation
 ) -> tuple[bool, Optional[int]]:
     """Check that segment closure agrees with the geometry's closure.
 
-    The fast path compares all seeds of size <= 2; when both operators are
-    generated by pairs (which the two-extreme-points property guarantees for
-    the geometry, and the prefix model satisfies always), that agreement
-    extends to every subset.  ``exhaustive=True`` checks every subset
-    outright, guarded at ``max_n`` elements.  Representations over a proper
-    subset of the ground set are checked against the restriction.
+    Compares all seeds of size <= 2; when both operators are generated by
+    pairs (which the two-extreme-points property guarantees for the geometry,
+    and the prefix model satisfies always), that agreement extends to every
+    subset.  Representations over a proper subset of the ground set are
+    checked against the restriction.  The all-subsets twin is
+    ``segrep.oracles.verify_representation_exhaustive``.
 
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
     disagreeing seed.
     """
     domain = rep.elements
-    if exhaustive:
-        if domain.bit_count() > max_n:
-            raise GroundSetTooLarge("verify_representation", domain.bit_count(), max_n)
-        seeds = subsets_canonical(domain)
-    else:
-        members = list(iter_bits(domain))
-        seeds = [0]
-        seeds.extend(1 << e for e in members)
-        seeds.extend(
-            (1 << members[i]) | (1 << members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        )
+    members = list(iter_bits(domain))
+    seeds = [0]
+    seeds.extend(1 << e for e in members)
+    seeds.extend(
+        (1 << members[i]) | (1 << members[j])
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
     for seed in seeds:
         if segment_closure(rep, seed) != geom.closure(seed) & domain:
             return (False, seed)

@@ -130,22 +130,6 @@ class UniquenessReport:
     switchable_block: Optional[Block]
     ending_segments_distinct: Optional[bool]
 
-    def describe(self, ground) -> str:
-        lines = [self.decomposition.describe(ground)]
-        if self.unique:
-            if self.switchable_block is None:
-                lines.append("unique: yes (both chains identical)")
-            else:
-                lines.append(
-                    "unique: yes (single switchable block "
-                    f"{ground.format_set(self.switchable_block.members)}, "
-                    f"top segments distinct: {self.ending_segments_distinct}, "
-                    "all other blocks rigid)"
-                )
-        else:
-            lines.append("unique: no")
-        return "\n".join(lines)
-
 
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
     """Uniqueness holds exactly when at most one block is switchable.

@@ -11,13 +11,8 @@ import random
 
 import pytest
 
-from segrep import (
-    GroundSet,
-    RejectionBudgetExceeded,
-    check_2ex,
-    geometry_from_chains,
-    random_geometry,
-)
+from segrep import GroundSet, check_2ex
+from segrep.fixtures import RejectionBudgetExceeded, geometry_from_chains, random_geometry
 
 DENSITIES = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4)
 

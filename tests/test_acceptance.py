@@ -20,7 +20,6 @@ from segrep import (
     reconstruct_by_peeling,
     segment_closure,
     segment_layout,
-    verify_representation,
 )
 from segrep.cli import main as cli_main
 from segrep.cli import parse_layout_table
@@ -32,6 +31,7 @@ from segrep.oracles import (
     check_exr,
     check_sq_exhaustive,
     reduce_to_binary_basis,
+    verify_representation_exhaustive,
 )
 
 
@@ -76,7 +76,7 @@ def test_criterion_2_un_representation():
     expected = SegmentRepresentation(
         tuple(gs.index(x) for x in "abcd"), tuple(gs.index(x) for x in "cbda")
     )
-    verified, _ = verify_representation(geom, rep, exhaustive=True)
+    verified, _ = verify_representation_exhaustive(geom, rep)
     oracle = brute_force_cdim2(geom)
     elapsed = time.monotonic() - started
     criterion(

@@ -73,6 +73,9 @@ class TestParse:
             parse_geometry("elements a a")
         with pytest.raises(ParseError):
             parse_geometry("elements a b\nfrobnicate a")
+        with pytest.raises(ParseError) as err:
+            parse_geometry("# arrow label\nelements a -> b\nimp a -> b")
+        assert err.value.line == 2 and "'->'" in err.value.reason
 
     def test_comments_and_blank_lines(self):
         basis = parse_geometry("# intro\n\nelements a b  # trailing\nimp a -> b\n")
@@ -100,6 +103,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),
+        ("check", "--max-n", "-1"),
     ])
     def test_removed_flags_are_rejected(self, files, argv):
         with pytest.raises(SystemExit) as exit_info, \
@@ -249,16 +253,19 @@ class TestOracle:
 
     def test_oracles_are_imported_only_by_the_command(self, files):
         # a fresh interpreter, so no other test has imported segrep.oracles
+        # or segrep.fixtures; --exhaustive runs first, so it does the import
         probe = (
             "import sys, segrep, segrep.cli\n"
-            "print('segrep.oracles' in sys.modules)\n"
-            "sys.exit(segrep.cli.main(['oracle', sys.argv[1]]))\n"
+            "print('segrep.oracles' in sys.modules, 'segrep.fixtures' in sys.modules)\n"
+            "code = segrep.cli.main(['represent', '--exhaustive', sys.argv[1]])\n"
+            "sys.exit(code or segrep.cli.main(['oracle', sys.argv[1]]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe, files["un"]],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout.splitlines()[0] == "False"
-        assert proc.returncode == 0 and "mismatch: none" in proc.stdout
+        assert proc.stdout.splitlines()[0] == "False False"
+        assert proc.returncode == 0 and "verified_exhaustively: True" in proc.stdout
+        assert "mismatch: none" in proc.stdout
 
 
 class TestRender:
@@ -301,7 +308,8 @@ class TestDisplayHelpers:
         ("a 1\nb -2 2\nc -3 3\nd -4 4", 2),
         ("a -1 one\nb -2 2\nc -3 3\nd -4 4", 2),
         ("a -1 1\nb -2 2\nc -3 3", 5),
-    ], ids=["short-row", "non-numeric", "missing-element"])
+        ("a -1 1\nb -2 2\nc -3 3\nd -4 4\na -5 5", 6),
+    ], ids=["short-row", "non-numeric", "missing-element", "duplicate-row"])
     def test_bad_layout_tables_raise_parse_error(self, body, line):
         gs = load_fixture("un").geometry.ground
         with pytest.raises(ParseError) as err:

@@ -7,22 +7,25 @@ import pytest
 from segrep import (
     GroundSet,
     Implication,
-    RejectionBudgetExceeded,
     SegmentRepresentation,
-    UnknownFixture,
     check_2ex,
     decide_cdim2,
-    geometry_from_chains,
-    random_geometry,
     segment_closure,
 )
-from segrep.fixtures import FIXTURE_NAMES, load_fixture
+from segrep.fixtures import (
+    FIXTURE_NAMES,
+    RejectionBudgetExceeded,
+    UnknownFixture,
+    geometry_from_chains,
+    load_fixture,
+    random_geometry,
+)
 
 
 class TestFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_expectations_reverify_on_load(self, name):
-        fixture = load_fixture(name, verify=True)
+        fixture = load_fixture(name)
         assert fixture.name == name
         assert decide_cdim2(fixture.geometry).cdim2 == fixture.cdim2
 

@@ -20,12 +20,12 @@ from segrep import (  # noqa: E402
     count_representations,
     decide_cdim2,
     enumerate_representations,
-    geometry_from_chains,
     reconstruct_by_peeling,
     validate_geometry,
     verify_representation,
 )
-from segrep.oracles import brute_force_cdim2  # noqa: E402
+from segrep.fixtures import geometry_from_chains  # noqa: E402
+from segrep.oracles import brute_force_cdim2, verify_representation_exhaustive  # noqa: E402
 
 
 def ground(n):
@@ -130,7 +130,7 @@ def test_decision_matches_brute_force_and_build_verifies(basis):
     assert decision.cdim2 == brute.cdim2
     if decision.cdim2:
         rep = build_representation(geom)
-        assert verify_representation(geom, rep, exhaustive=True) == (True, None)
+        assert verify_representation_exhaustive(geom, rep) == (True, None)
         assert rep in brute.representations
 
 

@@ -17,7 +17,6 @@ from segrep import (
     count_representations,
     decide_cdim2,
     enumerate_representations,
-    geometry_from_chains,
     normalize_layout,
     reconstruct_by_peeling,
     segment_closure,
@@ -25,12 +24,13 @@ from segrep import (
     validate_geometry,
     verify_representation,
 )
-from segrep.fixtures import load_fixture
+from segrep.fixtures import geometry_from_chains, load_fixture
 from segrep.oracles import (
     brute_force_cdim2,
     check_sq_exhaustive,
     join_alignments,
     linear_alignment,
+    verify_representation_exhaustive,
 )
 
 
@@ -85,7 +85,7 @@ class TestSegmentClosure:
 class TestVerify:
     def test_un_representation_verifies(self, un, un_rep):
         assert verify_representation(un, un_rep) == (True, None)
-        assert verify_representation(un, un_rep, exhaustive=True) == (True, None)
+        assert verify_representation_exhaustive(un, un_rep) == (True, None)
 
     def test_swapped_elements_fail_with_least_witness(self, un):
         gs = un.ground
@@ -101,7 +101,7 @@ class TestVerify:
 
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
-            verify_representation(un, un_rep, exhaustive=True, max_n=2)
+            verify_representation_exhaustive(un, un_rep, max_n=2)
 
 
 class TestBuilder:
@@ -129,7 +129,7 @@ class TestBuilder:
             if not decision.cdim2:
                 continue
             rep = build_representation(geom)
-            assert verify_representation(geom, rep, exhaustive=True)[0]
+            assert verify_representation_exhaustive(geom, rep)[0]
 
     def test_infeasible_only_when_not_representable(self, pool_small):
         for geom in pool_small[:300]:
@@ -211,7 +211,7 @@ class TestBruteForce:
             assert check_2ex(geom).holds
             assert check_sq_exhaustive(geom).holds
             for rep in result.representations:
-                assert verify_representation(geom, rep, exhaustive=True)[0]
+                assert verify_representation_exhaustive(geom, rep)[0]
 
 
 class TestLayout:
