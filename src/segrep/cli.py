@@ -2,8 +2,10 @@
 
 File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
-    elements <label>+          exactly one, before any implication; no '->'
+    elements <label>+          exactly one, before any implication
     imp <label>+ -> <label>+   zero or more
+
+A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
 
 Exit codes: 0 the geometry is representable by segments (convex dimension at
 most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 a guard on
@@ -55,8 +57,9 @@ def parse_geometry(text: str) -> ImplicationBasis:
                 raise ParseError(lineno, "duplicate 'elements' line")
             if not args:
                 raise ParseError(lineno, "'elements' needs at least one label")
-            if "->" in args:
-                raise ParseError(lineno, "'->' cannot be an element label")
+            for label in args:
+                if label in ("->", "∇") or any(c in label for c in ",{}"):
+                    raise ParseError(lineno, f"{label!r} cannot be an element label")
             try:
                 ground = GroundSet(tuple(args))
             except ValueError as exc:
@@ -169,9 +172,8 @@ def render_svg(ground: GroundSet, rep: SegmentRepresentation) -> str:
         parts.append(
             f'<line x1="{x1}" y1="{y}" x2="{x2}" y2="{y}" stroke="black" stroke-width="3"/>'
         )
-        parts.append(
-            f'<text x="{x1 - 14}" y="{y + 5}" font-size="14">{ground.labels[e]}</text>'
-        )
+        label = ground.labels[e].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{x1 - 14}" y="{y + 5}" font-size="14">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -198,20 +200,17 @@ class Report:
         return "\n".join(f"{key}: {value}" for key, value in self.items)
 
 
-def _guard_value(text: str) -> int:
-    """Parse ``--max-n``: a guard counts elements, so it is 0 or more."""
+def _max_n_keyword(text: str) -> dict:
+    """Parse ``--max-n`` into the ``max_n`` keyword of the guarded calls; a
+    guard counts elements, so it is 0 or more.  Without the flag every
+    guarded call keeps its own default."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"a guard is 0 or more, not {value}")
-    return value
-
-
-def _guard(args, default: int) -> int:
-    """The ``--max-n`` value if one was given (0 included), else ``default``."""
-    return default if args.max_n is None else args.max_n
+    return {"max_n": value}
 
 
 def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
@@ -225,7 +224,7 @@ def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
         raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
     # The newline translation that reading in text mode does.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    geom = validate_geometry(parse_geometry(text), max_n=_guard(args, 20))
+    geom = validate_geometry(parse_geometry(text), **args.guard)
     return Report(command, args.file, text), geom
 
 
@@ -247,7 +246,7 @@ def _represent(args, report: Report, geom: ConvexGeometry) -> SegmentRepresentat
     if getattr(args, "exhaustive", False):
         from .oracles import verify_representation_exhaustive
 
-        ok, _ = verify_representation_exhaustive(geom, rep, max_n=_guard(args, 12))
+        ok, _ = verify_representation_exhaustive(geom, rep, **args.guard)
         report.add("verified_exhaustively", ok)
     report.add("representation", chain_display(geom.ground, rep))
     return rep
@@ -298,10 +297,9 @@ def cmd_oracle(args, report: Report, geom: ConvexGeometry) -> int:
 
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
-    subset_guard = _guard(args, 15)
-    exhaustive_2ex = oracles.check_2ex_exhaustive(geom, max_n=subset_guard)
-    exhaustive_sq = oracles.check_sq_exhaustive(geom, max_n=subset_guard)
-    brute = oracles.brute_force_cdim2(geom, max_n=_guard(args, 8))
+    exhaustive_2ex = oracles.check_2ex_exhaustive(geom, **args.guard)
+    exhaustive_sq = oracles.check_sq_exhaustive(geom, **args.guard)
+    brute = oracles.brute_force_cdim2(geom, **args.guard)
     report.add("cdim2", decision.cdim2)
     report.add("two_ex", decision.two_ex.holds)
     report.add("two_ex_exhaustive", exhaustive_2ex.holds)
@@ -335,7 +333,7 @@ _FLAGS = {
     "--timing": dict(action="store_true", help="include elapsed time"),
     "--exhaustive": dict(action="store_true",
                          help="verify representations on every subset, not only pairs"),
-    "--max-n": dict(type=_guard_value, default=None, dest="max_n",
+    "--max-n": dict(type=_max_n_keyword, default={}, dest="guard",
                     help="override the guards on exhaustive scans"),
 }
 _REPORT = ("--json", "--timing", "--max-n")

@@ -133,16 +133,11 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
 
     Peel the least extreme point of the remaining set (at most two exist when
     construction can succeed) down to at most one element, then re-insert
-    the peeled points in reverse order: a sole extreme point goes on top of
-    both chains; one of two goes on top of the left chain and just above its
-    own closure in the right chain.  The representation of the rest may need
-    some of its interchangeable blocks flipped for that position to exist, so
-    insertion searches the block orientations.  Every accepted candidate is
-    verified against the restriction to its subset; the last subset is the
-    whole ground set, so the result is verified against the full geometry.
-    With at most one element nothing is peeled and nothing needs checking:
-    validation has made sure the empty set is closed, and a single element
-    closes to itself.
+    the peeled points in reverse order by one rule: the point goes on top of
+    the left chain and just above its own closure in the right chain.  The
+    representation of the rest may need some of its interchangeable blocks
+    flipped for that, so insertion searches the block orientations, checking
+    only the seeds through the new point.  The result is verified once.
 
     One peeling order suffices: every representation of a closed set is a
     block flip of any other, so if the set is representable, one of its
@@ -159,41 +154,47 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
             raise Infeasible("no-extreme-point", subset)
         if k > 2:
             raise Infeasible("extreme-count", (subset, extreme))
-        peeled.append((subset, extreme))
-        subset &= ~(1 << next(iter_bits(extreme)))
+        a = next(iter_bits(extreme))
+        peeled.append((subset, a))
+        subset &= ~(1 << a)
     last = tuple(iter_bits(subset))
     rep = SegmentRepresentation(last, last)
-    for subset, extreme in reversed(peeled):
-        a, *other = iter_bits(extreme)
-        if other:
-            rep = _insert(geom, subset, a, other[0], rep)
-            continue
-        rep = SegmentRepresentation(rep.left + (a,), rep.right + (a,))
-        ok, _ = verify_representation(geom, rep)
-        if not ok:
-            raise Infeasible("single-extreme-extension", subset)
+    for subset, a in reversed(peeled):
+        rep = _insert(geom, subset, a, rep)
+    ok, seed = verify_representation(geom, rep)
+    if not ok:
+        raise Infeasible("verification", seed)
     return rep
 
 
 def _insert(
-    geom: ConvexGeometry, subset: int, a: int, b: int, sub: SegmentRepresentation
+    geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
 ) -> SegmentRepresentation:
-    """Re-enter ``a`` into ``sub``, a representation of ``subset`` without
-    ``a``: on top of the left chain and, in the right chain, just above its
-    own closure with ``b`` kept on top; raise Infeasible if no block
-    orientation of ``sub`` admits a verified candidate."""
+    """Re-enter ``a``, an extreme point of ``subset``, into ``sub``, a
+    representation of ``subset`` without ``a``: on top of the left chain and,
+    in the right chain, just above its own closure.  Seeds without ``a`` keep
+    their closures (``a`` tops the left chain and is in no closure of the
+    rest); ``{a}``, and ``{a, x}`` with ``x`` below the cut, hold when the
+    prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
+    above the cut are checked; a sole extreme point closes to all of
+    ``subset`` and goes on top of both chains unchecked.  Raise Infeasible,
+    with the subset and ``a``, if no block orientation of ``sub`` admits it."""
     from .uniqueness import block_orientations
 
-    below_a = (geom.closure(1 << a) & subset) & ~(1 << a)
+    own = geom.closure(1 << a) & subset
+    below_a = own & ~(1 << a)
     cut = below_a.bit_count()
     for left, right in block_orientations(sub):
-        if right[-1] != b or mask_of(right[:cut]) != below_a:
+        if mask_of(right[:cut]) != below_a:
             continue
-        candidate = SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
-        ok, _ = verify_representation(geom, candidate)
-        if ok:
-            return candidate
-    raise Infeasible("insertion", (subset, (1 << a) | (1 << b)))
+        prefix = own
+        for x in right[cut:]:
+            prefix |= 1 << x
+            if geom.closure((1 << a) | (1 << x)) & subset != prefix:
+                break
+        else:
+            return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
+    raise Infeasible("insertion", (subset, 1 << a))
 
 
 def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ...]:

@@ -76,6 +76,12 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_geometry("# arrow label\nelements a -> b\nimp a -> b")
         assert err.value.line == 2 and "'->'" in err.value.reason
+        # reports print ',', '{', '}' and '∇' around labels
+        for line, label in (("elements a,b c d", "a,b"), ("elements a {b", "{b"),
+                            ("elements a} b", "a}"), ("elements ∇ a", "∇")):
+            with pytest.raises(ParseError) as err:
+                parse_geometry(f"# label\n{line}\nimp a -> c")
+            assert err.value.line == 2 and repr(label) in err.value.reason
 
     def test_comments_and_blank_lines(self):
         basis = parse_geometry("# intro\n\nelements a b  # trailing\nimp a -> b\n")
@@ -162,8 +168,8 @@ class TestCheck:
                      id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
         for command, counts in (
             ("check", (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", (70, 51, 247, 157, 41, 86, 135)),
-            ("unique", (70, 51, 247, 157, 41, 86, 135)),
+            ("represent", (70, 51, 194, 124, 41, 75, 120)),
+            ("unique", (70, 51, 194, 124, 41, 75, 120)),
         )
         for name, calls in zip(
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
@@ -283,6 +289,15 @@ class TestRender:
         assert root.tag.endswith("svg")
         lines = [el for el in root if el.tag.endswith("line")]
         assert len(lines) == 5  # four segments plus the origin marker
+
+    @pytest.mark.parametrize("label", ["<x>", "a&b"])
+    def test_svg_escapes_labels(self, tmp_path, label):
+        path = tmp_path / "labels.geom"
+        path.write_text(f"elements {label} b\nimp b -> {label}\n")
+        code, out, _ = run("render", str(path), "--format", "svg")
+        assert code == 0
+        texts = [el.text for el in ET.fromstring(out) if el.tag.endswith("text")]
+        assert sorted(texts) == sorted([label, "b"])
 
     def test_render_refuses_non_representable(self, files):
         code, _, err = run("render", files["notsuf"], "--format", "ascii")

@@ -143,6 +143,20 @@ class TestBuilder:
             if built:
                 assert verify_representation(geom, rep)[0]
 
+    def test_closure_queries_grow_quadratically(self):
+        # criterion 8's shape one degree lower: a re-inserted point checks
+        # only the pairs through it, and the result is verified once
+        rng = random.Random(8)
+        counts = {}
+        for n in range(6, 29, 2):
+            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom.stats.reset()
+            build_representation(geom)
+            counts[n] = geom.stats.closures
+        constant = counts[6] / 6**2
+        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
+
     def test_depth_does_not_grow_with_n(self):
         # builder and reconstruction must fit in 40 frames above the caller
         # however large n is; recursive peeling needs about 3n frames

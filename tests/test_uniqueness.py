@@ -8,6 +8,7 @@ from segrep import (
     ImplicationBasis,
     NotApplicable,
     SegmentRepresentation,
+    TooManyBlocks,
     block_decomposition,
     build_representation,
     count_representations,
@@ -131,6 +132,12 @@ class TestEnumerate:
         assert enumerate_representations(rep) == (rep,)
         chain = SegmentRepresentation((0, 1, 2), (0, 1, 2))
         assert enumerate_representations(chain) == (chain,)
+
+    def test_guard_on_switchable_blocks(self):
+        rep = SegmentRepresentation((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4))
+        assert len(enumerate_representations(rep, max_blocks=3)) == 4
+        with pytest.raises(TooManyBlocks):
+            enumerate_representations(rep, max_blocks=2)
 
     def test_matches_oracle_on_random_pool(self, pool_small):
         for geom in pool_small[:200]:
