@@ -218,7 +218,8 @@ def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
     with open(args.file, "rb") as handle:
         raw = handle.read()
     try:
-        text = raw.decode("utf-8")
+        # utf-8-sig drops a byte-order mark, so sha256 hashes the text after it.
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None

@@ -54,9 +54,13 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key ordering subsets by size, then lexicographically by members."""
-    return (mask.bit_count(), tuple(iter_bits(mask)))
+_FLIP = str.maketrans("01", "10")
+
+
+def canonical_key(mask: int) -> tuple[int, str]:
+    """Sort key ordering subsets by size, then lexicographically by members:
+    the bits from element 0 up, with 0 and 1 swapped, compare as strings."""
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 def prefix_masks(order: Iterable[int]) -> tuple[int, ...]:
@@ -131,14 +135,17 @@ class Implication:
 class ImplicationBasis:
     """A finite list of implications plus the closure operator they generate.
 
-    ``closure`` computes the least fixpoint in two phases over tables built
-    once per basis.  One bit-parallel pass over the elements outside the seed
-    ORs together the masks of the implications each of them blocks, and adds
-    every element that some unblocked implication concludes; a worklist over
-    the elements that pass added then fires the rules they complete.  A call
-    costs O(n) big-integer operations on m-bit masks, plus the rules touched
-    by the added elements, where n is the ground-set size and m the number
-    of implications.
+    ``closure`` computes the least fixpoint over tables built once per basis.
+    Pass 1 is bit-parallel: the elements outside the seed OR together the
+    masks of the implications they block, and every element that an
+    unblocked implication concludes is added, in O(n) big-integer operations
+    on m-bit masks (n elements, m implications).  A second such round over
+    what is still outside runs only when the added elements times the mean
+    number of gaining rules per element exceed the elements still outside;
+    on a direct (iteration-free) basis, such as the pairwise basis of a
+    chain pair, it adds nothing and the call returns.  Otherwise a worklist
+    over the added elements fires the rules they complete, at the cost of
+    the rules it touches.
     """
 
     ground: GroundSet
@@ -154,6 +161,10 @@ class ImplicationBasis:
     _rules: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    # _full: the ground-set mask.  _fanout: the mean length of _rules[e],
+    # the rules the worklist scans per element it pops.
+    _full: int = field(init=False, repr=False, compare=False)
+    _fanout: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ground.n
@@ -180,6 +191,8 @@ class ImplicationBasis:
         object.__setattr__(self, "_premised", premised)
         object.__setattr__(self, "_concluded", concluded)
         object.__setattr__(self, "_rules", tuple(tuple(r) for r in rules))
+        object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_fanout", sum(map(len, rules)) // n if n else 0)
 
     @property
     def m(self) -> int:
@@ -196,7 +209,7 @@ class ImplicationBasis:
 
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""
-        full = self.ground.full
+        full = self._full
         if seed & ~full:
             raise ValueError("seed is not a subset of the ground set")
         outside = full & ~seed
@@ -218,11 +231,35 @@ class ImplicationBasis:
             if adds[low.bit_length() - 1] & live:
                 added |= low
             rest ^= low
-        # Pass 2: an implication that fires later has a premise element added
-        # after the seed, and is checked when the last such element is popped.
+        if not added:
+            return seed
         closed = seed | added
-        rules = self._rules
         stack = added
+        outside ^= added
+        # Round 2, the same test over what is still outside, runs only when
+        # the worklist would scan more rules than this round visits elements.
+        if added.bit_count() * self._fanout > outside.bit_count():
+            blocked = 0
+            rest = outside & self._premised
+            while rest:
+                low = rest & -rest
+                blocked |= uses[low.bit_length() - 1]
+                rest ^= low
+            live = ~blocked
+            added = 0
+            rest = outside & self._concluded
+            while rest:
+                low = rest & -rest
+                if adds[low.bit_length() - 1] & live:
+                    added |= low
+                rest ^= low
+            if not added:
+                return closed
+            closed |= added
+            stack |= added
+        # Worklist: an implication that fires later has a premise element
+        # added after the seed, and is checked when the last one is popped.
+        rules = self._rules
         while stack:
             low = stack & -stack
             stack ^= low

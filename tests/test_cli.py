@@ -107,6 +107,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 2: ") and "UTF-8" in err
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, files):
+        bom = tmp_path / "bom.geom"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(files["un"]).read_bytes())
+        plain = json.loads(run("check", files["un"], "--json")[1])
+        code, out, err = run("check", str(bom), "--json")
+        assert (code, err) == (0, "")
+        assert list(json.loads(out).items()) == list({**plain, "input": str(bom)}.items())
+
     @pytest.mark.parametrize("argv", [
         ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),
         ("check", "--max-n", "-1"),

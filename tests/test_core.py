@@ -12,6 +12,7 @@ from segrep import (
     mask_of,
 )
 from segrep.cli import parse_geometry
+from segrep.core import canonical_key
 
 NOTSUF = "elements a b c d\nimp a b -> c\nimp b c -> d\nimp a -> d\n"
 UN = "elements a b c d\nimp d -> b c\nimp a c -> b\n"
@@ -127,3 +128,10 @@ class TestGroundSet:
             assert a | b == b | a and a & b == b & a
             assert (a & ~a) == 0 and (a | (full & ~a)) == full
             assert mask_of(iter_bits(a)) == a
+
+    def test_canonical_key_orders_like_member_tuples(self):
+        # the reference key: size, then the sorted member indices
+        for n in range(11):
+            masks = range(1 << n)
+            assert sorted(masks, key=canonical_key) == sorted(
+                masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))

@@ -1,7 +1,8 @@
 """Property-based differential tests: the closure kernel against a naive
-fixpoint, and the polynomial decision and builder against the brute-force
-oracle on generated bases with n <= 7, and the round trip from a chain pair
-through its basis back to the chain pair with n <= 10."""
+fixpoint (on small random bases, on wide chain-pair bases and on long
+implication chains), the polynomial decision and builder against the
+brute-force oracle on generated bases with n <= 7, and the round trip from a
+chain pair through its basis back to the chain pair with n <= 10."""
 
 import pytest
 
@@ -81,6 +82,34 @@ def kernel_cases(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(kernel_cases())
 def test_closure_matches_naive_fixpoint(case):
+    basis, seeds = case
+    for seed in seeds:
+        assert basis.closure(seed) == fixpoint(basis, seed)
+
+
+@st.composite
+def wide_bases(draw):
+    """The pairwise basis of a chain pair with n <= 16, plus an implication
+    chain and up to four random implications, and some seeds.  Every exit of
+    the kernel occurs: pass 1 adds nothing, the second round is skipped, it
+    adds nothing, and it adds so that the worklist finishes."""
+    n = draw(st.integers(1, 16))
+    full = (1 << n) - 1
+    left = draw(st.permutations(range(n)))
+    right = draw(st.permutations(range(n)))
+    imps = list(geometry_from_chains(ground(n), left, right).basis.implications)
+    order = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    imps += [Implication(1 << a, 1 << b) for a, b in zip(order, order[1:])]
+    subsets = st.integers(0, full)
+    imps += draw(st.lists(st.builds(Implication, subsets, subsets), max_size=4))
+    singletons = st.integers(0, n - 1).map(lambda i: 1 << i)
+    seeds = [0, full] + draw(st.lists(st.one_of(subsets, singletons), max_size=6))
+    return ImplicationBasis(ground(n), tuple(imps)), seeds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_bases())
+def test_closure_on_wide_bases_matches_naive_fixpoint(case):
     basis, seeds = case
     for seed in seeds:
         assert basis.closure(seed) == fixpoint(basis, seed)
