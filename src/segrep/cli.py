@@ -46,7 +46,8 @@ def parse_geometry(text: str) -> ImplicationBasis:
     """Parse the geometry file grammar into an implicational basis."""
     ground: GroundSet | None = None
     implications: list[tuple[int, list[str], list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -79,7 +80,7 @@ def parse_geometry(text: str) -> ImplicationBasis:
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
     if ground is None:
-        raise ParseError(0, "missing 'elements' line")
+        raise ParseError(len(lines) + 1, "missing 'elements' line")
     built = []
     for lineno, premise, conclusion in implications:
         try:

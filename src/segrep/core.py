@@ -136,16 +136,16 @@ class ImplicationBasis:
     """A finite list of implications plus the closure operator they generate.
 
     ``closure`` computes the least fixpoint over tables built once per basis.
-    Pass 1 is bit-parallel: the elements outside the seed OR together the
-    masks of the implications they block, and every element that an
+    One bit-parallel round: the elements outside the closed set OR together
+    the masks of the implications they block, and every element that an
     unblocked implication concludes is added, in O(n) big-integer operations
-    on m-bit masks (n elements, m implications).  A second such round over
-    what is still outside runs only when the added elements times the mean
-    number of gaining rules per element exceed the elements still outside;
-    on a direct (iteration-free) basis, such as the pairwise basis of a
-    chain pair, it adds nothing and the call returns.  Otherwise a worklist
-    over the added elements fires the rules they complete, at the cost of
-    the rules it touches.
+    on m-bit masks (n elements, m implications).  The round runs again only
+    when the added elements times the mean number of gaining rules per
+    element exceed the elements still outside, and at most twice; a round
+    that adds nothing ends the call, as the second does on a direct
+    (iteration-free) basis such as the pairwise basis of a chain pair.
+    Otherwise a worklist over the last round's additions fires the rules
+    they complete, at the cost of the rules it touches.
     """
 
     ground: GroundSet
@@ -213,32 +213,14 @@ class ImplicationBasis:
         if seed & ~full:
             raise ValueError("seed is not a subset of the ground set")
         outside = full & ~seed
-        # Pass 1: an implication is blocked if a premise element lies outside
-        # the seed; every unblocked one (empty premises included) fires now.
         uses = self._uses
-        blocked = 0
-        rest = outside & self._premised
-        while rest:
-            low = rest & -rest
-            blocked |= uses[low.bit_length() - 1]
-            rest ^= low
-        live = ~blocked
         adds = self._adds
-        added = 0
-        rest = outside & self._concluded
-        while rest:
-            low = rest & -rest
-            if adds[low.bit_length() - 1] & live:
-                added |= low
-            rest ^= low
-        if not added:
-            return seed
-        closed = seed | added
-        stack = added
-        outside ^= added
-        # Round 2, the same test over what is still outside, runs only when
-        # the worklist would scan more rules than this round visits elements.
-        if added.bit_count() * self._fanout > outside.bit_count():
+        closed = seed
+        second = False
+        while True:
+            # One bit-parallel round: an implication is blocked if a premise
+            # element lies outside; every unblocked one (empty premises
+            # included) fires now.
             blocked = 0
             rest = outside & self._premised
             while rest:
@@ -256,9 +238,16 @@ class ImplicationBasis:
             if not added:
                 return closed
             closed |= added
-            stack |= added
-        # Worklist: an implication that fires later has a premise element
-        # added after the seed, and is checked when the last one is popped.
+            outside ^= added
+            # A second round runs only when the worklist would scan more
+            # rules than this round visits elements.
+            if second or added.bit_count() * self._fanout <= outside.bit_count():
+                break
+            second = True
+        # Worklist: every rule whose premise was closed before the last round
+        # fired in it, so a rule fires later only through an element that
+        # round or the worklist adds, and is checked when the last is popped.
+        stack = added
         rules = self._rules
         while stack:
             low = stack & -stack

@@ -128,8 +128,8 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     """At most two extreme points in every subset, via the triple test.
 
     Equivalent formulation: for every three elements, one of them lies in the
-    closure of the other two.  Costs n^2 closures plus O(n^3) membership
-    tests; the first failing triple in lexicographic order is the witness.
+    closure of the other two.  Costs n(n-1)/2 closures and O(n^3) bit tests;
+    the first failing triple in lexicographic order is the witness.
     """
     pc = _pair_closures(geom)
     n = geom.n

@@ -128,32 +128,16 @@ class UniquenessReport:
     unique: bool
     decomposition: BlockDecomposition
     switchable_block: Optional[Block]
-    ending_segments_distinct: Optional[bool]
 
 
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
-    """Uniqueness holds exactly when at most one block is switchable.
-
-    For a single switchable block the report also records whether its two
-    sub-chains have distinct top-k segments for 1 <= k <= len-2 (the
-    condition that forces the block's own representation).
-    """
+    """Uniqueness holds exactly when at most one block is switchable; the
+    report names that block when there is one."""
     decomposition = block_decomposition(rep)
     switchable = [b for b in decomposition.blocks if b.switchable]
-    if not switchable:
-        return UniquenessReport(True, decomposition, None, None)
-    if len(switchable) == 1:
-        block = switchable[0]
-        distinct = _ending_segments_distinct(block.left_sub, block.right_sub)
-        return UniquenessReport(True, decomposition, block, distinct)
-    return UniquenessReport(False, decomposition, None, None)
-
-
-def _ending_segments_distinct(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    for k in range(1, max(len(left) - 2, 0) + 1):
-        if set(left[-k:]) == set(right[-k:]):
-            return False
-    return True
+    if len(switchable) > 1:
+        return UniquenessReport(False, decomposition, None)
+    return UniquenessReport(True, decomposition, switchable[0] if switchable else None)
 
 
 def enumerate_representations(

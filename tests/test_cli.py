@@ -82,6 +82,17 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse_geometry(f"# label\n{line}\nimp a -> c")
             assert err.value.line == 2 and repr(label) in err.value.reason
+        # a missing 'elements' line is reported after the last line
+        for text, line in (("# only a comment\n", 2), ("", 1)):
+            with pytest.raises(ParseError) as err:
+                parse_geometry(text)
+            assert err.value.line == line and "missing 'elements'" in err.value.reason
+        with pytest.raises(ParseError) as err:
+            parse_geometry("# bare\nelements\n")
+        assert err.value.line == 2 and "at least one label" in err.value.reason
+        with pytest.raises(ParseError) as err:
+            parse_geometry("elements a b\nimp a b")
+        assert err.value.line == 2 and "'->'" in err.value.reason
 
     def test_comments_and_blank_lines(self):
         basis = parse_geometry("# intro\n\nelements a b  # trailing\nimp a -> b\n")
@@ -168,6 +179,16 @@ class TestCheck:
         assert keys[:3] == ["command", "input", "sha256"]
         assert payload["cdim2"] is True
         assert keys[-1] == "closure_calls"
+
+    def test_timing_appends_elapsed_ms(self, files):
+        plain = json.loads(run("check", files["un"], "--json")[1])
+        code, out, _ = run("check", files["un"], "--json", "--timing")
+        assert code == 0
+        timed = json.loads(out)
+        assert list(timed)[-2:] == ["closure_calls", "elapsed_ms"]
+        elapsed = timed.pop("elapsed_ms")
+        assert isinstance(elapsed, (int, float)) and elapsed >= 0
+        assert list(timed.items()) == list(plain.items())
 
     # Every closure query counts, answered from the cache or not.  The key
     # sequence of each report is pinned alongside.

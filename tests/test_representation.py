@@ -94,6 +94,12 @@ class TestVerify:
         ok, witness = verify_representation(un, bad)
         assert not ok and witness == gs.mask("a")
 
+    def test_both_verifiers_reject_a_swapped_right_chain(self, un, un_rep):
+        right = un_rep.right
+        bad = SegmentRepresentation(un_rep.left, (right[1], right[0]) + right[2:])
+        assert verify_representation(un, bad) == (False, 4)
+        assert verify_representation_exhaustive(un, bad) == (False, 4)
+
     def test_single_element(self):
         geom = validate_geometry(ImplicationBasis(GroundSet(("a",)), ()))
         rep = SegmentRepresentation((0,), (0,))

@@ -91,10 +91,11 @@ class TestCountAndUnique:
         report = is_unique(rep)
         assert report.unique
         assert report.switchable_block.members == (1 << 5) - 1
-        assert report.ending_segments_distinct
 
     def test_identical_chains_count_one(self):
         assert count_representations(SegmentRepresentation((0, 1), (0, 1))) == 1
+        report = is_unique(SegmentRepresentation((0, 1, 2), (0, 1, 2)))
+        assert report.unique and report.switchable_block is None
 
     def test_switch_not_unique(self, switch_rep):
         assert not is_unique(switch_rep).unique
@@ -106,7 +107,6 @@ class TestCountAndUnique:
         report = is_unique(rep)
         assert report.unique
         assert report.switchable_block.members == gs.mask("abcd")
-        assert report.ending_segments_distinct
 
     def test_count_matches_oracle(self, pool_small):
         for geom in pool_small[:300]:
@@ -172,6 +172,14 @@ class TestReconstruct:
             reconstruct_by_peeling(switch.geometry)
         assert err.value.witness == switch.geometry.ground.mask("123")
         assert err.value.outcomes == 2
+
+    @pytest.mark.parametrize("name", ["notsuf", "triangle", "fivepoint"])
+    def test_not_representable_has_no_outcome(self, name):
+        geom = load_fixture(name).geometry
+        with pytest.raises(NotApplicable) as err:
+            reconstruct_by_peeling(geom)
+        assert err.value.outcomes == 0
+        assert err.value.witness == geom.ground.full
 
     def test_forced_two_element_chain(self):
         gs = GroundSet(("a", "b"))
