@@ -22,20 +22,16 @@ class UnknownLabel(SegrepError):
 
 
 class GroundSetTooLarge(SegrepError):
-    """An exhaustive operation was asked to run past its guard.
+    """An exhaustive operation was asked to run past its guard; the guard
+    fails loudly instead of silently downgrading."""
 
-    The guard fails loudly instead of silently downgrading; ``flag`` names
-    the parameter (or CLI flag) to raise if the caller really wants the run.
-    """
-
-    def __init__(self, operation: str, n: int, limit: int, flag: str = "max_n"):
+    def __init__(self, operation: str, n: int, limit: int):
         self.operation = operation
         self.n = n
         self.limit = limit
-        self.flag = flag
         super().__init__(
             f"{operation}: ground set has {n} elements, guard is {limit}; "
-            f"raise '{flag}' to override"
+            "raise 'max_n' (--max-n) to override"
         )
 
 

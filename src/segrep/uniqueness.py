@@ -26,7 +26,8 @@ class TooManyBlocks(SegrepError):
 
 class NotApplicable(SegrepError):
     """Chain reconstruction met a subset whose extreme points cannot be
-    assigned to one chain, or found more than one consistent outcome."""
+    assigned to one chain, or the geometry has more than one representation;
+    ``outcomes`` is the number of representations, 0 when none verifies."""
 
     def __init__(self, witness: int, outcomes: int):
         self.witness = witness
@@ -163,16 +164,18 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     remainder, the other chain's surviving maximum (already known) plus one
     new element, which must be this chain's next entry.  When the known tops
     of the other chain are all among the dropped elements and two candidates
-    remain, the assignment is ambiguous; both are pursued and the geometry is
-    reconstructible only if exactly one verified outcome survives.  The
-    initial two-way choice is the chain swap and is collapsed by canonical
-    form, not counted as ambiguity.
+    remain, both are pursued depth first.  The search stops at its first
+    verified outcome: every representation is a block flip of every other, so
+    ``count_representations`` of that outcome is the number of representations,
+    and the outcome is returned only when it is 1.  The initial two-way choice
+    is the chain swap and is collapsed by canonical form, not counted as
+    ambiguity.
     """
     n = geom.n
     full = geom.ground.full
     if n == 0:
         return SegmentRepresentation((), ())
-    outcomes: set[SegmentRepresentation] = set()
+    outcomes = 0
     first_split = None
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     while stack:
@@ -181,10 +184,12 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
             candidate = SegmentRepresentation(
                 tuple(reversed(det_l)), tuple(reversed(det_r))
             )
-            ok, _ = verify_representation(geom, candidate)
-            if ok:
-                outcomes.add(candidate)
-            continue
+            if not verify_representation(geom, candidate)[0]:
+                continue
+            outcomes = count_representations(candidate)
+            if outcomes == 1:
+                return candidate
+            break
         on_left = len(det_l) <= len(det_r) and len(det_l) < n
         det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
         remainder = full & ~mask_of(det_side)
@@ -209,6 +214,4 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
         for new in reversed(candidates):
             stack.append((det_l + (new,), det_r) if on_left else (det_l, det_r + (new,)))
 
-    if len(outcomes) == 1:
-        return next(iter(outcomes))
-    raise NotApplicable(full if first_split is None else first_split, len(outcomes))
+    raise NotApplicable(full if first_split is None else first_split, outcomes)

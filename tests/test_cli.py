@@ -155,6 +155,7 @@ class TestExitCodes:
         code, _, err = run(command, files["un"], "--max-n", "0")
         assert code == 3
         assert "guard is 0" in err
+        assert "--max-n" in err
 
 
 class TestCheck:

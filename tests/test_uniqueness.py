@@ -1,5 +1,7 @@
 """Block structure, representation counting, and chain reconstruction."""
 
+import random
+
 import pytest
 
 from segrep import (
@@ -20,7 +22,7 @@ from segrep import (
     validate_geometry,
     verify_representation,
 )
-from segrep.fixtures import load_fixture
+from segrep.fixtures import geometry_from_chains, load_fixture
 from segrep.oracles import brute_force_cdim2
 
 
@@ -198,6 +200,31 @@ class TestReconstruct:
                 assert reconstruct_by_peeling(geom) == rep and unique
             except NotApplicable:
                 assert not unique
+
+    def test_closure_queries_grow_quadratically(self):
+        # s reversed blocks give 2^(s-1) representations; reconstruction stops
+        # at the first verified one, so it must stay at a build's O(n^2)
+        # queries: no long run of dead branches comes before that leaf
+        rng = random.Random(11)
+        counts = {}
+        for s in range(8, 16):
+            sizes = [rng.choice((2, 3)) for _ in range(s)]
+            n = sum(sizes)
+            left = rng.sample(range(n), n)
+            right, start = [], 0
+            for size in sizes:
+                right += reversed(left[start:start + size])
+                start += size
+            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom.stats.reset()
+            with pytest.raises(NotApplicable) as err:
+                reconstruct_by_peeling(geom)
+            counts[n] = geom.stats.closures
+            assert err.value.outcomes == count_representations(build_representation(geom))
+            assert err.value.outcomes == 2 ** (s - 1)
+        smallest = min(counts)
+        constant = counts[smallest] / smallest**2
+        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 
 
 class TestDistinctEndingSegments:
