@@ -5,13 +5,14 @@ layout; the other passes the first check but fails the second, and the
 failure report pins down exactly which subset breaks.
 """
 
-from segrep import build_representation, decide_cdim2, segment_layout
-from segrep.cli import chain_display, render_ascii
-from segrep.fixtures import load_fixture
+from importlib import resources
 
+from segrep import build_representation, decide_cdim2, segment_layout, validate_geometry
+from segrep.cli import chain_display, parse_geometry, render_ascii
+
+data = resources.files("segrep") / "data"
 for name in ("un", "notsuf"):
-    fixture = load_fixture(name)
-    geom = fixture.geometry
+    geom = validate_geometry(parse_geometry((data / f"{name}.geom").read_text()))
     gs = geom.ground
     decision = decide_cdim2(geom)
     print(f"== {name}: two_ex={decision.two_ex.holds} sq={decision.sq.holds} "

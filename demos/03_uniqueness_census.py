@@ -6,6 +6,8 @@ representation into blocks, and every block whose two sub-chains differ can
 be flipped independently.
 """
 
+from importlib import resources
+
 from segrep import (
     NotApplicable,
     block_decomposition,
@@ -14,13 +16,13 @@ from segrep import (
     enumerate_representations,
     is_unique,
     reconstruct_by_peeling,
+    validate_geometry,
 )
-from segrep.cli import chain_display
-from segrep.fixtures import load_fixture
+from segrep.cli import chain_display, parse_geometry
 
+data = resources.files("segrep") / "data"
 for name in ("un", "switch", "unique", "seven"):
-    fixture = load_fixture(name)
-    geom = fixture.geometry
+    geom = validate_geometry(parse_geometry((data / f"{name}.geom").read_text()))
     gs = geom.ground
     rep = build_representation(geom)
     print(f"== {name}: {chain_display(gs, rep)}")

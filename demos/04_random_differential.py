@@ -3,12 +3,18 @@
 The fast path costs O((k+m) n^3); the oracle enumerates chains of the
 closed-set lattice and joins them pairwise.  On small random geometries the
 two must agree everywhere, and the representation counter must match the
-number of pairs the oracle finds.
+number of pairs the oracle finds.  The generator and the oracle are test
+code, so this demo reads them from the repository's ``tests/`` directory.
 """
 
+import sys
+from pathlib import Path
+
 from segrep import build_representation, count_representations, decide_cdim2
-from segrep.fixtures import RejectionBudgetExceeded, random_geometry
-from segrep.oracles import brute_force_cdim2
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from fixtures import RejectionBudgetExceeded, random_geometry  # noqa: E402
+from oracles import brute_force_cdim2  # noqa: E402
 
 samples = 0
 representable = 0

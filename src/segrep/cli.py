@@ -8,9 +8,9 @@ File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
 
 Exit codes: 0 the geometry is representable by segments (convex dimension at
-most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 a guard on
-an exhaustive operation was hit (the message names the flag to raise) or the
-run ran out of recursion depth or memory.
+most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 the guard
+on validation's closed-set walk was hit (the message names the flag to raise)
+or the run ran out of recursion depth or memory.
 """
 
 from __future__ import annotations
@@ -202,9 +202,9 @@ class Report:
 
 
 def _max_n_keyword(text: str) -> dict:
-    """Parse ``--max-n`` into the ``max_n`` keyword of the guarded calls; a
-    guard counts elements, so it is 0 or more.  Without the flag every
-    guarded call keeps its own default."""
+    """Parse ``--max-n`` into the ``max_n`` keyword of ``validate_geometry``,
+    whose closed-set walk is the one guarded call; a guard counts elements,
+    so it is 0 or more.  Without the flag the guard keeps its default."""
     try:
         value = int(text)
     except ValueError:
@@ -236,20 +236,15 @@ def _describe_basis(report: Report, geom: ConvexGeometry) -> None:
     report.add("basis_size", geom.basis.size)
 
 
-def _represent(args, report: Report, geom: ConvexGeometry) -> SegmentRepresentation | None:
-    """Decide; on a yes, build the representation, verify it on every subset
-    under ``--exhaustive``, and report its chain display.  None on a no."""
+def _represent(report: Report, geom: ConvexGeometry) -> SegmentRepresentation | None:
+    """Decide; on a yes, build the representation and report its chain
+    display.  None on a no."""
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
     report.add("cdim2", decision.cdim2)
     if not decision.cdim2:
         return None
     rep = build_representation(geom)
-    if getattr(args, "exhaustive", False):
-        from .oracles import verify_representation_exhaustive
-
-        ok, _ = verify_representation_exhaustive(geom, rep, **args.guard)
-        report.add("verified_exhaustively", ok)
     report.add("representation", chain_display(geom.ground, rep))
     return rep
 
@@ -268,7 +263,7 @@ def cmd_check(args, report: Report, geom: ConvexGeometry) -> int:
 
 
 def cmd_represent(args, report: Report, geom: ConvexGeometry) -> int:
-    rep = _represent(args, report, geom)
+    rep = _represent(report, geom)
     if rep is None:
         return 1
     report.add("segments", "\n" + layout_table(geom.ground, rep))
@@ -276,7 +271,7 @@ def cmd_represent(args, report: Report, geom: ConvexGeometry) -> int:
 
 
 def cmd_unique(args, report: Report, geom: ConvexGeometry) -> int:
-    rep = _represent(args, report, geom)
+    rep = _represent(report, geom)
     if rep is None:
         return 1
     report.add("blocks", "\n" + block_decomposition(rep).describe(geom.ground))
@@ -294,34 +289,8 @@ def cmd_closure(args, report: Report, geom: ConvexGeometry) -> int:
     return 0
 
 
-def cmd_oracle(args, report: Report, geom: ConvexGeometry) -> int:
-    from . import oracles
-
-    _describe_basis(report, geom)
-    decision = decide_cdim2(geom)
-    exhaustive_2ex = oracles.check_2ex_exhaustive(geom, **args.guard)
-    exhaustive_sq = oracles.check_sq_exhaustive(geom, **args.guard)
-    brute = oracles.brute_force_cdim2(geom, **args.guard)
-    report.add("cdim2", decision.cdim2)
-    report.add("two_ex", decision.two_ex.holds)
-    report.add("two_ex_exhaustive", exhaustive_2ex.holds)
-    report.add("sq", decision.sq.holds)
-    report.add("sq_exhaustive", exhaustive_sq.holds)
-    report.add("brute_force_cdim2", brute.cdim2)
-    report.add("brute_force_representations", len(brute.representations))
-    mismatches = []
-    if decision.two_ex.holds != exhaustive_2ex.holds:
-        mismatches.append("two_ex")
-    if decision.sq.holds != exhaustive_sq.holds:
-        mismatches.append("sq")
-    if decision.cdim2 != brute.cdim2:
-        mismatches.append("cdim2")
-    report.add("mismatch", ",".join(mismatches) if mismatches else "none")
-    return 0 if decision.cdim2 else 1
-
-
 def cmd_render(args, report: Report, geom: ConvexGeometry) -> int:
-    rep = _represent(args, report, geom)
+    rep = _represent(report, geom)
     if rep is None:
         print("not representable by segments on a line", file=sys.stderr)
         return 1
@@ -333,22 +302,18 @@ def cmd_render(args, report: Report, geom: ConvexGeometry) -> int:
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable report"),
     "--timing": dict(action="store_true", help="include elapsed time"),
-    "--exhaustive": dict(action="store_true",
-                         help="verify representations on every subset, not only pairs"),
     "--max-n": dict(type=_max_n_keyword, default={}, dest="guard",
-                    help="override the guards on exhaustive scans"),
+                    help="override the guard on validation's closed-set walk"),
 }
 _REPORT = ("--json", "--timing", "--max-n")
-_REPORT_EXHAUSTIVE = ("--json", "--timing", "--exhaustive", "--max-n")
 
 # Each subcommand with its handler, help line, and the flags it reads.
 # Commands that take --json print their report; render prints a drawing.
 _COMMANDS = {
     "check": (cmd_check, "decide representability by segments", _REPORT),
-    "represent": (cmd_represent, "print chain display and interval table", _REPORT_EXHAUSTIVE),
-    "unique": (cmd_unique, "block report, count, uniqueness verdict", _REPORT_EXHAUSTIVE),
+    "represent": (cmd_represent, "print chain display and interval table", _REPORT),
+    "unique": (cmd_unique, "block report, count, uniqueness verdict", _REPORT),
     "closure": (cmd_closure, "closure and extreme points of a set", _REPORT),
-    "oracle": (cmd_oracle, "diff exhaustive checks against the fast ones", _REPORT),
     "render": (cmd_render, "draw the nested segments", ("--max-n",)),
 }
 

@@ -8,10 +8,10 @@ The decision procedure is the conjunction of two checks:
 * ``check_sq`` — removing the two extreme points of a subset in either order
   leaves consistent extreme-point pairs.
 
-Each polynomial check has a brute-force twin (``*_exhaustive``) in
-:mod:`segrep.oracles` that evaluates the defining quantifier literally over
-all subsets; the test suite holds the pairs to agreement on small ground
-sets.  A failing check carries a witness that describes itself and can be
+Each polynomial check has a brute-force twin (``*_exhaustive``) in the test
+oracles (``tests/oracles.py``, outside the package) that evaluates the
+defining quantifier literally over all subsets; the test suite holds the
+pairs to agreement on small ground sets.  A failing check carries a witness that describes itself and can be
 re-checked against the definitions.
 """
 

@@ -106,8 +106,8 @@ def verify_representation(
     pairs (which the two-extreme-points property guarantees for the geometry,
     and the prefix model satisfies always), that agreement extends to every
     subset.  Representations over a proper subset of the ground set are
-    checked against the restriction.  The all-subsets twin is
-    ``segrep.oracles.verify_representation_exhaustive``.
+    checked against the restriction.  The all-subsets twin is the test
+    oracle ``verify_representation_exhaustive`` in ``tests/oracles.py``.
 
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
     disagreeing seed.

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from segrep import GroundSet, check_2ex
-from segrep.fixtures import RejectionBudgetExceeded, geometry_from_chains, random_geometry
+from fixtures import RejectionBudgetExceeded, geometry_from_chains, random_geometry
 
 DENSITIES = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4)
 

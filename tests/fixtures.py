@@ -1,9 +1,10 @@
 """Worked-example geometries shipped as files, plus randomized generators:
-a test corpus that ``import segrep`` does not load.
+a test corpus that lives under ``tests/``, outside the ``segrep`` package.
 
-Fixture expectations live in ``data/expectations.json`` and are re-verified
-against the library when a fixture is loaded, so a drifting implementation
-cannot silently keep stale expectations alive.
+The geometry files ship with the package in ``segrep/data``.  Their
+expectations live next to this module in ``expectations.json`` and are
+re-verified against the library when a fixture is loaded, so a drifting
+implementation cannot silently keep stale expectations alive.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
-from .core import GroundSet, Implication, ImplicationBasis, SegrepError
-from .geometry import ConvexGeometry, NotAGeometry, validate_geometry
-from .properties import decide_cdim2
-from .representation import SegmentRepresentation, build_representation, segment_closure
-from .uniqueness import count_representations
+from segrep.core import GroundSet, Implication, ImplicationBasis, SegrepError
+from segrep.geometry import ConvexGeometry, NotAGeometry, validate_geometry
+from segrep.properties import decide_cdim2
+from segrep.representation import SegmentRepresentation, build_representation, segment_closure
+from segrep.uniqueness import count_representations
 
 
 class UnknownFixture(SegrepError):
@@ -75,10 +77,10 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> Fixture:
     """Parse a fixture file and re-verify its recorded expectations."""
-    from .cli import parse_geometry
+    from segrep.cli import parse_geometry
 
     text = fixture_text(name)
-    manifest = resources.files("segrep") / "data" / "expectations.json"
+    manifest = Path(__file__).with_name("expectations.json")
     expected = json.loads(manifest.read_text())[name]
     geom = validate_geometry(parse_geometry(text))
     fixture = Fixture(name, text, geom, expected)

@@ -1,7 +1,7 @@
 """Exponential oracles and lemma checks that cross-check the polynomial test.
 
-Nothing on the decision path imports this module; the test suite,
-``segrep oracle`` and ``--exhaustive`` do.
+Test-only code: it lives under ``tests/`` and is not part of the
+``segrep`` package, so nothing that ``import segrep`` loads can reach it.
 
 * ``check_2ex_exhaustive`` and ``check_sq_exhaustive`` evaluate the defining
   quantifier of each polynomial check literally over all subsets, and
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import (
+from segrep.core import (
     GroundSet,
     GroundSetTooLarge,
     Implication,
@@ -36,11 +36,11 @@ from .core import (
     mask_of,
     prefix_masks,
 )
-from .geometry import ConvexGeometry, _first_dead_end, closed_family
-from .properties import (
+from segrep.geometry import ConvexGeometry, _first_dead_end, closed_family
+from segrep.properties import (
     PropertyReport, TwoExWitness, _pair_scan, _replacement, _sq_violation,
 )
-from .representation import SegmentRepresentation, segment_closure
+from segrep.representation import SegmentRepresentation, segment_closure
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:

@@ -23,8 +23,8 @@ from segrep import (
 )
 from segrep.cli import main as cli_main
 from segrep.cli import parse_layout_table
-from segrep.fixtures import disjoint_chains_geometry, load_fixture
-from segrep.oracles import (
+from fixtures import disjoint_chains_geometry, load_fixture
+from oracles import (
     brute_force_cdim2,
     check_2ex_exhaustive,
     check_caratheodory,

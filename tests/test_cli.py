@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 import segrep
-from segrep import build_representation, cli, normalize_layout
+from segrep import (
+    build_representation,
+    cli,
+    count_representations,
+    decide_cdim2,
+    normalize_layout,
+)
 from segrep.cli import (
     ParseError,
     chain_display,
@@ -21,7 +27,8 @@ from segrep.cli import (
     parse_geometry,
     parse_layout_table,
 )
-from segrep.fixtures import fixture_text, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from oracles import brute_force_cdim2, check_2ex_exhaustive, check_sq_exhaustive
 
 
 @pytest.fixture()
@@ -128,7 +135,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),
-        ("check", "--max-n", "-1"),
+        ("check", "--max-n", "-1"), ("represent", "--exhaustive"), ("unique", "--exhaustive"),
+        ("oracle",),
     ])
     def test_removed_flags_are_rejected(self, files, argv):
         with pytest.raises(SystemExit) as exit_info, \
@@ -137,7 +145,7 @@ class TestExitCodes:
         assert exit_info.value.code == 2
 
     def test_guard_exits_three(self, files):
-        assert run("oracle", files["un"], "--max-n", "2")[0] == 3
+        assert run("check", files["un"], "--max-n", "2")[0] == 3
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_exhaustion_exits_three(self, files, monkeypatch, exc):
@@ -150,7 +158,7 @@ class TestExitCodes:
         assert err.startswith("error: represent: ran out of ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["check", "represent", "unique", "oracle"])
+    @pytest.mark.parametrize("command", ["check", "represent", "unique", "closure"])
     def test_max_n_zero_is_a_guard_not_unset(self, files, command):
         code, _, err = run(command, files["un"], "--max-n", "0")
         assert code == 3
@@ -281,27 +289,44 @@ class TestClosureCmd:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", ("notsuf", "un", "switch", "unique"))
-    def test_no_mismatch_on_fixtures(self, files, name):
-        code, out, _ = run("oracle", files[name])
-        assert "mismatch: none" in out
-        assert code == (0 if load_fixture(name).cdim2 else 1)
+    """The differential that the test oracles hold the fast decision to."""
 
-    def test_oracles_are_imported_only_by_the_command(self, files):
-        # a fresh interpreter, so no other test has imported segrep.oracles
-        # or segrep.fixtures; --exhaustive runs first, so it does the import
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_no_mismatch_on_fixtures(self, name):
+        geom = load_fixture(name).geometry
+        decision = decide_cdim2(geom)
+        assert decision.two_ex.holds == check_2ex_exhaustive(geom).holds
+        assert decision.sq.holds == check_sq_exhaustive(geom).holds
+        brute = brute_force_cdim2(geom)
+        assert decision.cdim2 == brute.cdim2
+        if decision.cdim2:
+            rep = build_representation(geom)
+            assert count_representations(rep) == len(brute.representations)
+
+    def test_package_holds_no_test_module(self, files):
+        # a fresh interpreter with only the package's source on its path, so
+        # neither tests/ nor an earlier test's imports are in reach
         probe = (
-            "import sys, segrep, segrep.cli\n"
-            "print('segrep.oracles' in sys.modules, 'segrep.fixtures' in sys.modules)\n"
-            "code = segrep.cli.main(['represent', '--exhaustive', sys.argv[1]])\n"
-            "sys.exit(code or segrep.cli.main(['oracle', sys.argv[1]]))\n"
+            "import importlib.util, sys\n"
+            "print(importlib.util.find_spec('segrep.oracles'),"
+            " importlib.util.find_spec('segrep.fixtures'))\n"
+            "import segrep, segrep.cli\n"
+            "code = segrep.cli.main(['unique', sys.argv[1]])\n"
+            "print(sorted(name for name, module in sys.modules.items()\n"
+            "             if getattr(module, '__file__', None)\n"
+            "             and module.__file__.startswith(sys.argv[2])))\n"
+            "sys.exit(code)\n"
         )
+        tests_dir = Path(__file__).parent
         env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", probe, files["un"]],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout.splitlines()[0] == "False False"
-        assert proc.returncode == 0 and "verified_exhaustively: True" in proc.stdout
-        assert "mismatch: none" in proc.stdout
+        proc = subprocess.run([sys.executable, "-c", probe, files["un"], str(tests_dir)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              cwd=Path(files["un"]).parent)
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert lines[0] == "None None"
+        assert "unique: True" in proc.stdout
+        assert lines[-1] == "[]"
 
 
 class TestRender:
@@ -361,11 +386,3 @@ class TestDisplayHelpers:
             parse_layout_table(gs, "element left_endpoint right_endpoint\n" + body)
         assert err.value.line == line
 
-
-class TestExhaustiveFlag:
-    @pytest.mark.parametrize("command", ["represent", "unique"])
-    def test_reports_exhaustive_verification(self, files, command):
-        code, out, _ = run(command, files["un"], "--exhaustive")
-        assert code == 0
-        assert "verified_exhaustively: True" in out
-        assert out.index("verified_exhaustively") < out.index("representation:")

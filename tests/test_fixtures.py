@@ -12,7 +12,7 @@ from segrep import (
     decide_cdim2,
     segment_closure,
 )
-from segrep.fixtures import (
+from fixtures import (
     FIXTURE_NAMES,
     RejectionBudgetExceeded,
     UnknownFixture,

@@ -16,15 +16,15 @@ from segrep import (
     validate_geometry,
 )
 from segrep import geometry
-from segrep.oracles import (
+from segrep.cli import parse_geometry
+from fixtures import fixture_text, load_fixture
+from oracles import (
     Alignment,
     GroundSetMismatch,
     extendability_witness,
     join_alignments,
     linear_alignment,
 )
-from segrep.cli import parse_geometry
-from segrep.fixtures import fixture_text, load_fixture
 
 
 def random_basis(rng, n, m):

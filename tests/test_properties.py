@@ -16,9 +16,9 @@ from segrep import (
     validate_geometry,
     verify_witness,
 )
-from segrep import oracles
-from segrep.fixtures import load_fixture
-from segrep.oracles import (
+import oracles
+from fixtures import load_fixture
+from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
     check_2ex_exhaustive,

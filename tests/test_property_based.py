@@ -25,8 +25,8 @@ from segrep import (  # noqa: E402
     validate_geometry,
     verify_representation,
 )
-from segrep.fixtures import geometry_from_chains  # noqa: E402
-from segrep.oracles import brute_force_cdim2, verify_representation_exhaustive  # noqa: E402
+from fixtures import geometry_from_chains  # noqa: E402
+from oracles import brute_force_cdim2, verify_representation_exhaustive  # noqa: E402
 
 
 def ground(n):

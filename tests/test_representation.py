@@ -24,8 +24,8 @@ from segrep import (
     validate_geometry,
     verify_representation,
 )
-from segrep.fixtures import geometry_from_chains, load_fixture
-from segrep.oracles import (
+from fixtures import geometry_from_chains, load_fixture
+from oracles import (
     brute_force_cdim2,
     check_sq_exhaustive,
     join_alignments,
