@@ -45,7 +45,7 @@ class ParseError(SegrepError):
 def parse_geometry(text: str) -> ImplicationBasis:
     """Parse the geometry file grammar into an implicational basis."""
     ground: GroundSet | None = None
-    implications: list[tuple[int, list[str], list[str]]] = []
+    implications: list[Implication] = []
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -76,18 +76,15 @@ def parse_geometry(text: str) -> ImplicationBasis:
                 raise ParseError(lineno, "empty premise side")
             if not conclusion:
                 raise ParseError(lineno, "empty conclusion side")
-            implications.append((lineno, premise, conclusion))
+            try:
+                implications.append(Implication(ground.mask(premise), ground.mask(conclusion)))
+            except SegrepError as exc:
+                raise ParseError(lineno, str(exc)) from None
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
     if ground is None:
         raise ParseError(len(lines) + 1, "missing 'elements' line")
-    built = []
-    for lineno, premise, conclusion in implications:
-        try:
-            built.append(Implication(ground.mask(premise), ground.mask(conclusion)))
-        except SegrepError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return ImplicationBasis(ground, tuple(built))
+    return ImplicationBasis(ground, tuple(implications))
 
 
 def chain_display(ground: GroundSet, rep: SegmentRepresentation) -> str:

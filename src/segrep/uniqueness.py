@@ -25,9 +25,11 @@ class TooManyBlocks(SegrepError):
 
 
 class NotApplicable(SegrepError):
-    """Chain reconstruction met a subset whose extreme points cannot be
-    assigned to one chain, or the geometry has more than one representation;
-    ``outcomes`` is the number of representations, 0 when none verifies."""
+    """Chain reconstruction found no single representation.  ``outcomes`` is
+    0 when its one path met a subset whose extreme points cannot be assigned
+    to the chains, or ended in a chain pair that fails verification: then the
+    geometry has no representation.  Otherwise it is the number of
+    representations, more than one."""
 
     def __init__(self, witness: int, outcomes: int):
         self.witness = witness
@@ -127,18 +129,16 @@ def count_representations(rep: SegmentRepresentation) -> int:
 @dataclass(frozen=True)
 class UniquenessReport:
     unique: bool
-    decomposition: BlockDecomposition
     switchable_block: Optional[Block]
 
 
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
     """Uniqueness holds exactly when at most one block is switchable; the
     report names that block when there is one."""
-    decomposition = block_decomposition(rep)
-    switchable = [b for b in decomposition.blocks if b.switchable]
+    switchable = [b for b in block_decomposition(rep).blocks if b.switchable]
     if len(switchable) > 1:
-        return UniquenessReport(False, decomposition, None)
-    return UniquenessReport(True, decomposition, switchable[0] if switchable else None)
+        return UniquenessReport(False, None)
+    return UniquenessReport(True, switchable[0] if switchable else None)
 
 
 def enumerate_representations(
@@ -164,33 +164,22 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     remainder, the other chain's surviving maximum (already known) plus one
     new element, which must be this chain's next entry.  When the known tops
     of the other chain are all among the dropped elements and two candidates
-    remain, both are pursued depth first.  The search stops at its first
-    verified outcome: every representation is a block flip of every other, so
-    ``count_representations`` of that outcome is the number of representations,
-    and the outcome is returned only when it is 1.  The initial two-way choice
-    is the chain swap and is collapsed by canonical form, not counted as
-    ambiguity.
+    remain, the two chains hold the same elements so far, so the remainder's
+    top block is switchable and either candidate tops it in some block flip:
+    the lesser is taken and the walk follows one path, verified once at its
+    end, with O(n^2) closure queries on every input.  Every representation is
+    a block flip of every other, so ``count_representations`` of the outcome
+    is the number of representations, and the outcome is returned only when
+    it is 1.  The initial two-way choice is the chain swap and is collapsed by
+    canonical form, not counted as ambiguity.
     """
-    n = geom.n
     full = geom.ground.full
-    if n == 0:
-        return SegmentRepresentation((), ())
-    outcomes = 0
+    det_l: tuple[int, ...] = ()
+    det_r: tuple[int, ...] = ()
     first_split = None
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    while stack:
-        det_l, det_r = stack.pop()
-        if len(det_l) == n and len(det_r) == n:
-            candidate = SegmentRepresentation(
-                tuple(reversed(det_l)), tuple(reversed(det_r))
-            )
-            if not verify_representation(geom, candidate)[0]:
-                continue
-            outcomes = count_representations(candidate)
-            if outcomes == 1:
-                return candidate
-            break
-        on_left = len(det_l) <= len(det_r) and len(det_l) < n
+    outcomes = 0
+    while len(det_l) < geom.n or len(det_r) < geom.n:
+        on_left = len(det_l) <= len(det_r)
         det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
         remainder = full & ~mask_of(det_side)
         extreme = geom.extreme_points(remainder)
@@ -198,20 +187,23 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
         if k == 0 or k > 2:
             raise NotApplicable(remainder, 0)
         survivor = next((e for e in det_other if (remainder >> e) & 1), None)
-        if survivor is not None:
-            if not (extreme >> survivor) & 1:
-                continue  # inconsistent branch
+        if survivor is None:
+            new = next(iter_bits(extreme))
+            if k == 2 and (det_l or det_r) and first_split is None:
+                first_split = remainder
+        elif (extreme >> survivor) & 1:
             rest = extreme & ~(1 << survivor)
             new = next(iter_bits(rest)) if rest else survivor
-            candidates = [new]
-        elif k == 1:
-            candidates = [next(iter_bits(extreme))]
         else:
-            candidates = list(iter_bits(extreme))
-            if (det_l or det_r) and first_split is None:
-                first_split = remainder
-        # Pushed in reverse, so the branches are explored in ascending order.
-        for new in reversed(candidates):
-            stack.append((det_l + (new,), det_r) if on_left else (det_l, det_r + (new,)))
-
+            break  # the survivor is not extreme: no representation
+        if on_left:
+            det_l += (new,)
+        else:
+            det_r += (new,)
+    else:
+        candidate = SegmentRepresentation(tuple(reversed(det_l)), tuple(reversed(det_r)))
+        if verify_representation(geom, candidate)[0]:
+            outcomes = count_representations(candidate)
+            if outcomes == 1:
+                return candidate
     raise NotApplicable(full if first_split is None else first_split, outcomes)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from segrep.cli import parse_geometry
 from segrep.core import GroundSet, Implication, ImplicationBasis, SegrepError
 from segrep.geometry import ConvexGeometry, NotAGeometry, validate_geometry
 from segrep.properties import decide_cdim2
@@ -77,8 +78,6 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> Fixture:
     """Parse a fixture file and re-verify its recorded expectations."""
-    from segrep.cli import parse_geometry
-
     text = fixture_text(name)
     manifest = Path(__file__).with_name("expectations.json")
     expected = json.loads(manifest.read_text())[name]

@@ -80,6 +80,10 @@ class TestParse:
             parse_geometry("elements a a")
         with pytest.raises(ParseError):
             parse_geometry("elements a b\nfrobnicate a")
+        # errors come in file order: the unknown label before the bad directive
+        with pytest.raises(ParseError) as err:
+            parse_geometry("elements a b\nimp a -> z\nfoo")
+        assert err.value.line == 2 and "'z'" in err.value.reason
         with pytest.raises(ParseError) as err:
             parse_geometry("# arrow label\nelements a -> b\nimp a -> b")
         assert err.value.line == 2 and "'->'" in err.value.reason
@@ -136,7 +140,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),
         ("check", "--max-n", "-1"), ("represent", "--exhaustive"), ("unique", "--exhaustive"),
-        ("oracle",),
+        ("oracle",), ("check", "--max-n", "abc"),
     ])
     def test_removed_flags_are_rejected(self, files, argv):
         with pytest.raises(SystemExit) as exit_info, \

@@ -54,6 +54,11 @@ class TestPropertyReport:
         with pytest.raises(ValueError):
             PropertyReport("TwoEx", False)
 
+    def test_verify_witness_rejects_a_holding_report_and_a_two_element_triple(
+            self, notsuf, free3):
+        assert not verify_witness(notsuf, check_2ex(notsuf))
+        assert not verify_witness(free3, PropertyReport("TwoEx", False, TwoExWitness(0b011)))
+
 
 class TestTwoEx:
     def test_notsuf_holds(self, notsuf):

@@ -52,6 +52,10 @@ class TestSegmentClosure:
         assert segment_closure(un_rep, gs.full) == gs.full
         assert segment_closure(un_rep, 0) == 0
 
+    def test_seed_outside_the_elements_is_rejected(self, un, un_rep):
+        with pytest.raises(ValueError):
+            segment_closure(un_rep, 1 << un.n)
+
     def test_pairwise_formula(self, un_rep):
         # membership is exactly "below both maxima of the seed"
         elements = list(un_rep.left)

@@ -202,9 +202,9 @@ class TestReconstruct:
                 assert not unique
 
     def test_closure_queries_grow_quadratically(self):
-        # s reversed blocks give 2^(s-1) representations; reconstruction stops
-        # at the first verified one, so it must stay at a build's O(n^2)
-        # queries: no long run of dead branches comes before that leaf
+        # s reversed blocks give 2^(s-1) representations; reconstruction
+        # follows one path and verifies its end once, so it must stay at a
+        # build's O(n^2) queries
         rng = random.Random(11)
         counts = {}
         for s in range(8, 16):
@@ -222,6 +222,34 @@ class TestReconstruct:
             counts[n] = geom.stats.closures
             assert err.value.outcomes == count_representations(build_representation(geom))
             assert err.value.outcomes == 2 ** (s - 1)
+        smallest = min(counts)
+        constant = counts[smallest] / smallest**2
+        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
+
+    def test_no_cliff_on_a_non_representable_geometry(self):
+        # notsuf (2Ex holds, Sq fails) under s reversed 2-element blocks, each
+        # block element pulling in the four notsuf elements: every block
+        # offers two candidates, and a search over them would verify
+        # 2^(s+1) failed chain pairs; one path stays at O(n^2) queries
+        notsuf = load_fixture("notsuf").geometry
+        bottom = notsuf.ground.full
+        counts = {}
+        for s in range(6, 13):
+            n = 4 + 2 * s
+            ground = GroundSet(notsuf.ground.labels + tuple(f"e{i}" for i in range(2 * s)))
+            left = list(range(2 * s))
+            right = [i ^ 1 for i in left]
+            top = geometry_from_chains(GroundSet(ground.labels[4:]), left, right)
+            rules = notsuf.basis.implications + tuple(
+                Implication(rule.premise << 4, rule.conclusion << 4)
+                for rule in top.basis.implications
+            ) + tuple(Implication(1 << x, bottom) for x in range(4, n))
+            geom = validate_geometry(ImplicationBasis(ground, rules), max_n=n)
+            geom.stats.reset()
+            with pytest.raises(NotApplicable) as err:
+                reconstruct_by_peeling(geom)
+            counts[n] = geom.stats.closures
+            assert err.value.outcomes == 0
         smallest = min(counts)
         constant = counts[smallest] / smallest**2
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
