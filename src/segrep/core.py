@@ -203,6 +203,29 @@ class ImplicationBasis:
             for imp in self.implications
         )
 
+    def extreme_points_of_closed(self, closed: int) -> int:
+        """Members ``x`` of the closed set ``closed`` with ``closed - x``
+        closed too: those that no implication with its premise inside
+        ``closed`` gains.  Such a premise misses ``x``, and the closure of
+        ``closed - x`` stays inside ``closed``.  One pass over the rules that
+        the kernel's first round from ``closed`` leaves live."""
+        uses, adds = self._uses, self._adds
+        blocked = 0
+        rest = self._full & ~closed & self._premised
+        while rest:
+            low = rest & -rest
+            blocked |= uses[low.bit_length() - 1]
+            rest ^= low
+        live = ~blocked
+        out = closed
+        rest = closed & self._concluded
+        while rest:
+            low = rest & -rest
+            if adds[low.bit_length() - 1] & live:
+                out ^= low
+            rest ^= low
+        return out
+
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""
         full = self._full

@@ -199,7 +199,9 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
 
     Only subsets whose extreme points are an actual pair can satisfy the
     premise, and each such closed set is the closure of its two extreme
-    points, so scanning pair closures covers them with O(n^3) closure calls.
+    points, so scanning pair closures covers them.  Each extreme-point query
+    is one closure, so the scan makes O(n^2) closure queries plus O(n^3)
+    big-integer operations.
     The exhaustive twin exists because that reduction ranges over closed
     sets only; the suite asserts agreement between the two on small inputs.
     """

@@ -36,6 +36,7 @@ class NotApplicable(SegrepError):
         self.outcomes = outcomes
         super().__init__(
             f"reconstruction is ambiguous ({outcomes} consistent outcomes)"
+            if outcomes else "the geometry has no representation"
         )
 
 

@@ -3,6 +3,9 @@
 Test-only code: it lives under ``tests/`` and is not part of the
 ``segrep`` package, so nothing that ``import segrep`` loads can reach it.
 
+* ``extreme_points_by_definition`` tests each member of a subset with one
+  closure of the rest, the definition that ``ConvexGeometry.extreme_points``
+  answers with one closure and one pass;
 * ``check_2ex_exhaustive`` and ``check_sq_exhaustive`` evaluate the defining
   quantifier of each polynomial check literally over all subsets, and
   ``verify_representation_exhaustive`` compares a representation with the
@@ -53,6 +56,16 @@ def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> li
     for e in iter_bits(mask):
         subsets += [s | (1 << e) for s in subsets]
     return sorted((s for s in subsets if s.bit_count() >= min_size), key=canonical_key)
+
+
+def extreme_points_by_definition(geom: ConvexGeometry, subset: int) -> int:
+    """Members of ``subset`` outside the closure of the rest of it: one
+    closure per member."""
+    out = 0
+    for x in iter_bits(subset):
+        if not (geom.closure(subset & ~(1 << x)) >> x) & 1:
+            out |= 1 << x
+    return out
 
 
 def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:

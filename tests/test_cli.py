@@ -209,9 +209,9 @@ class TestCheck:
         pytest.param(command, name, calls,
                      id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
         for command, counts in (
-            ("check", (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", (70, 51, 194, 124, 41, 75, 120)),
-            ("unique", (70, 51, 194, 124, 41, 75, 120)),
+            ("check", (54, 32, 63, 44, 32, 29, 43)),
+            ("represent", (54, 32, 108, 79, 32, 51, 72)),
+            ("unique", (54, 32, 108, 79, 32, 51, 72)),
         )
         for name, calls in zip(
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)

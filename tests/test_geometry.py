@@ -17,11 +17,12 @@ from segrep import (
 )
 from segrep import geometry
 from segrep.cli import parse_geometry
-from fixtures import fixture_text, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from oracles import (
     Alignment,
     GroundSetMismatch,
     extendability_witness,
+    extreme_points_by_definition,
     join_alignments,
     linear_alignment,
 )
@@ -193,6 +194,15 @@ class TestExtremePoints:
         full = gs.full
         assert geom.extreme_points(full & ~gs.mask("5")) == gs.mask("14")
         assert geom.extreme_points(full & ~gs.mask("513")) == gs.mask("24")
+
+    def test_match_the_definition_on_every_subset(self, pool_small, pool_n6):
+        # closed and non-closed subsets alike: the one-pass answer on the
+        # closure must equal one closure per member of the subset itself
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        for geom in geoms:
+            for subset in range(geom.ground.full + 1):
+                assert geom.extreme_points(subset) == extreme_points_by_definition(
+                    geom, subset), (geom.basis, subset)
 
     def test_free_geometry_every_point_extreme(self):
         gs = GroundSet(("a", "b", "c"))

@@ -1,5 +1,7 @@
 """The property checks, their exhaustive twins, and the implication chain."""
 
+import random
+
 import pytest
 
 from segrep import (
@@ -17,7 +19,7 @@ from segrep import (
     verify_witness,
 )
 import oracles
-from fixtures import load_fixture
+from fixtures import geometry_from_chains, load_fixture
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
@@ -195,6 +197,20 @@ class TestSq:
         geom = validate_geometry(ImplicationBasis(GroundSet(("a",)), ()))
         assert check_sq(geom).holds
         assert check_sq_exhaustive(geom).holds
+
+    def test_closure_queries_grow_quadratically(self):
+        # the scan visits O(n^2) pair closures with a few extreme-point
+        # queries each, and every extreme-point query is one closure
+        rng = random.Random(9)
+        counts = {}
+        for n in range(6, 29, 2):
+            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom.stats.reset()
+            assert check_sq(geom).holds
+            counts[n] = geom.stats.closures
+        constant = counts[6] / 6**2
+        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 
 
 class TestExR:

@@ -1,8 +1,10 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint (on small random bases, on wide chain-pair bases and on long
-implication chains), the polynomial decision and builder against the
-brute-force oracle on generated bases with n <= 7, and the round trip from a
-chain pair through its basis back to the chain pair with n <= 10."""
+implication chains), extreme points against their definition on the wide
+bases that are convex geometries, the polynomial decision and builder
+against the brute-force oracle on generated bases with n <= 7, and the round
+trip from a chain pair through its basis back to the chain pair with
+n <= 10."""
 
 import pytest
 
@@ -26,7 +28,9 @@ from segrep import (  # noqa: E402
     verify_representation,
 )
 from fixtures import geometry_from_chains  # noqa: E402
-from oracles import brute_force_cdim2, verify_representation_exhaustive  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_cdim2, extreme_points_by_definition, verify_representation_exhaustive,
+)
 
 
 def ground(n):
@@ -113,6 +117,20 @@ def test_closure_on_wide_bases_matches_naive_fixpoint(case):
     basis, seeds = case
     for seed in seeds:
         assert basis.closure(seed) == fixpoint(basis, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_bases())
+def test_extreme_points_on_wide_geometries_match_the_definition(case):
+    basis, seeds = case
+    try:
+        geom = validate_geometry(basis)
+    except NotAGeometry:
+        assume(False)
+    for seed in seeds:
+        closed = geom.closure(seed)
+        for subset in (seed, closed):
+            assert geom.extreme_points(subset) == extreme_points_by_definition(geom, subset)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -174,6 +174,7 @@ class TestReconstruct:
             reconstruct_by_peeling(switch.geometry)
         assert err.value.witness == switch.geometry.ground.mask("123")
         assert err.value.outcomes == 2
+        assert str(err.value) == "reconstruction is ambiguous (2 consistent outcomes)"
 
     @pytest.mark.parametrize("name", ["notsuf", "triangle", "fivepoint"])
     def test_not_representable_has_no_outcome(self, name):
@@ -182,6 +183,7 @@ class TestReconstruct:
             reconstruct_by_peeling(geom)
         assert err.value.outcomes == 0
         assert err.value.witness == geom.ground.full
+        assert str(err.value) == "the geometry has no representation"
 
     def test_forced_two_element_chain(self):
         gs = GroundSet(("a", "b"))
