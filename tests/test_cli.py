@@ -13,6 +13,7 @@ import pytest
 
 import segrep
 from segrep import (
+    ConvexGeometry,
     build_representation,
     cli,
     count_representations,
@@ -28,7 +29,12 @@ from segrep.cli import (
     parse_layout_table,
 )
 from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from oracles import brute_force_cdim2, check_2ex_exhaustive, check_sq_exhaustive
+from oracles import (
+    brute_force_cdim2,
+    check_2ex_exhaustive,
+    check_sq_exhaustive,
+    extreme_points_by_definition,
+)
 
 
 @pytest.fixture()
@@ -204,19 +210,27 @@ class TestCheck:
         assert list(timed.items()) == list(plain.items())
 
     # Every closure query counts, answered from the cache or not.  The key
-    # sequence of each report is pinned alongside.
-    @pytest.mark.parametrize("command, name, calls", [
-        pytest.param(command, name, calls,
+    # sequence of each report is pinned alongside.  Each count is pinned
+    # twice: as shipped, where an extreme-point query is one closure, and
+    # with the per-member oracle patched in, one closure per member.  The
+    # second pin holds every other closure query of each command where it
+    # was before extreme points took one pass.
+    @pytest.mark.parametrize("command, name, per_member, calls", [
+        pytest.param(command, name, per_member, calls,
                      id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
-        for command, counts in (
-            ("check", (54, 32, 63, 44, 32, 29, 43)),
-            ("represent", (54, 32, 108, 79, 32, 51, 72)),
-            ("unique", (54, 32, 108, 79, 32, 51, 72)),
+        for command, one_pass, by_member in (
+            ("check", (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
+            ("represent", (54, 32, 108, 79, 32, 51, 72), (70, 51, 194, 124, 41, 75, 120)),
+            ("unique", (54, 32, 108, 79, 32, 51, 72), (70, 51, 194, 124, 41, 75, 120)),
         )
+        for per_member, counts in ((False, one_pass), (True, by_member))
         for name, calls in zip(
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
     ])
-    def test_closure_calls_pinned_on_fixtures(self, tmp_path, command, name, calls):
+    def test_closure_calls_pinned_on_fixtures(
+            self, tmp_path, monkeypatch, command, name, per_member, calls):
+        if per_member:
+            monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
         code, out, _ = run(command, str(path), "--json")
