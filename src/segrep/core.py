@@ -226,6 +226,57 @@ class ImplicationBasis:
             rest ^= low
         return out
 
+    def closed_sets_by_extension(self, start: int) -> set[int] | None:
+        """The closed sets reached from the closed set ``start`` by adding
+        one element at a time, each step to a closed set, with no closure
+        call; None at the first one, other than the ground set, that has no
+        closed one-element extension.
+
+        For closed ``y`` and ``x`` outside it, ``y + x`` is closed unless a
+        rule whose only premise element outside ``y`` is ``x`` gains an
+        element outside ``y`` (its gain never holds ``x``).  One pass over
+        the elements outside ``y`` that some rule names ORs up the rules
+        with a premise element outside (``once``), with two or more
+        (``twice``) and with a gain element outside (``gout``).  When no set
+        dead-ends, every closed ``Y`` is reached: a chain of closed sets
+        grows from ``start`` to the ground set, its intersections with ``Y``
+        grow by at most one element a step, so ``Y - y`` is closed for some
+        ``y``; induct on ``|Y|``.
+        """
+        uses, adds, full = self._uses, self._adds, self._full
+        ruled = self._premised | self._concluded
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            y = frontier.pop()
+            outside = full & ~y
+            once = twice = gout = 0
+            rest = outside & ruled
+            while rest:
+                low = rest & -rest
+                e = low.bit_length() - 1
+                twice |= once & uses[e]
+                once |= uses[e]
+                gout |= adds[e]
+                rest ^= low
+            # uses[x] lies inside once, as x is outside y: y + x is closed
+            # unless one of its rules is in fires
+            fires = gout & ~twice
+            extended = False
+            rest = outside
+            while rest:
+                low = rest & -rest
+                if not uses[low.bit_length() - 1] & fires:
+                    extended = True
+                    up = y | low
+                    if up not in seen:
+                        seen.add(up)
+                        frontier.append(up)
+                rest ^= low
+            if outside and not extended:
+                return None
+        return seen
+
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""
         full = self._full

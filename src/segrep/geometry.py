@@ -3,9 +3,10 @@
 A closure system is a convex geometry when the empty set is closed and the
 anti-exchange property holds: for closed ``Y`` and distinct ``x, z`` outside
 ``Y``, ``z`` entering the closure of ``Y + x`` forbids ``x`` from entering the
-closure of ``Y + z``.  Validation enumerates the closed sets, so it is meant
-for desk-scale ground sets (default guard n <= 20); the dimension-2 decision
-procedure in :mod:`segrep.properties` never needs that enumeration.
+closure of ``Y + z``.  Validation enumerates the closed sets, which can number
+2^n, so it is meant for desk-scale ground sets (default guard n <= 20); the
+dimension-2 decision procedure in :mod:`segrep.properties` never needs that
+enumeration.
 """
 
 from __future__ import annotations
@@ -59,15 +60,22 @@ class ClosureStats:
 def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
     """Every closed set of the basis, in canonical order.
 
-    Walks outward from the closure of the empty set, adding one generator at
-    a time; every closed set is reachable that way, so the walk costs
+    Walks up from the closure of the empty set through closed one-element
+    extensions, read off the basis in one pass per closed set with no
+    closure call (:meth:`ImplicationBasis.closed_sets_by_extension`); that
+    walk reaches every closed set unless one of them, short of the ground
+    set, has no such extension.  Only then, on a basis that is not a convex
+    geometry, does a second walk add one generator at a time and close,
     O(|family| * n) closure calls rather than 2^n.
     """
     n = basis.ground.n
     if n > max_n:
         raise GroundSetTooLarge("closed_family", n, max_n)
-    full = basis.ground.full
     start = basis.closure(0)
+    walked = basis.closed_sets_by_extension(start)
+    if walked is not None:
+        return tuple(sorted(walked, key=canonical_key))
+    full = basis.ground.full
     seen = {start}
     frontier = [start]
     while frontier:
@@ -166,10 +174,12 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     Raises :class:`NotAGeometry` with a concrete witness when the empty set
     is not closed or when anti-exchange fails.  With the empty set closed,
     anti-exchange holds exactly when every proper closed set has a
-    one-element extension that is closed too (Edelman and Jamison, 1985),
-    so the closed-set walk is all the closure work a valid geometry costs.
-    Only when that test fails does the literal anti-exchange scan run, over
-    the closed sets in canonical order, to produce the first witness.
+    one-element extension that is closed too (Edelman and Jamison, 1985).
+    The closed-set walk reads those extensions off the basis in one pass per
+    closed set, so a valid geometry costs two closure calls: the empty set's
+    and the walk's start.  Only when that test fails does the literal
+    anti-exchange scan run, over the closed sets in canonical order, to
+    produce the first witness.
     """
     empty = basis.closure(0)
     if empty:

@@ -17,7 +17,14 @@ from segrep import (
 )
 from segrep import geometry
 from segrep.cli import parse_geometry
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from segrep.core import canonical_key, prefix_masks
+from fixtures import (
+    FIXTURE_NAMES,
+    disjoint_chains_geometry,
+    fixture_text,
+    geometry_from_chains,
+    load_fixture,
+)
 from oracles import (
     Alignment,
     GroundSetMismatch,
@@ -36,6 +43,29 @@ def random_basis(rng, n, m):
         z = rng.randrange(n)
         imps.append(Implication(premise & ~(1 << z), 1 << z))
     return ImplicationBasis(gs, tuple(imps))
+
+
+def varied_basis(rng):
+    """A random basis with n <= 8: rules with sparse or dense premises and
+    one- or many-element conclusions, plus, in a third of the draws each, a
+    planted mutual pair ``x -> y``, ``y -> x`` or a rule with an empty
+    premise (so that the empty set is not closed)."""
+    n = rng.randint(1, 8)
+    rules = []
+    for _ in range(rng.randint(0, n + 2)):
+        premise = rng.getrandbits(n)
+        if rng.random() < 0.5:
+            premise &= rng.getrandbits(n)
+        premise = premise or 1 << rng.randrange(n)
+        conclusion = 1 << rng.randrange(n) if rng.random() < 0.7 else rng.getrandbits(n)
+        rules.append(Implication(premise, conclusion))
+    kind = rng.randrange(3)
+    if kind == 1 and n >= 2:
+        x, y = rng.sample(range(n), 2)
+        rules += [Implication(1 << x, 1 << y), Implication(1 << y, 1 << x)]
+    elif kind == 2:
+        rules.append(Implication(0, 1 << rng.randrange(n)))
+    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
 
 
 def naive_closure(basis, seed):
@@ -326,6 +356,74 @@ class TestFamilies:
             assert set(family.sets) == {
                 s for s in range(1 << basis.ground.n) if basis.closure(s) == s
             }
+
+
+class TestClosedSetsByExtension:
+    """The closed-set walk that reads closed one-element extensions off the
+    basis, against the family of every subset equal to its closure."""
+
+    @staticmethod
+    def outcome(basis):
+        n, full = basis.ground.n, basis.ground.full
+        brute = tuple(sorted(
+            (s for s in range(full + 1) if basis.closure(s) == s), key=canonical_key))
+        members = set(brute)
+        dead_end = any(
+            y != full and all(y | (1 << x) not in members for x in range(n) if not (y >> x) & 1)
+            for y in brute)
+        assert closed_family(basis) == brute, basis
+        walked = basis.closed_sets_by_extension(brute[0])
+        assert walked == (None if dead_end else members), basis
+        if brute[0]:
+            return "empty-set-not-closed"
+        try:
+            validate_geometry(basis)
+        except NotAGeometry as err:
+            assert err.reason == "anti-exchange"
+            assert walked is None, basis
+            return err.reason
+        assert walked is not None, basis
+        return "geometry"
+
+    def test_geometries_and_fixtures(self, pool_small, pool_n6):
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        for geom in geoms:
+            assert self.outcome(geom.basis) == "geometry"
+
+    def test_random_bases(self):
+        rng = random.Random(31)
+        seen = {}
+        for _ in range(2400):
+            kind = self.outcome(varied_basis(rng))
+            seen[kind] = seen.get(kind, 0) + 1
+        assert min(seen.values()) >= 300, seen
+
+    def test_validation_makes_two_closure_calls(self, monkeypatch):
+        # the empty set's closure and the walk's start; the walk itself reads
+        # every closed set's closed extensions off the basis
+        rng = random.Random(9)
+        cases = []
+        for n in range(6, 29, 2):
+            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            family = {a & b for a in prefix_masks(left) for b in prefix_masks(right)}
+            cases.append((geom.basis, family))
+        geom = disjoint_chains_geometry((3, 3, 3, 3))
+        cases.append((geom.basis, set(geom.closed_sets())))
+        assert len(cases[-1][1]) == 4**4
+        seeds = []
+        original = ImplicationBasis.closure
+
+        def counting(basis, seed):
+            seeds.append(seed)
+            return original(basis, seed)
+
+        monkeypatch.setattr(ImplicationBasis, "closure", counting)
+        for basis, family in cases:
+            seeds.clear()
+            geom = validate_geometry(basis, max_n=basis.ground.n)
+            assert len(seeds) <= 2, (basis.ground.n, len(seeds))
+            assert set(geom.closed_sets()) == family
 
 
 class TestAlignmentOps:

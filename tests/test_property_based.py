@@ -1,10 +1,11 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint (on small random bases, on wide chain-pair bases and on long
 implication chains), extreme points against their definition on the wide
-bases that are convex geometries, the polynomial decision and builder
-against the brute-force oracle on generated bases with n <= 7, and the round
-trip from a chain pair through its basis back to the chain pair with
-n <= 10."""
+bases that are convex geometries, the closed-set walk against the
+brute-force family on the wide bases with n <= 10, the polynomial decision
+and builder against the brute-force oracle on generated bases with n <= 7,
+and the round trip from a chain pair through its basis back to the chain
+pair with n <= 10."""
 
 import pytest
 
@@ -131,6 +132,23 @@ def test_extreme_points_on_wide_geometries_match_the_definition(case):
         closed = geom.closure(seed)
         for subset in (seed, closed):
             assert geom.extreme_points(subset) == extreme_points_by_definition(geom, subset)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_bases())
+def test_closed_set_walk_on_wide_bases_matches_the_brute_force_family(case):
+    # the walk gives the whole family, or None exactly when some closed set
+    # other than the ground set has no closed one-element extension
+    basis, _seeds = case
+    n = basis.ground.n
+    assume(n <= 10)
+    full = basis.ground.full
+    family = {s for s in range(full + 1) if basis.closure(s) == s}
+    dead_end = any(
+        y != full and all(y | (1 << x) not in family for x in range(n) if not (y >> x) & 1)
+        for y in family)
+    walked = basis.closed_sets_by_extension(basis.closure(0))
+    assert walked == (None if dead_end else family)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
