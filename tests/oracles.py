@@ -10,6 +10,9 @@ Test-only code: it lives under ``tests/`` and is not part of the
   quantifier of each polynomial check literally over all subsets, and
   ``verify_representation_exhaustive`` compares a representation with the
   geometry on every subset instead of only on pairs;
+* ``verify_representation_by_pairs`` closes every seed of at most two
+  elements, the scan that ``verify_representation`` replaces with a proof
+  read off the basis;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -92,6 +95,22 @@ def verify_representation_exhaustive(
     domain = rep.elements
     for seed in _all_subsets(domain, "verify_representation", max_n):
         if segment_closure(rep, seed) != geom.closure(seed) & domain:
+            return (False, seed)
+    return (True, None)
+
+
+def verify_representation_by_pairs(
+    geom: ConvexGeometry, rep: SegmentRepresentation
+) -> tuple[bool, Optional[int]]:
+    """``verify_representation`` by one closure query per seed of at most
+    two elements, in canonical order: the scan that the package runs only
+    when its proof off the basis fails."""
+    members = list(iter_bits(rep.elements))
+    seeds = [0]
+    seeds.extend(1 << e for e in members)
+    seeds.extend((1 << x) | (1 << y) for x, y in combinations(members, 2))
+    for seed in seeds:
+        if segment_closure(rep, seed) != geom.closure(seed):
             return (False, seed)
     return (True, None)
 

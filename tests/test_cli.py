@@ -19,6 +19,8 @@ from segrep import (
     count_representations,
     decide_cdim2,
     normalize_layout,
+    representation,
+    uniqueness,
 )
 from segrep.cli import (
     ParseError,
@@ -34,6 +36,7 @@ from oracles import (
     check_2ex_exhaustive,
     check_sq_exhaustive,
     extreme_points_by_definition,
+    verify_representation_by_pairs,
 )
 
 
@@ -214,23 +217,36 @@ class TestCheck:
     # twice: as shipped, where an extreme-point query is one closure, and
     # with the per-member oracle patched in, one closure per member.  The
     # second pin holds every other closure query of each command where it
-    # was before extreme points took one pass.
-    @pytest.mark.parametrize("command, name, per_member, calls", [
-        pytest.param(command, name, per_member, calls,
+    # was before extreme points took one pass.  On the four fixtures that
+    # get a representation, `represent` and `unique` are pinned once more
+    # with the pair scan patched in for `verify_representation`, one
+    # closure per seed of at most two elements: those pins hold every other
+    # closure query where it was before verification read its proof off
+    # the basis.
+    @pytest.mark.parametrize("command, name, per_member, by_pairs, calls", [
+        pytest.param(command, name, per_member, by_pairs, calls,
                      id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
-        for command, one_pass, by_member in (
-            ("check", (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", (54, 32, 108, 79, 32, 51, 72), (70, 51, 194, 124, 41, 75, 120)),
-            ("unique", (54, 32, 108, 79, 32, 51, 72), (70, 51, 194, 124, 41, 75, 120)),
+        for command, by_pairs, one_pass, by_member in (
+            ("check", False, (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
+            ("represent", False, (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
+            ("unique", False, (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
+            ("represent", True, (None, None, 108, 79, None, 51, 72),
+             (None, None, 194, 124, None, 75, 120)),
+            ("unique", True, (None, None, 108, 79, None, 51, 72),
+             (None, None, 194, 124, None, 75, 120)),
         )
         for per_member, counts in ((False, one_pass), (True, by_member))
         for name, calls in zip(
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
+        if calls is not None
     ])
     def test_closure_calls_pinned_on_fixtures(
-            self, tmp_path, monkeypatch, command, name, per_member, calls):
+            self, tmp_path, monkeypatch, command, name, per_member, by_pairs, calls):
         if per_member:
             monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
+        if by_pairs:
+            for module in (representation, uniqueness):
+                monkeypatch.setattr(module, "verify_representation", verify_representation_by_pairs)
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
         code, out, _ = run(command, str(path), "--json")

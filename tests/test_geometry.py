@@ -291,9 +291,9 @@ class TestExtremePoints:
             assert ex & subset & ~geom.extreme_points(subset) == 0
 
     def test_restriction_soundness_outside_extreme_points(self):
-        # verify_representation compares closure(seed) & domain on a domain
-        # left by dropping extreme points: such a domain is closed, so every
-        # seed inside it closes inside it
+        # build_representation's insertion compares closure(seed) & subset
+        # on a subset left by dropping extreme points: such a subset is
+        # closed, so every seed inside it closes inside it
         rng = random.Random(15)
         for _ in range(120):
             basis = random_basis(rng, rng.randint(2, 5), rng.randint(0, 6))

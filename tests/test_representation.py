@@ -30,6 +30,7 @@ from oracles import (
     check_sq_exhaustive,
     join_alignments,
     linear_alignment,
+    verify_representation_by_pairs,
     verify_representation_exhaustive,
 )
 
@@ -108,6 +109,60 @@ class TestVerify:
         geom = validate_geometry(ImplicationBasis(GroundSet(("a",)), ()))
         rep = SegmentRepresentation((0,), (0,))
         assert verify_representation(geom, rep) == (True, None)
+
+    def test_rejects_a_representation_of_a_proper_subset(self, un, un_rep):
+        top = un_rep.left[-1]
+        rest = SegmentRepresentation(
+            tuple(e for e in un_rep.left if e != top),
+            tuple(e for e in un_rep.right if e != top))
+        with pytest.raises(ValueError):
+            verify_representation(un, rest)
+
+    def test_matches_the_pair_scan(self, pool_small, pool_n6):
+        # random and built chain pairs on both pools, and chain-pair bases
+        # against their own chains, exact and with one adjacent transposition
+        rng = random.Random(16)
+        cases = []
+        for geom in pool_small + pool_n6:
+            n = geom.n
+            cases.append((geom, SegmentRepresentation(
+                tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n)))))
+            try:
+                cases.append((geom, build_representation(geom)))
+            except Infeasible:
+                pass
+        for n in range(2, 9):
+            gs = GroundSet(tuple(f"e{i}" for i in range(n)))
+            for _ in range(12):
+                left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+                geom = geometry_from_chains(gs, left, right)
+                cases.append((geom, SegmentRepresentation(left, right)))
+                for i in range(n - 1):
+                    swapped = left[:i] + [left[i + 1], left[i]] + left[i + 2:]
+                    cases.append((geom, SegmentRepresentation(swapped, right)))
+                    swapped = right[:i] + [right[i + 1], right[i]] + right[i + 2:]
+                    cases.append((geom, SegmentRepresentation(left, swapped)))
+        verdicts = set()
+        for geom, rep in cases:
+            expected = verify_representation_by_pairs(geom, rep)
+            assert verify_representation(geom, rep) == expected
+            assert verify_representation_exhaustive(geom, rep)[0] == expected[0]
+            verdicts.add(expected[0])
+        assert verdicts == {True, False}
+
+    def test_chain_pair_basis_needs_no_closure_query(self):
+        # the proof read off the basis closes nothing on a chain-pair basis,
+        # so reconstruction asks only its 2n extreme-point queries
+        rng = random.Random(60)
+        n = 60
+        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        rep = SegmentRepresentation(left, right)
+        geom.stats.reset()
+        assert verify_representation(geom, rep) == (True, None)
+        assert geom.stats.closures == 0
+        assert reconstruct_by_peeling(geom) == rep
+        assert geom.stats.closures <= 2 * n
 
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
