@@ -102,17 +102,19 @@ def verify_representation(
 ) -> tuple[bool, Optional[int]]:
     """Check that segment closure agrees with the geometry's closure.
 
-    Segment closure ρ equals the geometry's closure φ on every subset
-    exactly when (a) every implication ``A -> B`` has ``B`` inside ρ(A), so
-    that every ρ-closed set is closed under the basis and φ lies inside ρ,
-    and (b) ρ(S) lies inside φ(S) for every S of at most two elements, so
-    that ρ(X) = ρ({max_L X, max_R X}) lies inside φ(X).  Both are read off
-    the basis (:func:`_proves_agreement`); a closure query is made only for
-    a seed of (b) whose lower bound on φ falls short.  When the proof fails
-    the two closures are compared on every seed of size <= 2 in canonical
-    order; agreement there would extend to every subset, since each ρ-closed
-    set is then the φ-closure of a pair.  The all-subsets twin is the test
-    oracle ``verify_representation_exhaustive`` in ``tests/oracles.py``.
+    Segment closure ρ and the geometry's closure φ agree on every subset
+    exactly when they agree on every seed of at most two elements: ρ(X) =
+    ρ({max_L X, max_R X}), and each ρ-closed set is then the φ-closure of a
+    pair.  Both close ∅ to ∅; the singletons and then the pairs are taken in
+    canonical order, and the first disagreeing seed is returned.  One pass
+    over the basis first checks (a): every implication ``A -> B`` has ``B``
+    inside ρ(A).  Then every ρ-closed set is closed under the basis, so φ
+    lies inside ρ, and a seed agrees as soon as its ρ lies inside a lower
+    bound on its φ: the seed plus the gains of the rules whose premise it is
+    and, for a pair, the ρ of both its elements, which agree with φ by then.
+    Only a seed whose ρ exceeds that bound goes to ``geom.closure``; without
+    (a) every seed does.  The all-subsets twin is the test oracle
+    ``verify_representation_exhaustive`` in ``tests/oracles.py``.
 
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
     disagreeing seed.  Raises ValueError unless the representation orders
@@ -120,36 +122,38 @@ def verify_representation(
     """
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
-    if _proves_agreement(geom, rep):
-        return (True, None)
-    members = list(iter_bits(rep.elements))
-    seeds = [0]
-    seeds.extend(1 << e for e in members)
-    seeds.extend(
-        (1 << members[i]) | (1 << members[j])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
-    for seed in seeds:
-        if segment_closure(rep, seed) != geom.closure(seed):
+    gains = _premise_gains(geom, rep)
+    proven = gains is not None
+    closure = geom.closure
+    lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
+    n = rep.n
+    ranks = [(lrank[e], rrank[e]) for e in range(n)]
+    below = []  # ρ({x}) per element x, equal to φ({x}) once x is passed
+    for x, (lx, rx) in enumerate(ranks):
+        seed = 1 << x
+        closed = lpref[lx] & rpref[rx]
+        below.append(closed)
+        if proven and not closed & ~(seed | gains.get(seed, 0)):
+            continue
+        if closed != closure(seed):
             return (False, seed)
+    for x, (lx, rx) in enumerate(ranks):
+        for y in range(x + 1, n):
+            ly, ry = ranks[y]
+            seed = (1 << x) | (1 << y)
+            closed = lpref[lx if lx > ly else ly] & rpref[rx if rx > ry else ry]
+            if proven and not closed & ~(below[x] | below[y] | gains.get(seed, 0)):
+                continue
+            if closed != closure(seed):
+                return (False, seed)
     return (True, None)
 
 
-def _proves_agreement(geom: ConvexGeometry, rep: SegmentRepresentation) -> bool:
-    """Facts (a) and (b) of :func:`verify_representation`; False when either
-    fails.
-
-    One pass over the implications checks (a) and ORs up the gains of the
-    rules with at most two premise elements by premise.  Once (a) holds,
-    the gain of a premise ``{x}`` lies inside ρ({x}), so ``{x}`` plus that
-    gain is the one-round lower bound on φ({x}), and ρ({x}) lies inside
-    φ({x}) exactly when it equals that bound.  For a pair ``{x, y}``, ρ({x})
-    and ρ({y}), proven inside φ by then, plus the gain of the premise
-    ``{x, y}`` bound φ({x, y}) from below.  A pair whose upper element in
-    the left chain is also the upper one in the right chain needs no check:
-    its ρ is that element's, inside φ of the element and so of the pair.
-    """
+def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> Optional[dict]:
+    """Fact (a) of :func:`verify_representation` in one pass over the
+    implications: None when some conclusion leaves the segment closure of
+    its premise, else the gains of the rules with at most two premise
+    elements, ORed up by premise."""
     lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
     gains: dict[int, int] = {}
     for imp in geom.basis.implications:
@@ -168,30 +172,10 @@ def _proves_agreement(geom: ConvexGeometry, rep: SegmentRepresentation) -> bool:
                 top_r = rrank[e]
             rest ^= low
         if gain & ~(lpref[top_l] & rpref[top_r]):
-            return False
+            return None
         if premise.bit_count() <= 2:
             gains[premise] = gains.get(premise, 0) | gain
-    closure = geom.closure
-    left = rep.left
-    below = {}  # element -> ρ({element}), proven inside φ({element})
-    for i, x in enumerate(left, start=1):
-        seed = 1 << x
-        closed = lpref[i] & rpref[rrank[x]]
-        if closed != seed | gains.get(seed, 0) and closed & ~closure(seed):
-            return False
-        below[x] = closed
-    for j, y in enumerate(left):
-        ry = rrank[y]
-        left_prefix = lpref[j + 1]
-        for x in left[:j]:
-            rx = rrank[x]
-            if rx < ry:
-                continue
-            seed = (1 << x) | (1 << y)
-            closed = left_prefix & rpref[rx]
-            if closed & ~(below[x] | below[y] | gains.get(seed, 0)) and closed & ~closure(seed):
-                return False
-    return True
+    return gains
 
 
 @closure_scope

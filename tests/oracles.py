@@ -103,8 +103,9 @@ def verify_representation_by_pairs(
     geom: ConvexGeometry, rep: SegmentRepresentation
 ) -> tuple[bool, Optional[int]]:
     """``verify_representation`` by one closure query per seed of at most
-    two elements, in canonical order: the scan that the package runs only
-    when its proof off the basis fails."""
+    two elements, in canonical order: the reference whose ``(ok, seed)``
+    the package's pass, which closes only the seeds its bound off the basis
+    cannot settle, must return."""
     members = list(iter_bits(rep.elements))
     seeds = [0]
     seeds.extend(1 << e for e in members)

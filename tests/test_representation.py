@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -96,13 +97,18 @@ class TestVerify:
         gs = un.ground
         bad = SegmentRepresentation(
             tuple(gs.index(x) for x in "bacd"), tuple(gs.index(x) for x in "cbda"))
+        un.stats.reset()
         ok, witness = verify_representation(un, bad)
         assert not ok and witness == gs.mask("a")
+        # only the witness itself falls short of its lower bound
+        assert un.stats.closures == 1
 
     def test_both_verifiers_reject_a_swapped_right_chain(self, un, un_rep):
         right = un_rep.right
         bad = SegmentRepresentation(un_rep.left, (right[1], right[0]) + right[2:])
+        un.stats.reset()
         assert verify_representation(un, bad) == (False, 4)
+        assert un.stats.closures == 1
         assert verify_representation_exhaustive(un, bad) == (False, 4)
 
     def test_single_element(self):
@@ -145,7 +151,14 @@ class TestVerify:
         verdicts = set()
         for geom, rep in cases:
             expected = verify_representation_by_pairs(geom, rep)
+            geom.stats.reset()
             assert verify_representation(geom, rep) == expected
+            # one pass: no seed is closed twice, none after the witness
+            seeds = [0] + [1 << e for e in range(geom.n)]
+            seeds += [(1 << x) | (1 << y) for x, y in combinations(range(geom.n), 2)]
+            if not expected[0]:
+                seeds = seeds[:seeds.index(expected[1]) + 1]
+            assert geom.stats.closures <= len(seeds)
             assert verify_representation_exhaustive(geom, rep)[0] == expected[0]
             verdicts.add(expected[0])
         assert verdicts == {True, False}
