@@ -9,9 +9,6 @@ everything below the parser works on indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
 
 class SegrepError(Exception):
     """Base class for errors raised by this package."""
@@ -35,7 +32,7 @@ class GroundSetTooLarge(SegrepError):
         )
 
 
-def iter_bits(mask: int) -> Iterator[int]:
+def iter_bits(mask: int):
     """Yield indices of the set bits of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
@@ -43,7 +40,7 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(indices: Iterable[int]) -> int:
+def mask_of(indices) -> int:
     out = 0
     for i in indices:
         out |= 1 << i
@@ -59,7 +56,7 @@ def canonical_key(mask: int) -> tuple[int, str]:
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
-def prefix_masks(order: Iterable[int]) -> tuple[int, ...]:
+def prefix_masks(order) -> tuple[int, ...]:
     """The prefixes of a chain as masks, from the empty one to the whole chain."""
     prefixes = [0]
     for e in order:
@@ -67,25 +64,41 @@ def prefix_masks(order: Iterable[int]) -> tuple[int, ...]:
     return tuple(prefixes)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Value:
+    """Base of the classes compared by value: two instances of one class are
+    equal, and hash alike, when their ``_fields`` are equal.  Nothing assigns
+    to an instance after ``__init__``; the hash relies on that."""
+
+    __slots__ = _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+
+class GroundSet(Value):
     """Ordered universe of distinct, non-empty element labels.
 
     Elements are addressed internally by their index in declaration order.
     """
 
-    labels: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "_index")
+    _fields = ("labels",)
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...]):
         index: dict[str, int] = {}
-        for i, label in enumerate(self.labels):
+        for i, label in enumerate(labels):
             if not label:
                 raise ValueError("ground-set labels must be non-empty")
             if label in index:
                 raise ValueError(f"duplicate ground-set label {label!r}")
             index[label] = i
-        object.__setattr__(self, "_index", index)
+        self.labels = labels
+        self._index = index
 
     @property
     def n(self) -> int:
@@ -102,7 +115,7 @@ class GroundSet:
         except KeyError:
             raise UnknownLabel(f"unknown element {label!r}") from None
 
-    def mask(self, labels: Iterable[str]) -> int:
+    def mask(self, labels) -> int:
         out = 0
         for label in labels:
             out |= 1 << self.index(label)
@@ -115,20 +128,21 @@ class GroundSet:
         return "{" + ",".join(self.labels_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(Value):
     """One rule ``premise -> conclusion`` over ground-set index masks.
 
     The conclusion may overlap the premise; overlapping elements are no-ops
     under closure.
     """
 
-    premise: int
-    conclusion: int
+    __slots__ = _fields = ("premise", "conclusion")
+
+    def __init__(self, premise: int, conclusion: int):
+        self.premise = premise
+        self.conclusion = conclusion
 
 
-@dataclass(frozen=True)
-class ImplicationBasis:
+class ImplicationBasis(Value):
     """A finite list of implications plus the closure operator they generate.
 
     ``closure`` computes the least fixpoint over tables built once per basis.
@@ -144,32 +158,24 @@ class ImplicationBasis:
     they complete, at the cost of the rules it touches.
     """
 
-    ground: GroundSet
-    implications: tuple[Implication, ...]
     # _uses[e] / _adds[e]: masks over implication indices whose premise /
     # conclusion-minus-premise contains e.  _premised / _concluded: the
     # elements in some premise / some conclusion-minus-premise.  _rules[e]:
     # (premise, gain) of the implications with e in the premise and a gain.
-    _uses: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _adds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _premised: int = field(init=False, repr=False, compare=False)
-    _concluded: int = field(init=False, repr=False, compare=False)
-    _rules: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
     # _full: the ground-set mask.  _fanout: the mean length of _rules[e],
     # the rules the worklist scans per element it pops.
-    _full: int = field(init=False, repr=False, compare=False)
-    _fanout: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("ground", "implications", "_uses", "_adds", "_premised",
+                 "_concluded", "_rules", "_full", "_fanout")
+    _fields = ("ground", "implications")
 
-    def __post_init__(self):
-        n = self.ground.n
-        full = self.ground.full
+    def __init__(self, ground: GroundSet, implications: tuple[Implication, ...]):
+        n = ground.n
+        full = ground.full
         uses = [0] * n
         adds = [0] * n
         rules: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         premised = concluded = 0
-        for i, imp in enumerate(self.implications):
+        for i, imp in enumerate(implications):
             if imp.premise & ~full or imp.conclusion & ~full:
                 raise ValueError("implication references elements outside the ground set")
             gain = imp.conclusion & ~imp.premise
@@ -182,13 +188,15 @@ class ImplicationBasis:
                     rules[e].append(rule)
             for e in iter_bits(gain):
                 adds[e] |= 1 << i
-        object.__setattr__(self, "_uses", tuple(uses))
-        object.__setattr__(self, "_adds", tuple(adds))
-        object.__setattr__(self, "_premised", premised)
-        object.__setattr__(self, "_concluded", concluded)
-        object.__setattr__(self, "_rules", tuple(tuple(r) for r in rules))
-        object.__setattr__(self, "_full", full)
-        object.__setattr__(self, "_fanout", sum(map(len, rules)) // n if n else 0)
+        self.ground = ground
+        self.implications = implications
+        self._uses = tuple(uses)
+        self._adds = tuple(adds)
+        self._premised = premised
+        self._concluded = concluded
+        self._rules = tuple(tuple(r) for r in rules)
+        self._full = full
+        self._fanout = sum(map(len, rules)) // n if n else 0
 
     @property
     def m(self) -> int:

@@ -91,7 +91,7 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
 class ConvexGeometry:
     """A validated closure system: basis, ground set, and closure oracle.
 
-    Instances come from :func:`validate_geometry` and are immutable apart
+    Instances come from :func:`validate_geometry` and do not change apart
     from the closure-call counter in ``stats`` and the closure cache that a
     :func:`closure_scope` operation holds while it runs.
     """

@@ -17,18 +17,17 @@ re-checked against the definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .core import GroundSet, canonical_key, iter_bits, mask_of
+from .core import GroundSet, Value, canonical_key, iter_bits, mask_of
 from .geometry import ConvexGeometry, closure_scope
 
 
-@dataclass(frozen=True)
-class TwoExWitness:
+class TwoExWitness(Value):
     """Three elements none of which is generated by the other two."""
 
-    triple: int
+    __slots__ = _fields = ("triple",)
+
+    def __init__(self, triple: int):
+        self.triple = triple
 
     def describe(self, ground: GroundSet) -> str:
         return f"triple {ground.format_set(self.triple)} has three extreme points"
@@ -45,8 +44,7 @@ class TwoExWitness:
         )
 
 
-@dataclass(frozen=True)
-class SqWitness:
+class SqWitness(Value):
     """A subset whose extreme-point bookkeeping breaks.
 
     With extreme points ``{a, b}`` of ``subset``, ``{c, b}`` after removing
@@ -55,12 +53,11 @@ class SqWitness:
     ``{a}``.
     """
 
-    subset: int
-    a: int
-    b: int
-    c: int
-    d: int
-    observed: int
+    __slots__ = _fields = ("subset", "a", "b", "c", "d", "observed")
+
+    def __init__(self, subset: int, a: int, b: int, c: int, d: int, observed: int):
+        self.subset, self.a, self.b, self.c, self.d = subset, a, b, c, d
+        self.observed = observed
 
     def describe(self, ground: GroundSet) -> str:
         label = ground.labels
@@ -83,7 +80,6 @@ class SqWitness:
         )
 
 
-@dataclass(frozen=True)
 class PropertyReport:
     """Outcome of one property check.
 
@@ -92,13 +88,12 @@ class PropertyReport:
     the definitions.
     """
 
-    name: str
-    holds: bool
-    witness: Optional[object] = None
+    __slots__ = ("name", "holds", "witness")
 
-    def __post_init__(self):
-        if self.holds != (self.witness is None):
+    def __init__(self, name: str, holds: bool, witness: object | None = None):
+        if holds != (witness is None):
             raise ValueError("a report holds exactly when it carries no witness")
+        self.name, self.holds, self.witness = name, holds, witness
 
     def describe(self, ground: GroundSet) -> str:
         if self.holds:
@@ -106,13 +101,13 @@ class PropertyReport:
         return f"{self.name}: fails ({self.witness.describe(ground)})"
 
 
-@dataclass(frozen=True)
 class Decision:
     """Outcome of the dimension-2 decision with its two certificates."""
 
-    cdim2: bool
-    two_ex: PropertyReport
-    sq: PropertyReport
+    __slots__ = ("cdim2", "two_ex", "sq")
+
+    def __init__(self, cdim2: bool, two_ex: PropertyReport, sq: PropertyReport):
+        self.cdim2, self.two_ex, self.sq = cdim2, two_ex, sq
 
 
 def _pair_closures(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
@@ -147,7 +142,7 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     return PropertyReport("TwoEx", True)
 
 
-def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[SqWitness]:
+def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> SqWitness | None:
     """Evaluate one labelled instance of the square condition.
 
     Premise: extreme points of ``subset`` are exactly ``{a, b}``, removing
@@ -169,7 +164,7 @@ def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional
     return SqWitness(subset, a, b, c, d, after_b)
 
 
-def _replacement(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[int]:
+def _replacement(geom: ConvexGeometry, subset: int, a: int, b: int) -> int | None:
     """The ``c != b`` with ``{c, b}`` the extreme points of ``subset`` minus
     ``a``; None when removing ``a`` leaves other extreme points."""
     after_a = geom.extreme_points(subset & ~(1 << a))

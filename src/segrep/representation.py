@@ -11,10 +11,7 @@ when it is below the set's maximum in both chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from .core import SegrepError, iter_bits, mask_of, prefix_masks
+from .core import SegrepError, Value, iter_bits, mask_of, prefix_masks
 from .geometry import ConvexGeometry, closure_scope
 
 
@@ -36,8 +33,7 @@ class DuplicateEndpoint(SegrepError):
     """Interval input with coinciding endpoints cannot be normalized."""
 
 
-@dataclass(frozen=True)
-class SegmentRepresentation:
+class SegmentRepresentation(Value):
     """Unordered pair of chains, stored bottom-to-top.
 
     The pair is canonicalized on construction (the lexicographically smaller
@@ -45,27 +41,22 @@ class SegmentRepresentation:
     ``(R, L)`` as the same representation.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    _lrank: dict = field(init=False, repr=False, compare=False)
-    _rrank: dict = field(init=False, repr=False, compare=False)
-    _lpref: tuple = field(init=False, repr=False, compare=False)
-    _rpref: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "right", "_lrank", "_rrank", "_lpref", "_rpref")
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        left, right = tuple(self.left), tuple(self.right)
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
+        left, right = tuple(left), tuple(right)
         if sorted(left) != sorted(right):
             raise ValueError("chains must order the same elements")
         if len(set(left)) != len(left):
             raise ValueError("chains must be permutations")
         if right < left:
             left, right = right, left
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_lrank", {e: i + 1 for i, e in enumerate(left)})
-        object.__setattr__(self, "_rrank", {e: i + 1 for i, e in enumerate(right)})
-        object.__setattr__(self, "_lpref", prefix_masks(left))
-        object.__setattr__(self, "_rpref", prefix_masks(right))
+        self.left, self.right = left, right
+        self._lrank = {e: i + 1 for i, e in enumerate(left)}
+        self._rrank = {e: i + 1 for i, e in enumerate(right)}
+        self._lpref = prefix_masks(left)
+        self._rpref = prefix_masks(right)
 
     @property
     def n(self) -> int:
@@ -99,7 +90,7 @@ def segment_closure(rep: SegmentRepresentation, seed: int) -> int:
 
 def verify_representation(
     geom: ConvexGeometry, rep: SegmentRepresentation
-) -> tuple[bool, Optional[int]]:
+) -> tuple[bool, int | None]:
     """Check that segment closure agrees with the geometry's closure.
 
     Segment closure ρ and the geometry's closure φ agree on every subset
@@ -149,7 +140,7 @@ def verify_representation(
     return (True, None)
 
 
-def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> Optional[dict]:
+def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> dict | None:
     """Fact (a) of :func:`verify_representation` in one pass over the
     implications: None when some conclusion leaves the segment closure of
     its premise, else the gains of the rules with at most two premise
@@ -260,7 +251,7 @@ def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ..
     )
 
 
-def normalize_layout(intervals: Sequence[tuple[float, float]]) -> SegmentRepresentation:
+def normalize_layout(intervals) -> SegmentRepresentation:
     """Read a representation off arbitrary segments on a line.
 
     When the segments do not already share a common point, the right

@@ -11,9 +11,7 @@ identity on unordered pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
 
 from .core import SegrepError, iter_bits, mask_of
 from .geometry import ConvexGeometry, closure_scope
@@ -40,24 +38,27 @@ class NotApplicable(SegrepError):
         )
 
 
-@dataclass(frozen=True)
 class Block:
-    """A maximal position range filled by the same elements in both chains."""
+    """A maximal position range filled by the same elements in both chains;
+    ``start`` and ``end`` are 1-based chain positions."""
 
-    start: int  # 1-based chain position
-    end: int
-    members: int
-    left_sub: tuple[int, ...]
-    right_sub: tuple[int, ...]
+    __slots__ = ("start", "end", "members", "left_sub", "right_sub")
+
+    def __init__(self, start: int, end: int, members: int,
+                 left_sub: tuple[int, ...], right_sub: tuple[int, ...]):
+        self.start, self.end, self.members = start, end, members
+        self.left_sub, self.right_sub = left_sub, right_sub
 
     @property
     def switchable(self) -> bool:
         return self.left_sub != self.right_sub
 
 
-@dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: tuple[Block, ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        self.blocks = blocks
 
     @property
     def switchable_count(self) -> int:
@@ -96,9 +97,7 @@ def block_decomposition(rep: SegmentRepresentation) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks))
 
 
-def block_orientations(
-    rep: SegmentRepresentation,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def block_orientations(rep: SegmentRepresentation):
     """All ordered chain pairs reachable by flipping switchable blocks.
 
     Yields 2^s pairs (rigid blocks contribute one orientation); the unordered
@@ -127,10 +126,11 @@ def count_representations(rep: SegmentRepresentation) -> int:
     return 1 if s <= 1 else 2 ** (s - 1)
 
 
-@dataclass(frozen=True)
 class UniquenessReport:
-    unique: bool
-    switchable_block: Optional[Block]
+    __slots__ = ("unique", "switchable_block")
+
+    def __init__(self, unique: bool, switchable_block: Block | None):
+        self.unique, self.switchable_block = unique, switchable_block
 
 
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
@@ -145,15 +145,16 @@ def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
 def enumerate_representations(
     rep: SegmentRepresentation, max_blocks: int = 20
 ) -> tuple[SegmentRepresentation, ...]:
-    """All representations reachable by block flips, canonical and sorted."""
+    """All representations reachable by block flips, canonical and sorted;
+    each pair, which the flips yield in both orders, is built once."""
     s = block_decomposition(rep).switchable_count
     if s > max_blocks:
         raise TooManyBlocks(
             f"{s} switchable blocks exceed the guard of {max_blocks}; "
             "raise 'max_blocks' to override"
         )
-    found = {SegmentRepresentation(left, right) for left, right in block_orientations(rep)}
-    return tuple(sorted(found, key=lambda r: (r.left, r.right)))
+    pairs = {(l, r) if l <= r else (r, l) for l, r in block_orientations(rep)}
+    return tuple(SegmentRepresentation(l, r) for l, r in sorted(pairs))
 
 
 @closure_scope

@@ -363,6 +363,24 @@ class TestOracle:
         assert lines[-1] == "[]"
 
 
+class TestStartup:
+    def test_import_leaves_out_dataclasses_inspect_and_typing(self):
+        # a fresh interpreter under -S, since a site module may import
+        # typing on its own; only what importing segrep.cli adds counts
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import segrep.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(added & {'dataclasses', 'inspect', 'typing'}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestRender:
     def test_ascii(self, files):
         code, out, _ = run("render", files["un"], "--format", "ascii")

@@ -107,6 +107,26 @@ class TestClosure:
             assert basis.closure(cy) == cy  # idempotent
 
 
+class TestValueSemantics:
+    def test_bases_parsed_from_one_text_are_equal(self):
+        first, second = parse_geometry(UN), parse_geometry(UN)
+        assert first is not second and first == second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+        assert first._uses == second._uses and first._uses is not second._uses
+        assert first._rules is not second._rules
+        assert first != parse_geometry(NOTSUF)
+
+    def test_implication_equality(self):
+        assert Implication(0b011, 0b100) == Implication(0b011, 0b100)
+        assert hash(Implication(0b011, 0b100)) == hash(Implication(0b011, 0b100))
+        assert Implication(0b011, 0b100) != Implication(0b011, 0b110)
+        assert Implication(0b011, 0b100) != (0b011, 0b100)
+
+    def test_ground_sets_compare_by_labels(self):
+        assert GroundSet(("a", "b")) == GroundSet(("a", "b"))
+        assert GroundSet(("a", "b")) != GroundSet(("b", "a"))
+
+
 class TestGroundSet:
     def test_rejects_duplicates_and_empty_labels(self):
         with pytest.raises(ValueError):

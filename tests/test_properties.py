@@ -56,6 +56,12 @@ class TestPropertyReport:
         with pytest.raises(ValueError):
             PropertyReport("TwoEx", False)
 
+    def test_witnesses_compare_by_value(self):
+        assert TwoExWitness(0b111) == TwoExWitness(0b111) != TwoExWitness(0b1110)
+        w, same = (SqWitness(0b1111, 0, 1, 2, 3, 0b0101) for _ in range(2))
+        assert w is not same and w == same and len({w, same}) == 1
+        assert w != SqWitness(0b1111, 0, 1, 2, 3, 0b0001)
+
     def test_verify_witness_rejects_a_holding_report_and_a_two_element_triple(
             self, notsuf, free3):
         assert not verify_witness(notsuf, check_2ex(notsuf))

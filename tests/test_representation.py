@@ -372,6 +372,8 @@ class TestRepresentationType:
         b = SegmentRepresentation((2, 1, 0), (0, 1, 2))
         assert a == b and hash(a) == hash(b)
         assert a.left == (0, 1, 2)
+        assert len({a, b}) == 1
+        assert a != SegmentRepresentation((0, 1, 2), (1, 2, 0))
 
     def test_rejects_mismatched_chains(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from segrep import (
     SegmentRepresentation,
     TooManyBlocks,
     block_decomposition,
+    block_orientations,
     build_representation,
     count_representations,
     decide_cdim2,
@@ -134,6 +135,15 @@ class TestEnumerate:
         assert enumerate_representations(rep) == (rep,)
         chain = SegmentRepresentation((0, 1, 2), (0, 1, 2))
         assert enumerate_representations(chain) == (chain,)
+
+    def test_canonical_sorted_and_one_per_pair_of_orientations(self):
+        rep = SegmentRepresentation((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4))
+        reps = enumerate_representations(rep)
+        chains = [(r.left, r.right) for r in reps]
+        assert chains == sorted(set(chains)) and all(l <= r for l, r in chains)
+        orientations = list(block_orientations(rep))
+        assert len(orientations) == 2 * len(reps) == 8
+        assert set(reps) == {SegmentRepresentation(l, r) for l, r in orientations}
 
     def test_guard_on_switchable_blocks(self):
         rep = SegmentRepresentation((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4))
