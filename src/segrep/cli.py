@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -194,6 +193,8 @@ class Report:
 
     def emit(self, as_json: bool) -> str:
         if as_json:
+            import json  # only here: text reports skip its import cost
+
             return json.dumps(dict(self.items), indent=2)
         return "\n".join(f"{key}: {value}" for key, value in self.items)
 

@@ -3,10 +3,10 @@
 A closure system is a convex geometry when the empty set is closed and the
 anti-exchange property holds: for closed ``Y`` and distinct ``x, z`` outside
 ``Y``, ``z`` entering the closure of ``Y + x`` forbids ``x`` from entering the
-closure of ``Y + z``.  Validation enumerates the closed sets, which can number
-2^n, so it is meant for desk-scale ground sets (default guard n <= 20); the
-dimension-2 decision procedure in :mod:`segrep.properties` never needs that
-enumeration.
+closure of ``Y + z``.  :func:`closed_family` alone decides this while it
+walks the closed sets, which can number 2^n, so it is meant for desk-scale
+ground sets (default guard n <= 20); the dimension-2 decision procedure in
+:mod:`segrep.properties` never needs that walk.
 """
 
 from __future__ import annotations
@@ -58,34 +58,63 @@ class ClosureStats:
 
 
 def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
-    """Every closed set of the basis, in canonical order.
+    """Every closed set of a convex geometry, in canonical order.
 
-    Walks up from the closure of the empty set through closed one-element
-    extensions, read off the basis in one pass per closed set with no
-    closure call (:meth:`ImplicationBasis.closed_sets_by_extension`); that
-    walk reaches every closed set unless one of them, short of the ground
-    set, has no such extension.  Only then, on a basis that is not a convex
-    geometry, does a second walk add one generator at a time and close,
-    O(|family| * n) closure calls rather than 2^n.
+    Decides the axioms on the way by Edelman and Jamison's (1985) criterion:
+    the empty set is closed and every proper closed set has a closed
+    one-element extension, which the walk reads off the basis with no
+    closure call (:meth:`ImplicationBasis.closed_sets_by_extension`).
+    Raises :class:`NotAGeometry` on any other basis.
     """
+    empty = basis.closure(0)
+    if empty:
+        raise NotAGeometry("empty-set-not-closed", empty, basis.ground)
     n = basis.ground.n
     if n > max_n:
         raise GroundSetTooLarge("closed_family", n, max_n)
-    start = basis.closure(0)
-    walked = basis.closed_sets_by_extension(start)
-    if walked is not None:
-        return tuple(sorted(walked, key=canonical_key))
+    walked = basis.closed_sets_by_extension(0)
+    if walked is None:
+        raise NotAGeometry("anti-exchange", _anti_exchange_witness(basis), basis.ground)
+    return tuple(sorted(walked, key=canonical_key))
+
+
+def _anti_exchange_witness(basis: ImplicationBasis) -> tuple[int, int, int]:
+    """First ``(y, x, z)`` with ``y`` closed, ``x < z`` outside it and each
+    in the closure of ``y`` plus the other, where the empty set is closed
+    and some closed set short of the ground set has no closed extension.
+
+    Visits the closed sets in canonical order, one size at a time, and stops
+    at the first violation.  Every closed ``T`` other than the empty set is
+    the closure of ``y + x`` for a maximal closed ``y`` inside it, so the
+    closed sets of one size are all found once the smaller ones have been
+    visited.  Each seed ``y + x`` is closed once.
+    """
     full = basis.ground.full
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        y = frontier.pop()
-        for x in iter_bits(full & ~y):
-            c = basis.closure(y | (1 << x))
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return tuple(sorted(seen, key=canonical_key))
+    closures: dict[int, int] = {}
+    by_size: list[set[int]] = [set() for _ in range(basis.ground.n + 1)]
+    by_size[0].add(0)
+    for bucket in by_size:
+        for y in sorted(bucket, key=canonical_key):
+            outside = full & ~y
+            if outside.bit_count() < 2:
+                continue
+            added = {}
+            for x in iter_bits(outside):
+                seed = y | (1 << x)
+                closed = closures.get(seed)
+                if closed is None:
+                    closed = closures[seed] = basis.closure(seed)
+                    by_size[closed.bit_count()].add(closed)
+                added[x] = closed
+            for x, closed in added.items():
+                # the z > x outside y that y + x generates
+                for z in iter_bits(closed & outside & -(2 << x)):
+                    if (added[z] >> x) & 1:
+                        return y, x, z
+    raise RuntimeError(
+        "a closed set has no closed one-element extension, yet no "
+        "anti-exchange violation was found"
+    )
 
 
 class ConvexGeometry:
@@ -172,43 +201,8 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     """Check the convex-geometry axioms and return the validated system.
 
     Raises :class:`NotAGeometry` with a concrete witness when the empty set
-    is not closed or when anti-exchange fails.  With the empty set closed,
-    anti-exchange holds exactly when every proper closed set has a
-    one-element extension that is closed too (Edelman and Jamison, 1985).
-    The closed-set walk reads those extensions off the basis in one pass per
-    closed set, so a valid geometry costs two closure calls: the empty set's
-    and the walk's start.  Only when that test fails does the literal
-    anti-exchange scan run, over the closed sets in canonical order, to
-    produce the first witness.
+    is not closed or when anti-exchange fails (the first violation over the
+    closed sets in canonical order).  A convex geometry costs one closure
+    call, the empty set's; on any other basis no seed is closed twice.
     """
-    empty = basis.closure(0)
-    if empty:
-        raise NotAGeometry("empty-set-not-closed", empty, basis.ground)
-    family = closed_family(basis, max_n=max_n)
-    full = basis.ground.full
-    if _first_dead_end(family, full) is None:
-        return ConvexGeometry(basis, family)
-    for y in family:
-        outside = full & ~y
-        if outside.bit_count() < 2:
-            continue
-        added = {x: basis.closure(y | (1 << x)) for x in iter_bits(outside)}
-        members = list(iter_bits(outside))
-        for i, x in enumerate(members):
-            for z in members[i + 1:]:
-                if (added[x] >> z) & 1 and (added[z] >> x) & 1:
-                    raise NotAGeometry("anti-exchange", (y, x, z), basis.ground)
-    raise RuntimeError(
-        "a closed set has no closed one-element extension, yet no "
-        "anti-exchange violation was found"
-    )
-
-
-def _first_dead_end(family: tuple[int, ...], full: int):
-    """First set of the family, other than ``full``, that no single added
-    element turns into another member; None if there is none."""
-    members = set(family)
-    for y in family:
-        if y != full and not any(y | (1 << x) in members for x in iter_bits(full & ~y)):
-            return y
-    return None
+    return ConvexGeometry(basis, closed_family(basis, max_n=max_n))

@@ -18,7 +18,8 @@ Test-only code: it lives under ``tests/`` and is not part of the
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
   the lemmas between the two-extreme-points bound and the square condition;
 * ``join_alignments`` and ``linear_alignment`` build families of closed sets
-  as joins of chains (Edelman and Jamison, 1985), and
+  as joins of chains (Edelman and Jamison, 1985), ``closed_sets_by_definition``
+  keeps every subset equal to its closure, on any basis, and
   ``extendability_witness`` tests the alignment-style definition of a
   convex geometry.
 
@@ -42,7 +43,7 @@ from segrep.core import (
     mask_of,
     prefix_masks,
 )
-from segrep.geometry import ConvexGeometry, _first_dead_end, closed_family
+from segrep.geometry import ConvexGeometry
 from segrep.properties import (
     PropertyReport, TwoExWitness, _pair_scan, _replacement, _sq_violation,
 )
@@ -439,15 +440,27 @@ def linear_alignment(ground: GroundSet, order) -> Alignment:
     return Alignment.from_masks(ground, prefix_masks(order))
 
 
+def closed_sets_by_definition(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
+    """Every subset equal to its closure, in canonical order, with no
+    assumption on the basis."""
+    subsets = _all_subsets(basis.ground.full, "closed_sets_by_definition", max_n)
+    return tuple(s for s in subsets if basis.closure(s) == s)
+
+
 def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
     """Witness against the alignment-style definition, or None if it holds.
 
     The alternative definition asks that the empty set be closed and that
     every proper closed set grow by a single element inside the family.
-    Returns ``("empty-set-not-closed", mask)`` or ``("no-extension", mask)``.
+    Returns ``("empty-set-not-closed", mask)`` or ``("no-extension", mask)``,
+    the first dead end in canonical order.
     """
     empty = basis.closure(0)
     if empty:
         return ("empty-set-not-closed", empty)
-    dead_end = _first_dead_end(closed_family(basis, max_n=max_n), basis.ground.full)
-    return None if dead_end is None else ("no-extension", dead_end)
+    family = closed_sets_by_definition(basis, max_n=max_n)
+    members, full = set(family), basis.ground.full
+    for y in family:
+        if y != full and not any(y | (1 << x) in members for x in iter_bits(full & ~y)):
+            return ("no-extension", y)
+    return None

@@ -364,15 +364,16 @@ class TestOracle:
 
 
 class TestStartup:
-    def test_import_leaves_out_dataclasses_inspect_and_typing(self):
+    def test_import_leaves_out_dataclasses_inspect_typing_and_json(self):
         # a fresh interpreter under -S, since a site module may import
-        # typing on its own; only what importing segrep.cli adds counts
+        # typing on its own; only what importing segrep.cli adds counts.
+        # json loads only when a --json report is printed.
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import segrep.cli\n"
             "added = set(sys.modules) - before\n"
-            "print(sorted(added & {'dataclasses', 'inspect', 'typing'}))\n"
+            "print(sorted(added & {'dataclasses', 'inspect', 'json', 'typing'}))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-S", "-c", probe],

@@ -15,9 +15,8 @@ from segrep import (
     decide_cdim2,
     validate_geometry,
 )
-from segrep import geometry
 from segrep.cli import parse_geometry
-from segrep.core import canonical_key, prefix_masks
+from segrep.core import prefix_masks
 from fixtures import (
     FIXTURE_NAMES,
     disjoint_chains_geometry,
@@ -28,6 +27,7 @@ from fixtures import (
 from oracles import (
     Alignment,
     GroundSetMismatch,
+    closed_sets_by_definition,
     extendability_witness,
     extreme_points_by_definition,
     join_alignments,
@@ -111,6 +111,20 @@ def literal_axiom_violation(basis):
     return None
 
 
+@pytest.fixture()
+def kernel_seeds(monkeypatch):
+    """Seeds that reach ImplicationBasis.closure, in call order."""
+    seeds = []
+    original = ImplicationBasis.closure
+
+    def counting(basis, seed):
+        seeds.append(seed)
+        return original(basis, seed)
+
+    monkeypatch.setattr(ImplicationBasis, "closure", counting)
+    return seeds
+
+
 class TestValidate:
     def test_notsuf_is_a_geometry(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
@@ -171,25 +185,12 @@ class TestValidate:
     def test_dead_end_without_violation_raises(self, monkeypatch):
         # Unreachable by the Edelman-Jamison theorem; forced here to show the
         # inconsistency stops the run instead of passing the geometry.
-        monkeypatch.setattr(geometry, "_first_dead_end", lambda family, full: 0)
+        monkeypatch.setattr(ImplicationBasis, "closed_sets_by_extension", lambda basis, start: None)
         with pytest.raises(RuntimeError):
             validate_geometry(parse_geometry(fixture_text("un")))
 
 
 class TestClosureScope:
-    @pytest.fixture()
-    def kernel_seeds(self, monkeypatch):
-        """Seeds that reach ImplicationBasis.closure, in call order."""
-        seeds = []
-        original = ImplicationBasis.closure
-
-        def counting(basis, seed):
-            seeds.append(seed)
-            return original(basis, seed)
-
-        monkeypatch.setattr(ImplicationBasis, "closure", counting)
-        return seeds
-
     def test_each_seed_reaches_the_kernel_once_per_operation(self, kernel_seeds):
         geom = load_fixture("seven").geometry
         geom.stats.reset()
@@ -264,7 +265,7 @@ class TestExtremePoints:
                 if err.reason != "anti-exchange":
                     continue
             found += 1
-            family = closed_family(basis)
+            family = closed_sets_by_definition(basis)
 
             def extreme(subset):
                 out = 0
@@ -349,7 +350,7 @@ class TestFamilies:
         rng = random.Random(16)
         for _ in range(80):
             basis = random_basis(rng, rng.randint(1, 5), rng.randint(0, 5))
-            family = Alignment.from_masks(basis.ground, closed_family(basis))
+            family = Alignment.from_masks(basis.ground, closed_sets_by_definition(basis))
             assert family.is_intersection_closed()
             for seed in range(1 << basis.ground.n):
                 assert family.generated_closure(seed) == basis.closure(seed)
@@ -365,23 +366,29 @@ class TestClosedSetsByExtension:
     @staticmethod
     def outcome(basis):
         n, full = basis.ground.n, basis.ground.full
-        brute = tuple(sorted(
-            (s for s in range(full + 1) if basis.closure(s) == s), key=canonical_key))
+        brute = closed_sets_by_definition(basis)
         members = set(brute)
         dead_end = any(
             y != full and all(y | (1 << x) not in members for x in range(n) if not (y >> x) & 1)
             for y in brute)
-        assert closed_family(basis) == brute, basis
         walked = basis.closed_sets_by_extension(brute[0])
         assert walked == (None if dead_end else members), basis
-        if brute[0]:
-            return "empty-set-not-closed"
         try:
-            validate_geometry(basis)
+            geom = validate_geometry(basis)
         except NotAGeometry as err:
-            assert err.reason == "anti-exchange"
-            assert walked is None, basis
+            # closed_family enumerates only convex geometries and raises
+            # the same witness
+            with pytest.raises(NotAGeometry) as family_err:
+                closed_family(basis)
+            assert (family_err.value.reason, family_err.value.witness) == (
+                err.reason, err.witness), basis
+            if brute[0]:
+                assert (err.reason, err.witness) == ("empty-set-not-closed", brute[0])
+            else:
+                assert err.reason == "anti-exchange"
+                assert walked is None, basis
             return err.reason
+        assert closed_family(basis) == geom.closed_sets() == brute, basis
         assert walked is not None, basis
         return "geometry"
 
@@ -398,9 +405,9 @@ class TestClosedSetsByExtension:
             seen[kind] = seen.get(kind, 0) + 1
         assert min(seen.values()) >= 300, seen
 
-    def test_validation_makes_two_closure_calls(self, monkeypatch):
-        # the empty set's closure and the walk's start; the walk itself reads
-        # every closed set's closed extensions off the basis
+    def test_validation_makes_one_closure_call(self, kernel_seeds):
+        # the empty set's closure; the walk reads every closed set's closed
+        # extensions off the basis
         rng = random.Random(9)
         cases = []
         for n in range(6, 29, 2):
@@ -411,19 +418,27 @@ class TestClosedSetsByExtension:
         geom = disjoint_chains_geometry((3, 3, 3, 3))
         cases.append((geom.basis, set(geom.closed_sets())))
         assert len(cases[-1][1]) == 4**4
-        seeds = []
-        original = ImplicationBasis.closure
-
-        def counting(basis, seed):
-            seeds.append(seed)
-            return original(basis, seed)
-
-        monkeypatch.setattr(ImplicationBasis, "closure", counting)
         for basis, family in cases:
-            seeds.clear()
+            kernel_seeds.clear()
             geom = validate_geometry(basis, max_n=basis.ground.n)
-            assert len(seeds) <= 2, (basis.ground.n, len(seeds))
+            assert kernel_seeds == [0], (basis.ground.n, len(kernel_seeds))
             assert set(geom.closed_sets()) == family
+
+    def test_non_geometries_close_each_seed_once(self, kernel_seeds):
+        # the walk that finds the anti-exchange witness closes each y + x
+        # once, and no second scan closes them again
+        rng = random.Random(31)
+        violators = 0
+        for _ in range(2400):
+            basis = varied_basis(rng)
+            kernel_seeds.clear()
+            try:
+                validate_geometry(basis)
+            except NotAGeometry as err:
+                if err.reason == "anti-exchange":
+                    violators += 1
+                    assert len(kernel_seeds) == len(set(kernel_seeds)), basis
+        assert violators == 920
 
 
 class TestAlignmentOps:
@@ -456,7 +471,7 @@ class TestAlignmentOps:
 
         def sample():
             basis = random_basis(rng, 5, rng.randint(0, 5))
-            return Alignment.from_masks(gs, closed_family(basis))
+            return Alignment.from_masks(gs, closed_sets_by_definition(basis))
 
         for _ in range(40):
             f1, f2, f3 = sample(), sample(), sample()
