@@ -234,7 +234,7 @@ class ImplicationBasis(Value):
             rest ^= low
         return out
 
-    def closed_sets_by_extension(self, start: int) -> set[int] | None:
+    def closed_sets_by_extension(self, start: int) -> frozenset[int] | None:
         """The closed sets reached from the closed set ``start`` by adding
         one element at a time, each step to a closed set, with no closure
         call; None at the first one, other than the ground set, that has no
@@ -250,40 +250,54 @@ class ImplicationBasis(Value):
         grows from ``start`` to the ground set, its intersections with ``Y``
         grow by at most one element a step, so ``Y - y`` is closed for some
         ``y``; induct on ``|Y|``.
+
+        When no rule fires, every ``y + x`` is closed and needs no test of
+        its own (always so on a basis with no premises); otherwise one pass
+        over the elements outside ``y`` tests each.  The walk goes one size
+        at a time: every set of the next level has one element more than a
+        set of this one, so a plain set per level holds each once.  The
+        family comes back as an unordered frozenset.
         """
         uses, adds, full = self._uses, self._adds, self._full
         ruled = self._premised | self._concluded
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            y = frontier.pop()
-            outside = full & ~y
-            once = twice = gout = 0
-            rest = outside & ruled
-            while rest:
-                low = rest & -rest
-                e = low.bit_length() - 1
-                twice |= once & uses[e]
-                once |= uses[e]
-                gout |= adds[e]
-                rest ^= low
-            # uses[x] lies inside once, as x is outside y: y + x is closed
-            # unless one of its rules is in fires
-            fires = gout & ~twice
-            extended = False
-            rest = outside
-            while rest:
-                low = rest & -rest
-                if not uses[low.bit_length() - 1] & fires:
-                    extended = True
-                    up = y | low
-                    if up not in seen:
-                        seen.add(up)
-                        frontier.append(up)
-                rest ^= low
-            if outside and not extended:
-                return None
-        return seen
+        levels = []
+        level = {start}
+        while level:
+            levels.append(level)
+            up = set()
+            add = up.add
+            for y in level:
+                outside = full & ~y
+                once = twice = gout = 0
+                rest = outside & ruled
+                while rest:
+                    low = rest & -rest
+                    e = low.bit_length() - 1
+                    twice |= once & uses[e]
+                    once |= uses[e]
+                    gout |= adds[e]
+                    rest ^= low
+                # uses[x] lies inside once, as x is outside y: y + x is closed
+                # unless one of its rules is in fires
+                fires = gout & ~twice
+                rest = outside
+                if not fires:
+                    while rest:
+                        low = rest & -rest
+                        add(y | low)
+                        rest ^= low
+                    continue
+                extended = False
+                while rest:
+                    low = rest & -rest
+                    if not uses[low.bit_length() - 1] & fires:
+                        extended = True
+                        add(y | low)
+                    rest ^= low
+                if not extended:
+                    return None
+            level = up
+        return frozenset().union(*levels)
 
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""

@@ -6,7 +6,9 @@ anti-exchange property holds: for closed ``Y`` and distinct ``x, z`` outside
 closure of ``Y + z``.  :func:`closed_family` alone decides this while it
 walks the closed sets, which can number 2^n, so it is meant for desk-scale
 ground sets (default guard n <= 20); the dimension-2 decision procedure in
-:mod:`segrep.properties` never needs that walk.
+:mod:`segrep.properties` never needs that walk.  The walk hands back an
+unordered family, and validation never sorts it; only
+:meth:`ConvexGeometry.closed_sets` puts it in canonical order, when asked.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class ClosureStats:
         self.closures = 0
 
 
-def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
-    """Every closed set of a convex geometry, in canonical order.
+def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
+    """Every closed set of a convex geometry, as an unordered frozenset.
 
     Decides the axioms on the way by Edelman and Jamison's (1985) criterion:
     the empty set is closed and every proper closed set has a closed
@@ -75,7 +77,7 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
     walked = basis.closed_sets_by_extension(0)
     if walked is None:
         raise NotAGeometry("anti-exchange", _anti_exchange_witness(basis), basis.ground)
-    return tuple(sorted(walked, key=canonical_key))
+    return walked
 
 
 def _anti_exchange_witness(basis: ImplicationBasis) -> tuple[int, int, int]:
@@ -127,7 +129,7 @@ class ConvexGeometry:
 
     __slots__ = ("ground", "basis", "_closed", "stats", "_memo")
 
-    def __init__(self, basis: ImplicationBasis, closed: tuple[int, ...]):
+    def __init__(self, basis: ImplicationBasis, closed: frozenset[int]):
         self.ground = basis.ground
         self.basis = basis
         self._closed = closed
@@ -169,8 +171,12 @@ class ConvexGeometry:
         return self.basis.extreme_points_of_closed(self.closure(subset))
 
     def closed_sets(self) -> tuple[int, ...]:
-        """Every closed set, in canonical order (by size, then by members)."""
-        return self._closed
+        """Every closed set, in canonical order (by size, then by members).
+
+        Sorted on each call: validation keeps the family unordered, and
+        nothing on the decision path reads it.
+        """
+        return tuple(sorted(self._closed, key=canonical_key))
 
     def __repr__(self):
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"

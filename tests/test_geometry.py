@@ -13,6 +13,7 @@ from segrep import (
     build_representation,
     closed_family,
     decide_cdim2,
+    geometry,
     validate_geometry,
 )
 from segrep.cli import parse_geometry
@@ -388,7 +389,8 @@ class TestClosedSetsByExtension:
                 assert err.reason == "anti-exchange"
                 assert walked is None, basis
             return err.reason
-        assert closed_family(basis) == geom.closed_sets() == brute, basis
+        assert closed_family(basis) == frozenset(brute), basis
+        assert geom.closed_sets() == brute, basis
         assert walked is not None, basis
         return "geometry"
 
@@ -439,6 +441,55 @@ class TestClosedSetsByExtension:
                     violators += 1
                     assert len(kernel_seeds) == len(set(kernel_seeds)), basis
         assert violators == 920
+
+    def test_validation_does_not_sort(self, monkeypatch):
+        # the family stays unordered until closed_sets() is asked for it
+        calls = []
+        original = geometry.canonical_key
+
+        def counting(mask):
+            calls.append(mask)
+            return original(mask)
+
+        monkeypatch.setattr(geometry, "canonical_key", counting)
+        geoms = [validate_geometry(parse_geometry(fixture_text(name))) for name in FIXTURE_NAMES]
+        geoms.append(disjoint_chains_geometry((3, 3, 3, 3)))
+        assert calls == []
+        for geom in geoms:
+            assert geom.closed_sets() == closed_sets_by_definition(geom.basis)
+        assert calls
+
+    def test_walk_beyond_the_small_pools(self, kernel_seeds):
+        # whole families of 1,024, 256 and 625 sets, with no closure call
+        gs = GroundSet(tuple(f"e{i}" for i in range(10)))
+        assert ImplicationBasis(gs, ()).closed_sets_by_extension(0) == set(range(1 << 10))
+        assert kernel_seeds == []
+        for sizes, count in (((3, 3, 3, 3), 256), ((4, 4, 4, 4), 625)):
+            basis = disjoint_chains_geometry(sizes).basis
+            family = {0}
+            offset = 0
+            for size in sizes:
+                # element offset + i pulls in offset + i - 1: a group's
+                # closed parts are its prefixes
+                prefixes = [((1 << k) - 1) << offset for k in range(size + 1)]
+                family = {y | p for y in family for p in prefixes}
+                offset += size
+            assert len(family) == count
+            kernel_seeds.clear()
+            assert basis.closed_sets_by_extension(0) == family
+            assert kernel_seeds == []
+        # a 12-element chain pair with one planted mutual pair x -> y, y -> x
+        rng = random.Random(12)
+        n = 12
+        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+        chains = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        x, y = rng.sample(range(n), 2)
+        mutual = (Implication(1 << x, 1 << y), Implication(1 << y, 1 << x))
+        basis = ImplicationBasis(chains.ground, chains.basis.implications + mutual)
+        kernel_seeds.clear()
+        assert basis.closed_sets_by_extension(0) is None
+        assert kernel_seeds == []
+        assert self.outcome(basis) == "anti-exchange"
 
 
 class TestAlignmentOps:
