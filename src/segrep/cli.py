@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         report, geom = _load(args, args.command)
         code = args.handler(args, report, geom)
         if "json" in args:
-            report.add("closure_calls", geom.stats.closures)
+            report.add("closure_calls", geom.closure_calls)
             if args.timing:
                 report.add("elapsed_ms", round((time.monotonic() - started) * 1000, 3))
             print(report.emit(args.json))

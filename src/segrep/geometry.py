@@ -6,9 +6,9 @@ anti-exchange property holds: for closed ``Y`` and distinct ``x, z`` outside
 closure of ``Y + z``.  :func:`closed_family` alone decides this while it
 walks the closed sets, which can number 2^n, so it is meant for desk-scale
 ground sets (default guard n <= 20); the dimension-2 decision procedure in
-:mod:`segrep.properties` never needs that walk.  The walk hands back an
-unordered family, and validation never sorts it; only
-:meth:`ConvexGeometry.closed_sets` puts it in canonical order, when asked.
+:mod:`segrep.properties` never needs that walk.  Validation drops the family
+once the axioms are decided, so a :class:`ConvexGeometry` holds only its
+basis; :meth:`ConvexGeometry.closed_sets` walks again, when asked.
 """
 
 from __future__ import annotations
@@ -45,18 +45,6 @@ class NotAGeometry(SegrepError):
                 f"with x={ground.labels[x]}, z={ground.labels[z]}"
             )
         super().__init__(f"not a convex geometry: {detail}")
-
-
-class ClosureStats:
-    """Mutable closure-call counter attached to a geometry."""
-
-    __slots__ = ("closures",)
-
-    def __init__(self):
-        self.closures = 0
-
-    def reset(self):
-        self.closures = 0
 
 
 def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
@@ -122,18 +110,18 @@ def _anti_exchange_witness(basis: ImplicationBasis) -> tuple[int, int, int]:
 class ConvexGeometry:
     """A validated closure system: basis, ground set, and closure oracle.
 
-    Instances come from :func:`validate_geometry` and do not change apart
-    from the closure-call counter in ``stats`` and the closure cache that a
+    Instances come from :func:`validate_geometry` and keep no closed-set
+    family.  They do not change apart from ``closure_calls``, the number of
+    closure queries asked so far, and the closure cache that a
     :func:`closure_scope` operation holds while it runs.
     """
 
-    __slots__ = ("ground", "basis", "_closed", "stats", "_memo")
+    __slots__ = ("ground", "basis", "closure_calls", "_memo")
 
-    def __init__(self, basis: ImplicationBasis, closed: frozenset[int]):
+    def __init__(self, basis: ImplicationBasis):
         self.ground = basis.ground
         self.basis = basis
-        self._closed = closed
-        self.stats = ClosureStats()
+        self.closure_calls = 0
         self._memo: dict[int, int] | None = None
 
     @property
@@ -148,9 +136,9 @@ class ConvexGeometry:
         operation nested in it) shares, so each distinct seed reaches the
         basis once; the dict is dropped when the outermost operation
         returns or raises.  Outside such an operation every call goes to
-        the basis.  ``stats.closures`` counts every query, cached or not.
+        the basis.  ``closure_calls`` counts every query, cached or not.
         """
-        self.stats.closures += 1
+        self.closure_calls += 1
         memo = self._memo
         if memo is None:
             return self.basis.closure(seed)
@@ -173,10 +161,12 @@ class ConvexGeometry:
     def closed_sets(self) -> tuple[int, ...]:
         """Every closed set, in canonical order (by size, then by members).
 
-        Sorted on each call: validation keeps the family unordered, and
-        nothing on the decision path reads it.
+        Walks the family again with :func:`closed_family` on each call,
+        behind its default guard of n <= 20, and sorts it; nothing on the
+        decision path reads it.  Past 20 elements, call
+        :func:`closed_family` with ``max_n`` instead.
         """
-        return tuple(sorted(self._closed, key=canonical_key))
+        return tuple(sorted(closed_family(self.basis), key=canonical_key))
 
     def __repr__(self):
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"
@@ -209,6 +199,8 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     Raises :class:`NotAGeometry` with a concrete witness when the empty set
     is not closed or when anti-exchange fails (the first violation over the
     closed sets in canonical order).  A convex geometry costs one closure
-    call, the empty set's; on any other basis no seed is closed twice.
+    call, the empty set's; on any other basis no seed is closed twice.  The
+    walk's family is dropped once the axioms are decided.
     """
-    return ConvexGeometry(basis, closed_family(basis, max_n=max_n))
+    closed_family(basis, max_n=max_n)
+    return ConvexGeometry(basis)

@@ -83,17 +83,19 @@ class SqWitness(Value):
 class PropertyReport:
     """Outcome of one property check.
 
-    A failing report carries a witness with ``describe(ground)``, the detail
-    text of the failure, and ``verify(geom)``, which re-checks it against
-    the definitions.
+    The property holds exactly when the report carries no witness.  A
+    witness has ``describe(ground)``, the detail text of the failure, and
+    ``verify(geom)``, which re-checks it against the definitions.
     """
 
-    __slots__ = ("name", "holds", "witness")
+    __slots__ = ("name", "witness")
 
-    def __init__(self, name: str, holds: bool, witness: object | None = None):
-        if holds != (witness is None):
-            raise ValueError("a report holds exactly when it carries no witness")
-        self.name, self.holds, self.witness = name, holds, witness
+    def __init__(self, name: str, witness: object | None = None):
+        self.name, self.witness = name, witness
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def describe(self, ground: GroundSet) -> str:
         if self.holds:
@@ -104,10 +106,14 @@ class PropertyReport:
 class Decision:
     """Outcome of the dimension-2 decision with its two certificates."""
 
-    __slots__ = ("cdim2", "two_ex", "sq")
+    __slots__ = ("two_ex", "sq")
 
-    def __init__(self, cdim2: bool, two_ex: PropertyReport, sq: PropertyReport):
-        self.cdim2, self.two_ex, self.sq = cdim2, two_ex, sq
+    def __init__(self, two_ex: PropertyReport, sq: PropertyReport):
+        self.two_ex, self.sq = two_ex, sq
+
+    @property
+    def cdim2(self) -> bool:
+        return self.two_ex.holds and self.sq.holds
 
 
 def _pair_closures(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
@@ -118,13 +124,13 @@ def _pair_closures(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
     return out
 
 
-@closure_scope
 def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     """At most two extreme points in every subset, via the triple test.
 
     Equivalent formulation: for every three elements, one of them lies in the
     closure of the other two.  Costs n(n-1)/2 closures and O(n^3) bit tests;
-    the first failing triple in lexicographic order is the witness.
+    the first failing triple in lexicographic order is the witness.  Each
+    pair is closed once, so the check holds no closure cache of its own.
     """
     pc = _pair_closures(geom)
     n = geom.n
@@ -136,10 +142,8 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
                     and not (pc[(i, k)] >> j) & 1
                     and not (pc[(j, k)] >> i) & 1
                 ):
-                    return PropertyReport(
-                        "TwoEx", False, TwoExWitness(mask_of((i, j, k)))
-                    )
-    return PropertyReport("TwoEx", True)
+                    return PropertyReport("TwoEx", TwoExWitness(mask_of((i, j, k))))
+    return PropertyReport("TwoEx")
 
 
 def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> SqWitness | None:
@@ -184,8 +188,8 @@ def _pair_scan(geom: ConvexGeometry, name: str, subsets, violation) -> PropertyR
         for a, b in ((first, second), (second, first)):
             witness = violation(geom, subset, a, b)
             if witness is not None:
-                return PropertyReport(name, False, witness)
-    return PropertyReport(name, True)
+                return PropertyReport(name, witness)
+    return PropertyReport(name)
 
 
 @closure_scope
@@ -213,12 +217,14 @@ def decide_cdim2(geom: ConvexGeometry) -> Decision:
     """
     two_ex = check_2ex(geom)
     sq = check_sq(geom)
-    return Decision(two_ex.holds and sq.holds, two_ex, sq)
+    return Decision(two_ex, sq)
 
 
-@closure_scope
 def verify_witness(geom: ConvexGeometry, report: PropertyReport) -> bool:
-    """Recompute a failure witness directly from the definitions."""
+    """Recompute a failure witness directly from the definitions.
+
+    A witness closes distinct sets, so no closure cache is held.
+    """
     if report.holds:
         return False
     return report.witness.verify(geom)

@@ -78,8 +78,8 @@ def check_2ex_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyRepor
         extreme = geom.extreme_points(subset)
         if extreme.bit_count() > 2:
             triple = mask_of(list(iter_bits(extreme))[:3])
-            return PropertyReport("TwoEx", False, TwoExWitness(triple))
-    return PropertyReport("TwoEx", True)
+            return PropertyReport("TwoEx", TwoExWitness(triple))
+    return PropertyReport("TwoEx")
 
 
 def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport:
@@ -252,8 +252,8 @@ def check_caratheodory(geom: ConvexGeometry, order: int, max_n: int = 15) -> Pro
         members = list(iter_bits(subset))
         for a in iter_bits(closed & ~subset):
             if _generating_part(geom, members, a, order) is None:
-                return PropertyReport(name, False, CaratheodoryWitness(subset, a, order))
-    return PropertyReport(name, True)
+                return PropertyReport(name, CaratheodoryWitness(subset, a, order))
+    return PropertyReport(name)
 
 
 def _generating_part(

@@ -219,10 +219,10 @@ def test_criterion_8_cubic_closure_call_shape():
     for n in (6, 8, 10, 12, 14):
         geom = disjoint_chains_geometry((n // 2, n - n // 2))
         assert geom.basis.m == n - 2  # basis grows linearly with n
-        geom.stats.reset()
+        geom.closure_calls = 0
         assert check_2ex(geom).holds
         assert check_sq(geom).holds
-        counts[n] = geom.stats.closures
+        counts[n] = geom.closure_calls
     constant = counts[6] / 6**3
     within = all(count <= 2 * constant * n**3 for n, count in counts.items())
     criterion(

@@ -1,6 +1,7 @@
 """Validation, extreme points, closed-set families, alignment algebra."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from segrep import (
     validate_geometry,
 )
 from segrep.cli import parse_geometry
-from segrep.core import prefix_masks
+from segrep.core import canonical_key, prefix_masks
 from fixtures import (
     FIXTURE_NAMES,
     disjoint_chains_geometry,
@@ -194,12 +195,12 @@ class TestValidate:
 class TestClosureScope:
     def test_each_seed_reaches_the_kernel_once_per_operation(self, kernel_seeds):
         geom = load_fixture("seven").geometry
-        geom.stats.reset()
+        geom.closure_calls = 0
         kernel_seeds.clear()
         assert decide_cdim2(geom).cdim2
         # check_2ex and check_sq run nested inside decide and share its cache
         assert len(kernel_seeds) == len(set(kernel_seeds))
-        assert len(kernel_seeds) < geom.stats.closures  # hits count as queries
+        assert len(kernel_seeds) < geom.closure_calls  # hits count as queries
 
     def test_cache_is_dropped_on_return(self, kernel_seeds):
         geom = load_fixture("un").geometry
@@ -331,6 +332,19 @@ class TestFamilies:
         geom = validate_geometry(ImplicationBasis(gs, ()))
         assert set(geom.closed_sets()) == {0, 1, 2, 3}
 
+    def test_validated_geometry_keeps_no_family(self):
+        # validation walks the 16,384 closed sets of the free geometry and
+        # drops them; closed_sets() walks again when asked
+        basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(14))), ())
+        tracemalloc.start()
+        try:
+            geom = validate_geometry(basis)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024, held
+        assert geom.closed_sets() == tuple(sorted(range(1 << 14), key=canonical_key))
+
     def test_notsuf_meet_irreducibles(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
         gs = geom.ground
@@ -422,9 +436,10 @@ class TestClosedSetsByExtension:
         assert len(cases[-1][1]) == 4**4
         for basis, family in cases:
             kernel_seeds.clear()
-            geom = validate_geometry(basis, max_n=basis.ground.n)
+            validate_geometry(basis, max_n=basis.ground.n)
             assert kernel_seeds == [0], (basis.ground.n, len(kernel_seeds))
-            assert set(geom.closed_sets()) == family
+            # past the default guard of 20, closed_sets() refuses to walk
+            assert closed_family(basis, max_n=basis.ground.n) == family
 
     def test_non_geometries_close_each_seed_once(self, kernel_seeds):
         # the walk that finds the anti-exchange witness closes each y + x

@@ -48,14 +48,6 @@ def free3():
 
 
 class TestPropertyReport:
-    def test_holding_report_with_witness_raises(self):
-        with pytest.raises(ValueError):
-            PropertyReport("TwoEx", True, TwoExWitness(0b111))
-
-    def test_failing_report_without_witness_raises(self):
-        with pytest.raises(ValueError):
-            PropertyReport("TwoEx", False)
-
     def test_witnesses_compare_by_value(self):
         assert TwoExWitness(0b111) == TwoExWitness(0b111) != TwoExWitness(0b1110)
         w, same = (SqWitness(0b1111, 0, 1, 2, 3, 0b0101) for _ in range(2))
@@ -65,7 +57,7 @@ class TestPropertyReport:
     def test_verify_witness_rejects_a_holding_report_and_a_two_element_triple(
             self, notsuf, free3):
         assert not verify_witness(notsuf, check_2ex(notsuf))
-        assert not verify_witness(free3, PropertyReport("TwoEx", False, TwoExWitness(0b011)))
+        assert not verify_witness(free3, PropertyReport("TwoEx", TwoExWitness(0b011)))
 
 
 class TestTwoEx:
@@ -112,10 +104,10 @@ class TestCaratheodory:
         w = check_caratheodory(geom, 2).witness
         assert w.order == 2
         # the order comes from the witness, not from the report's name
-        assert verify_witness(geom, PropertyReport("renamed", False, w))
+        assert verify_witness(geom, PropertyReport("renamed", w))
         # {a,b,c} itself generates x, so the membership is no order-3 witness
         wider = CaratheodoryWitness(w.subset, w.element, 3)
-        assert not verify_witness(geom, PropertyReport("Caratheodory(2)", False, wider))
+        assert not verify_witness(geom, PropertyReport("Caratheodory(2)", wider))
 
     def test_order_at_least_n_trivially_holds(self, notsuf):
         assert check_caratheodory(notsuf, notsuf.n).holds
@@ -164,7 +156,7 @@ class TestBinaryReduction:
         )
         monkeypatch.setattr(
             oracles, "check_caratheodory",
-            lambda geom, order, max_n: PropertyReport(f"Caratheodory({order})", True),
+            lambda geom, order, max_n: PropertyReport(f"Caratheodory({order})"),
         )
         with pytest.raises(CaratheodoryFails) as err:
             reduce_to_binary_basis(geom)
@@ -212,9 +204,9 @@ class TestSq:
         for n in range(6, 29, 2):
             left, right = rng.sample(range(n), n), rng.sample(range(n), n)
             geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
-            geom.stats.reset()
+            geom.closure_calls = 0
             assert check_sq(geom).holds
-            counts[n] = geom.stats.closures
+            counts[n] = geom.closure_calls
         constant = counts[6] / 6**2
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 

@@ -97,18 +97,18 @@ class TestVerify:
         gs = un.ground
         bad = SegmentRepresentation(
             tuple(gs.index(x) for x in "bacd"), tuple(gs.index(x) for x in "cbda"))
-        un.stats.reset()
+        un.closure_calls = 0
         ok, witness = verify_representation(un, bad)
         assert not ok and witness == gs.mask("a")
         # only the witness itself falls short of its lower bound
-        assert un.stats.closures == 1
+        assert un.closure_calls == 1
 
     def test_both_verifiers_reject_a_swapped_right_chain(self, un, un_rep):
         right = un_rep.right
         bad = SegmentRepresentation(un_rep.left, (right[1], right[0]) + right[2:])
-        un.stats.reset()
+        un.closure_calls = 0
         assert verify_representation(un, bad) == (False, 4)
-        assert un.stats.closures == 1
+        assert un.closure_calls == 1
         assert verify_representation_exhaustive(un, bad) == (False, 4)
 
     def test_single_element(self):
@@ -151,14 +151,14 @@ class TestVerify:
         verdicts = set()
         for geom, rep in cases:
             expected = verify_representation_by_pairs(geom, rep)
-            geom.stats.reset()
+            geom.closure_calls = 0
             assert verify_representation(geom, rep) == expected
             # one pass: no seed is closed twice, none after the witness
             seeds = [0] + [1 << e for e in range(geom.n)]
             seeds += [(1 << x) | (1 << y) for x, y in combinations(range(geom.n), 2)]
             if not expected[0]:
                 seeds = seeds[:seeds.index(expected[1]) + 1]
-            assert geom.stats.closures <= len(seeds)
+            assert geom.closure_calls <= len(seeds)
             assert verify_representation_exhaustive(geom, rep)[0] == expected[0]
             verdicts.add(expected[0])
         assert verdicts == {True, False}
@@ -171,11 +171,11 @@ class TestVerify:
         left, right = rng.sample(range(n), n), rng.sample(range(n), n)
         geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
         rep = SegmentRepresentation(left, right)
-        geom.stats.reset()
+        geom.closure_calls = 0
         assert verify_representation(geom, rep) == (True, None)
-        assert geom.stats.closures == 0
+        assert geom.closure_calls == 0
         assert reconstruct_by_peeling(geom) == rep
-        assert geom.stats.closures <= 2 * n
+        assert geom.closure_calls <= 2 * n
 
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
@@ -229,9 +229,9 @@ class TestBuilder:
         for n in range(6, 29, 2):
             left, right = rng.sample(range(n), n), rng.sample(range(n), n)
             geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
-            geom.stats.reset()
+            geom.closure_calls = 0
             build_representation(geom)
-            counts[n] = geom.stats.closures
+            counts[n] = geom.closure_calls
         constant = counts[6] / 6**2
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 
