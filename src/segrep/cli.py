@@ -10,13 +10,16 @@ A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
 Exit codes: 0 the geometry is representable by segments (convex dimension at
 most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 the guard
 on validation's closed-set walk was hit (the message names the flag to raise)
-or the run ran out of recursion depth or memory.
+or the run ran out of recursion depth or memory.  When stdout is closed
+before the report is written, nothing is printed on stderr and the exit code
+is the verdict's.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 
@@ -337,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
+    code = 0  # render writes only on a yes
     try:
         report, geom = _load(args, args.command)
         code = args.handler(args, report, geom)
@@ -345,6 +349,12 @@ def main(argv=None) -> int:
             if args.timing:
                 report.add("elapsed_ms", round((time.monotonic() - started) * 1000, 3))
             print(report.emit(args.json))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: the verdict stands, and the flush at
+        # exit goes to the null device instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (OSError, SegrepError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,6 @@ basis; :meth:`ConvexGeometry.closed_sets` walks again, when asked.
 
 from __future__ import annotations
 
-from functools import wraps
-
 from .core import (
     GroundSet,
     GroundSetTooLarge,
@@ -112,17 +110,17 @@ class ConvexGeometry:
 
     Instances come from :func:`validate_geometry` and keep no closed-set
     family.  They do not change apart from ``closure_calls``, the number of
-    closure queries asked so far, and the closure cache that a
-    :func:`closure_scope` operation holds while it runs.
+    closure queries asked so far, and the table of pair closures that the
+    first call of :meth:`pair_closures` fills.
     """
 
-    __slots__ = ("ground", "basis", "closure_calls", "_memo")
+    __slots__ = ("ground", "basis", "closure_calls", "_pairs")
 
     def __init__(self, basis: ImplicationBasis):
         self.ground = basis.ground
         self.basis = basis
         self.closure_calls = 0
-        self._memo: dict[int, int] | None = None
+        self._pairs: dict[tuple[int, int], int] | None = None
 
     @property
     def n(self) -> int:
@@ -131,21 +129,25 @@ class ConvexGeometry:
     def closure(self, seed: int) -> int:
         """Closure of ``seed`` under the basis.
 
-        While an operation marked with :func:`closure_scope` runs, answers
-        come from a seed -> closure dict that the operation (and any
-        operation nested in it) shares, so each distinct seed reaches the
-        basis once; the dict is dropped when the outermost operation
-        returns or raises.  Outside such an operation every call goes to
-        the basis.  ``closure_calls`` counts every query, cached or not.
+        Every call goes to the basis and counts in ``closure_calls``.
         """
         self.closure_calls += 1
-        memo = self._memo
-        if memo is None:
-            return self.basis.closure(seed)
-        closed = memo.get(seed)
-        if closed is None:
-            closed = memo[seed] = self.basis.closure(seed)
-        return closed
+        return self.basis.closure(seed)
+
+    def pair_closures(self) -> dict[tuple[int, int], int]:
+        """The closure of ``{i, j}`` for every ``i < j``, keyed ``(i, j)``.
+
+        The first call closes each pair once through :meth:`closure`; later
+        calls return the same table and ask no closure query.
+        """
+        if self._pairs is None:
+            n = self.n
+            self._pairs = {
+                (i, j): self.closure((1 << i) | (1 << j))
+                for i in range(n)
+                for j in range(i + 1, n)
+            }
+        return self._pairs
 
     def extreme_points(self, subset: int) -> int:
         """Members of ``subset`` not generated by the rest of it.
@@ -170,27 +172,6 @@ class ConvexGeometry:
 
     def __repr__(self):
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"
-
-
-def closure_scope(operation):
-    """Cache ``geom.closure`` for the duration of ``operation(geom, ...)``.
-
-    The first argument of the decorated function must be the geometry.  A
-    call made while another scoped operation on the same geometry runs
-    shares that operation's cache; the outermost call drops it on exit.
-    """
-
-    @wraps(operation)
-    def scoped(geom, *args, **kwargs):
-        if geom._memo is not None:
-            return operation(geom, *args, **kwargs)
-        geom._memo = {}
-        try:
-            return operation(geom, *args, **kwargs)
-        finally:
-            geom._memo = None
-
-    return scoped
 
 
 def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometry:

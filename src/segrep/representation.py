@@ -12,7 +12,7 @@ when it is below the set's maximum in both chains.
 from __future__ import annotations
 
 from .core import SegrepError, Value, iter_bits, mask_of, prefix_masks
-from .geometry import ConvexGeometry, closure_scope
+from .geometry import ConvexGeometry
 
 
 class Infeasible(SegrepError):
@@ -169,7 +169,6 @@ def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> dict | N
     return gains
 
 
-@closure_scope
 def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     """Construct a verified segment representation, or raise Infeasible.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import SegrepError, iter_bits, mask_of
-from .geometry import ConvexGeometry, closure_scope
+from .geometry import ConvexGeometry
 from .representation import SegmentRepresentation, verify_representation
 
 
@@ -157,7 +157,6 @@ def enumerate_representations(
     return tuple(SegmentRepresentation(l, r) for l, r in sorted(pairs))
 
 
-@closure_scope
 def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     """Rebuild the chain pair purely from extreme points of shrinking subsets.
 

@@ -10,6 +10,10 @@ Test-only code: it lives under ``tests/`` and is not part of the
   quantifier of each polynomial check literally over all subsets, and
   ``verify_representation_exhaustive`` compares a representation with the
   geometry on every subset instead of only on pairs;
+* ``check_sq_by_pair_scan`` runs the square-condition scan of
+  ``check_sq_exhaustive`` (and ``check_exr``) over the pair closures only,
+  asking ``geom.extreme_points`` for every set, the scan that ``check_sq``
+  answers off the basis;
 * ``verify_representation_by_pairs`` closes every seed of at most two
   elements, the scan that ``verify_representation`` replaces with a proof
   read off the basis;
@@ -44,9 +48,7 @@ from segrep.core import (
     prefix_masks,
 )
 from segrep.geometry import ConvexGeometry
-from segrep.properties import (
-    PropertyReport, TwoExWitness, _pair_scan, _replacement, _sq_violation,
-)
+from segrep.properties import PropertyReport, SqWitness, TwoExWitness
 from segrep.representation import SegmentRepresentation, segment_closure
 
 
@@ -86,6 +88,61 @@ def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport
     """Square condition evaluated over every subset of the ground set."""
     subsets = _all_subsets(geom.ground.full, "check_sq_exhaustive", max_n, 3)
     return _pair_scan(geom, "Sq", subsets, _sq_violation)
+
+
+def check_sq_by_pair_scan(geom: ConvexGeometry) -> PropertyReport:
+    """Square condition over the distinct pair closures in canonical order,
+    each pair closed again and each extreme-point set asked with
+    ``geom.extreme_points``: the scan that ``check_sq`` answers off the basis
+    from ``pair_closures()``, with one memoized pass per distinct set."""
+    closed = {geom.closure((1 << i) | (1 << j)) for i, j in combinations(range(geom.n), 2)}
+    return _pair_scan(geom, "Sq", sorted(closed, key=canonical_key), _sq_violation)
+
+
+def _pair_scan(geom: ConvexGeometry, name: str, subsets, violation) -> PropertyReport:
+    """First ``violation(geom, subset, a, b)`` witness over the subsets with
+    exactly two extreme points, trying both labellings of the pair."""
+    for subset in subsets:
+        extreme = geom.extreme_points(subset)
+        if extreme.bit_count() != 2:
+            continue
+        first, second = iter_bits(extreme)
+        for a, b in ((first, second), (second, first)):
+            witness = violation(geom, subset, a, b)
+            if witness is not None:
+                return PropertyReport(name, witness)
+    return PropertyReport(name)
+
+
+def _replacement(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[int]:
+    """The ``c != b`` with ``{c, b}`` the extreme points of ``subset`` minus
+    ``a``; None when removing ``a`` leaves other extreme points."""
+    after_a = geom.extreme_points(subset & ~(1 << a))
+    if not (after_a >> b) & 1 or after_a.bit_count() != 2:
+        return None
+    return next(iter_bits(after_a & ~(1 << b)))
+
+
+def _sq_violation(geom: ConvexGeometry, subset: int, a: int, b: int) -> Optional[SqWitness]:
+    """Evaluate one labelled instance of the square condition.
+
+    Premise: extreme points of ``subset`` are exactly ``{a, b}``, removing
+    ``a`` leaves ``{c, b}`` with ``c != b``, and removing both leaves
+    ``{c, d}`` with ``d != c``.  Instances with ``c == d`` hold automatically
+    and are skipped.  Returns a witness when the conclusion (removing ``b``
+    leaves ``{a, d}`` or ``{a}``) fails.
+    """
+    c = _replacement(geom, subset, a, b)
+    if c is None:
+        return None
+    after_ab = geom.extreme_points(subset & ~(1 << a) & ~(1 << b))
+    if not (after_ab >> c) & 1 or after_ab.bit_count() != 2:
+        return None
+    d = next(iter_bits(after_ab & ~(1 << c)))
+    after_b = geom.extreme_points(subset & ~(1 << b))
+    if after_b == (1 << a) | (1 << d) or after_b == (1 << a):
+        return None
+    return SqWitness(subset, a, b, c, d, after_b)
 
 
 def verify_representation_exhaustive(

@@ -4,6 +4,7 @@ import io
 import json
 import contextlib
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,11 +15,14 @@ import pytest
 import segrep
 from segrep import (
     ConvexGeometry,
+    GroundSet,
     build_representation,
     cli,
     count_representations,
     decide_cdim2,
+    iter_bits,
     normalize_layout,
+    properties,
     representation,
     uniqueness,
 )
@@ -30,10 +34,11 @@ from segrep.cli import (
     parse_geometry,
     parse_layout_table,
 )
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, geometry_from_chains, load_fixture
 from oracles import (
     brute_force_cdim2,
     check_2ex_exhaustive,
+    check_sq_by_pair_scan,
     check_sq_exhaustive,
     extreme_points_by_definition,
     verify_representation_by_pairs,
@@ -56,6 +61,16 @@ def run(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def _pin_id(command, name, per_member, by_pairs, pair_scan, calls):
+    """Test id of a closure-call pin.  The pins with the pair scan patched in
+    for ``check_sq`` keep the ids of the counts they pin; the shipped pins
+    name their mode, since a count alone no longer tells them apart."""
+    if pair_scan:
+        return f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}"
+    modes = ["by-member"] * per_member + ["by-pairs"] * by_pairs
+    return "-".join([command, name, *modes, str(calls)])
 
 
 class TestParse:
@@ -171,6 +186,27 @@ class TestExitCodes:
         assert err.startswith("error: represent: ran out of ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_keeps_the_verdict(self, files, unbuffered):
+        # the read end of stdout is closed before the run: the write fails,
+        # stderr stays empty and the exit code is the verdict's
+        env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        outcomes = []
+        for argv in (("check", files["un"]), ("check", files["notsuf"]),
+                     ("render", files["un"])):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "segrep", *argv], stdout=write_end,
+                                      stderr=subprocess.PIPE, env=env, timeout=60)
+            finally:
+                os.close(write_end)
+            outcomes.append((proc.returncode, proc.stderr))
+        assert outcomes == [(0, b""), (1, b""), (0, b"")]
+
     @pytest.mark.parametrize("command", ["check", "represent", "unique", "closure"])
     def test_max_n_zero_is_a_guard_not_unset(self, files, command):
         code, _, err = run(command, files["un"], "--max-n", "0")
@@ -212,27 +248,41 @@ class TestCheck:
         assert isinstance(elapsed, (int, float)) and elapsed >= 0
         assert list(timed.items()) == list(plain.items())
 
-    # Every closure query counts, answered from the cache or not.  The key
-    # sequence of each report is pinned alongside.  Each count is pinned
-    # twice: as shipped, where an extreme-point query is one closure, and
-    # with the per-member oracle patched in, one closure per member.  The
-    # second pin holds every other closure query of each command where it
-    # was before extreme points took one pass.  On the four fixtures that
-    # get a representation, `represent` and `unique` are pinned once more
-    # with the pair scan patched in for `verify_representation`, one
-    # closure per seed of at most two elements: those pins hold every other
-    # closure query where it was before verification read its proof off
-    # the basis.
-    @pytest.mark.parametrize("command, name, per_member, by_pairs, calls", [
-        pytest.param(command, name, per_member, by_pairs, calls,
-                     id=f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}")
-        for command, by_pairs, one_pass, by_member in (
-            ("check", False, (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", False, (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
-            ("unique", False, (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
-            ("represent", True, (None, None, 108, 79, None, 51, 72),
+    # Every closure query counts.  The key sequence of each report is pinned
+    # alongside.  Each count is pinned twice: as shipped, where an
+    # extreme-point query is one closure, and with the per-member oracle
+    # patched in, one closure per member.  The second pin holds every other
+    # closure query of each command where it was before extreme points took
+    # one pass.  The two `check` rows are equal: `check_sq` reads its extreme
+    # points off the basis, and `check` asks no other extreme-point query.
+    # On the four fixtures that get a representation, `represent` and
+    # `unique` are pinned once more with the pair scan patched in for
+    # `verify_representation`, one closure per seed of at most two elements:
+    # those pins hold every other closure query where it was before
+    # verification read its proof off the basis.  Every pin is repeated
+    # with `check_sq_by_pair_scan` patched in for `check_sq`, which closes
+    # each pair again and asks every extreme-point set with a closure; those
+    # pins, whose ids carry no mode, hold every other closure query where it
+    # was before `check_sq` read the pair table and the basis.
+    @pytest.mark.parametrize("command, name, per_member, by_pairs, pair_scan, calls", [
+        pytest.param(command, name, per_member, by_pairs, pair_scan, calls,
+                     id=_pin_id(command, name, per_member, by_pairs, pair_scan, calls))
+        for command, by_pairs, pair_scan, one_pass, by_member in (
+            ("check", False, False, (10, 6, 21, 15, 6, 6, 10), (10, 6, 21, 15, 6, 6, 10)),
+            ("represent", False, False, (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
+            ("unique", False, False, (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
+            ("represent", True, False, (None, None, 66, 50, None, 28, 39),
+             (None, None, 87, 65, None, 34, 49)),
+            ("unique", True, False, (None, None, 66, 50, None, 28, 39),
+             (None, None, 87, 65, None, 34, 49)),
+            ("check", False, True, (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
+            ("represent", False, True, (54, 32, 82, 59, 32, 40, 56),
+             (70, 51, 168, 104, 41, 64, 104)),
+            ("unique", False, True, (54, 32, 82, 59, 32, 40, 56),
+             (70, 51, 168, 104, 41, 64, 104)),
+            ("represent", True, True, (None, None, 108, 79, None, 51, 72),
              (None, None, 194, 124, None, 75, 120)),
-            ("unique", True, (None, None, 108, 79, None, 51, 72),
+            ("unique", True, True, (None, None, 108, 79, None, 51, 72),
              (None, None, 194, 124, None, 75, 120)),
         )
         for per_member, counts in ((False, one_pass), (True, by_member))
@@ -240,13 +290,15 @@ class TestCheck:
             ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
         if calls is not None
     ])
-    def test_closure_calls_pinned_on_fixtures(
-            self, tmp_path, monkeypatch, command, name, per_member, by_pairs, calls):
+    def test_closure_calls_pinned_on_fixtures(self, tmp_path, monkeypatch, command, name,
+                                              per_member, by_pairs, pair_scan, calls):
         if per_member:
             monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
         if by_pairs:
             for module in (representation, uniqueness):
                 monkeypatch.setattr(module, "verify_representation", verify_representation_by_pairs)
+        if pair_scan:
+            monkeypatch.setattr(properties, "check_sq", check_sq_by_pair_scan)
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
         code, out, _ = run(command, str(path), "--json")
@@ -264,6 +316,22 @@ class TestCheck:
             body = ["cdim2", "representation", "blocks", "representation_count", "unique"]
         assert list(payload) == head + body + ["closure_calls"]
 
+    def test_decide_closes_each_pair_of_a_long_chain_pair_once(self, tmp_path):
+        rng = random.Random(7)
+        n = 40
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))),
+                                    rng.sample(range(n), n), rng.sample(range(n), n))
+        labels = geom.ground.labels
+        lines = ["elements " + " ".join(labels)]
+        for imp in geom.basis.implications:
+            premise = " ".join(labels[e] for e in iter_bits(imp.premise))
+            conclusion = " ".join(labels[e] for e in iter_bits(imp.conclusion))
+            lines.append(f"imp {premise} -> {conclusion}")
+        path = tmp_path / "chains.geom"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run("check", str(path), "--json", "--max-n", str(n))
+        assert code == 0
+        assert json.loads(out)["closure_calls"] == n * (n - 1) // 2 == 780
 
     # The exact witness text that `check --json` reports.
     @pytest.mark.parametrize("name, key, text", [

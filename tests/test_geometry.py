@@ -192,17 +192,25 @@ class TestValidate:
             validate_geometry(parse_geometry(fixture_text("un")))
 
 
-class TestClosureScope:
-    def test_each_seed_reaches_the_kernel_once_per_operation(self, kernel_seeds):
-        geom = load_fixture("seven").geometry
-        geom.closure_calls = 0
-        kernel_seeds.clear()
-        assert decide_cdim2(geom).cdim2
-        # check_2ex and check_sq run nested inside decide and share its cache
-        assert len(kernel_seeds) == len(set(kernel_seeds))
-        assert len(kernel_seeds) < geom.closure_calls  # hits count as queries
+class TestOneClosurePath:
+    def test_decide_closes_each_pair_once(self, kernel_seeds):
+        # check_sq and check_2ex share the pair table: a fresh geometry
+        # reaches the kernel once per pair, and a second decision not at all
+        for name in FIXTURE_NAMES:
+            geom = validate_geometry(parse_geometry(fixture_text(name)))
+            n = geom.n
+            pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+            kernel_seeds.clear()
+            decision = decide_cdim2(geom)
+            assert kernel_seeds == pairs, name
+            assert geom.closure_calls == n * (n - 1) // 2
+            kernel_seeds.clear()
+            again = decide_cdim2(geom)
+            assert kernel_seeds == [] and geom.closure_calls == n * (n - 1) // 2
+            assert (again.two_ex.witness, again.sq.witness) == (
+                decision.two_ex.witness, decision.sq.witness)
 
-    def test_cache_is_dropped_on_return(self, kernel_seeds):
+    def test_every_query_reaches_the_kernel_after_decide(self, kernel_seeds):
         geom = load_fixture("un").geometry
         decide_cdim2(geom)
         kernel_seeds.clear()
@@ -210,7 +218,7 @@ class TestClosureScope:
         geom.closure(0b11)
         assert kernel_seeds == [0b11, 0b11]
 
-    def test_cache_is_dropped_on_raise(self, kernel_seeds):
+    def test_every_query_reaches_the_kernel_after_a_raise(self, kernel_seeds):
         geom = load_fixture("notsuf").geometry
         with pytest.raises(Infeasible):
             build_representation(geom)

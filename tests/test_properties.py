@@ -15,20 +15,40 @@ from segrep import (
     check_2ex,
     check_sq,
     decide_cdim2,
+    iter_bits,
+    mask_of,
     validate_geometry,
     verify_witness,
 )
 import oracles
-from fixtures import geometry_from_chains, load_fixture
+from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
     check_2ex_exhaustive,
     check_caratheodory,
     check_exr,
+    check_sq_by_pair_scan,
     check_sq_exhaustive,
     reduce_to_binary_basis,
 )
+
+
+def padded_notsuf(k: int, rng: random.Random):
+    """``notsuf`` with a chain of ``k`` more elements on top, relabelled at
+    random: the first chain element pulls in all four, each later one its
+    predecessor.  2Ex holds and Sq fails."""
+    n = 4 + k
+    rules = [(0b0011, 0b0100), (0b0110, 0b1000), (0b0001, 0b1000), (1 << 4, 0b1111)]
+    rules += [(1 << i, 1 << (i - 1)) for i in range(5, n)]
+    order = rng.sample(range(n), n)
+
+    def move(mask):
+        return mask_of(order[e] for e in iter_bits(mask))
+
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    imps = tuple(Implication(move(p), move(c)) for p, c in rules)
+    return validate_geometry(ImplicationBasis(ground, imps), max_n=n)
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +216,23 @@ class TestSq:
         assert check_sq(geom).holds
         assert check_sq_exhaustive(geom).holds
 
+    def test_matches_the_pair_scan_oracle(self, pool_small, pool_n6):
+        # the same report, witness included, as the oracle's scan over the
+        # sorted pair closures, which asks geom.extreme_points for every set
+        rng = random.Random(21)
+        padded = [padded_notsuf(k, rng) for k in (1, 2, 4, 8, 12) for _ in range(3)]
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        failing = 0
+        for geom in geoms + padded:
+            fast, oracle = check_sq(geom), check_sq_by_pair_scan(geom)
+            assert (fast.name, fast.witness) == (oracle.name, oracle.witness), geom.basis
+            failing += not fast.holds
+        assert all(not check_sq(geom).holds and check_2ex(geom).holds for geom in padded)
+        assert failing > len(padded)
+
     def test_closure_queries_grow_quadratically(self):
-        # the scan visits O(n^2) pair closures with a few extreme-point
-        # queries each, and every extreme-point query is one closure
+        # the scan closes each of the n(n-1)/2 pairs once and reads every
+        # extreme-point set off the basis
         rng = random.Random(9)
         counts = {}
         for n in range(6, 29, 2):
