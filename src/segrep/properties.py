@@ -123,7 +123,7 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     """At most two extreme points in every subset, via the triple test.
 
     Equivalent formulation: for every three elements, one of them lies in the
-    closure of the other two.  Reads the n(n-1)/2 pair closures of
+    closure of the other two.  Reads the pair table of
     :meth:`ConvexGeometry.pair_closures` and makes O(n^3) bit tests; the
     first failing triple in lexicographic order is the witness.
     """
@@ -152,9 +152,10 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
     extreme in X, and X-a-b, asked only once b is extreme in X-a.  So each
     extreme-point set is read off the basis
     (:meth:`ImplicationBasis.extreme_points_of_closed`), once per distinct
-    set, and the check asks no closure beyond the n(n-1)/2 pairs, with
-    O(n^3) big-integer operations.  The exhaustive twin in the test oracles
-    evaluates the condition on every subset.
+    set, and the check asks no closure beyond those that fill the pair
+    table (the n singletons, and each pair that neither singleton closure
+    holds), with O(n^3) big-integer operations.  The exhaustive twin in the
+    test oracles evaluates the condition on every subset.
     """
     of_closed = geom.basis.extreme_points_of_closed
     known: dict[int, int] = {}
@@ -193,8 +194,9 @@ def decide_cdim2(geom: ConvexGeometry) -> Decision:
 
     True exactly when both the two-extreme-points bound and the square
     condition hold; the failing report carries a concrete witness.  The two
-    checks share the pair closures, so a fresh geometry costs n(n-1)/2
-    closure queries and a second decision none.
+    checks share the pair table, so a fresh geometry costs n singleton
+    closures plus one closure per pair that neither singleton closure holds,
+    at most n + n(n-1)/2 in all, and a second decision none.
     """
     # check_sq goes first: perfbench's trace counts the pair closures there.
     sq = check_sq(geom)

@@ -185,7 +185,14 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     representations has the least extreme point on top of a chain, and
     dropping that point from both chains yields a representation of the rest
     that the orientation search reaches.
+
+    The build first fills the geometry's pair table
+    (:meth:`ConvexGeometry.pair_closures`), also on an input that then
+    raises; after ``decide_cdim2`` it is already full.  Past it, the peel
+    asks n-1 extreme-point queries and the insertions n-1 singleton
+    closures, and the verification closes nothing on a chain-pair basis.
     """
+    geom.pair_closures()
     subset = geom.ground.full
     peeled = []
     while subset.bit_count() > 1:
@@ -217,11 +224,13 @@ def _insert(
     their closures (``a`` tops the left chain and is in no closure of the
     rest); ``{a}``, and ``{a, x}`` with ``x`` below the cut, hold when the
     prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
-    above the cut are checked; a sole extreme point closes to all of
-    ``subset`` and goes on top of both chains unchecked.  Raise Infeasible,
-    with the subset and ``a``, if no block orientation of ``sub`` admits it."""
+    above the cut are checked, read off the pair table; a sole extreme point
+    closes to all of ``subset`` and goes on top of both chains unchecked.
+    The one closure query is ``a``'s own.  Raise Infeasible, with the subset
+    and ``a``, if no block orientation of ``sub`` admits it."""
     from .uniqueness import block_orientations
 
+    pairs = geom.pair_closures()
     own = geom.closure(1 << a) & subset
     below_a = own & ~(1 << a)
     cut = below_a.bit_count()
@@ -231,7 +240,7 @@ def _insert(
         prefix = own
         for x in right[cut:]:
             prefix |= 1 << x
-            if geom.closure((1 << a) | (1 << x)) & subset != prefix:
+            if pairs[(a, x) if a < x else (x, a)] & subset != prefix:
                 break
         else:
             return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])

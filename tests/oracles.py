@@ -17,6 +17,10 @@ Test-only code: it lives under ``tests/`` and is not part of the
 * ``verify_representation_by_pairs`` closes every seed of at most two
   elements, the scan that ``verify_representation`` replaces with a proof
   read off the basis;
+* ``pair_closures_by_kernel`` closes every pair through ``geom.closure``,
+  the table that ``ConvexGeometry.pair_closures`` fills from the singleton
+  closures, and ``insert_by_kernel`` is the builder's insertion closing
+  each pair it checks again instead of reading that table;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -49,7 +53,7 @@ from segrep.core import (
 )
 from segrep.geometry import ConvexGeometry
 from segrep.properties import PropertyReport, SqWitness, TwoExWitness
-from segrep.representation import SegmentRepresentation, segment_closure
+from segrep.representation import Infeasible, SegmentRepresentation, segment_closure
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
@@ -172,6 +176,42 @@ def verify_representation_by_pairs(
         if segment_closure(rep, seed) != geom.closure(seed):
             return (False, seed)
     return (True, None)
+
+
+def pair_closures_by_kernel(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
+    """``ConvexGeometry.pair_closures`` with one closure query per pair: the
+    first call closes every ``{i, j}`` through ``geom.closure`` and keeps the
+    table on the geometry, so that later calls ask nothing."""
+    if geom._pairs is None:
+        geom._pairs = {
+            (i, j): geom.closure((1 << i) | (1 << j))
+            for i, j in combinations(range(geom.n), 2)
+        }
+    return geom._pairs
+
+
+def insert_by_kernel(
+    geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
+) -> SegmentRepresentation:
+    """The builder's insertion of ``a`` with every pair ``{a, x}`` it checks
+    closed again through ``geom.closure``, where the package's ``_insert``
+    reads the pair table."""
+    from segrep.uniqueness import block_orientations
+
+    own = geom.closure(1 << a) & subset
+    below_a = own & ~(1 << a)
+    cut = below_a.bit_count()
+    for left, right in block_orientations(sub):
+        if mask_of(right[:cut]) != below_a:
+            continue
+        prefix = own
+        for x in right[cut:]:
+            prefix |= 1 << x
+            if geom.closure((1 << a) | (1 << x)) & subset != prefix:
+                break
+        else:
+            return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
+    raise Infeasible("insertion", (subset, 1 << a))
 
 
 @dataclass(frozen=True)

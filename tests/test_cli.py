@@ -41,6 +41,8 @@ from oracles import (
     check_sq_by_pair_scan,
     check_sq_exhaustive,
     extreme_points_by_definition,
+    insert_by_kernel,
+    pair_closures_by_kernel,
     verify_representation_by_pairs,
 )
 
@@ -63,13 +65,17 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _pin_id(command, name, per_member, by_pairs, pair_scan, calls):
-    """Test id of a closure-call pin.  The pins with the pair scan patched in
-    for ``check_sq`` keep the ids of the counts they pin; the shipped pins
-    name their mode, since a count alone no longer tells them apart."""
-    if pair_scan:
+def _pin_id(command, name, per_member, by_pairs, pair_scan, by_kernel, calls):
+    """Test id of a closure-call pin.  The pins with the kernel pair path
+    patched in keep the ids of the counts they pin, and of those, the pins
+    with the pair scan patched in for ``check_sq`` carry no mode.  The other
+    pins name every mode and end in ``from-singletons``, since a count alone
+    does not tell them apart from the kernel pair path's."""
+    if by_kernel and pair_scan:
         return f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}"
     modes = ["by-member"] * per_member + ["by-pairs"] * by_pairs
+    if not by_kernel:
+        modes += ["pair-scan"] * pair_scan + ["from-singletons"]
     return "-".join([command, name, *modes, str(calls)])
 
 
@@ -262,36 +268,71 @@ class TestCheck:
     # verification read its proof off the basis.  Every pin is repeated
     # with `check_sq_by_pair_scan` patched in for `check_sq`, which closes
     # each pair again and asks every extreme-point set with a closure; those
-    # pins, whose ids carry no mode, hold every other closure query where it
-    # was before `check_sq` read the pair table and the basis.
-    @pytest.mark.parametrize("command, name, per_member, by_pairs, pair_scan, calls", [
-        pytest.param(command, name, per_member, by_pairs, pair_scan, calls,
-                     id=_pin_id(command, name, per_member, by_pairs, pair_scan, calls))
-        for command, by_pairs, pair_scan, one_pass, by_member in (
-            ("check", False, False, (10, 6, 21, 15, 6, 6, 10), (10, 6, 21, 15, 6, 6, 10)),
-            ("represent", False, False, (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
-            ("unique", False, False, (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
-            ("represent", True, False, (None, None, 66, 50, None, 28, 39),
-             (None, None, 87, 65, None, 34, 49)),
-            ("unique", True, False, (None, None, 66, 50, None, 28, 39),
-             (None, None, 87, 65, None, 34, 49)),
-            ("check", False, True, (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
-            ("represent", False, True, (54, 32, 82, 59, 32, 40, 56),
-             (70, 51, 168, 104, 41, 64, 104)),
-            ("unique", False, True, (54, 32, 82, 59, 32, 40, 56),
-             (70, 51, 168, 104, 41, 64, 104)),
-            ("represent", True, True, (None, None, 108, 79, None, 51, 72),
-             (None, None, 194, 124, None, 75, 120)),
-            ("unique", True, True, (None, None, 108, 79, None, 51, 72),
-             (None, None, 194, 124, None, 75, 120)),
-        )
-        for per_member, counts in ((False, one_pass), (True, by_member))
-        for name, calls in zip(
-            ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
-        if calls is not None
-    ])
+    # pins hold every other closure query where it was before `check_sq`
+    # read the pair table and the basis.  Last, every pin is repeated with
+    # the kernel pair path patched in: `pair_closures_by_kernel` closes each
+    # pair once through the kernel, and `insert_by_kernel` closes the pairs
+    # that an insertion checks again.  Those pins hold every other closure
+    # query where it was before the pair table was filled from the
+    # singleton closures and the builder read it; they differ from the
+    # shipped pins by exactly those queries.  On a geometry where no pair is
+    # nested (fivepoint, triangle) the table costs n queries more than the
+    # kernel pair path, the n singleton closures.
+    @pytest.mark.parametrize(
+        "command, name, per_member, by_pairs, pair_scan, by_kernel, calls", [
+            pytest.param(command, name, per_member, by_pairs, pair_scan, by_kernel, calls,
+                         id=_pin_id(command, name, per_member, by_pairs, pair_scan,
+                                    by_kernel, calls))
+            for command, by_pairs, pair_scan, by_kernel, one_pass, by_member in (
+                ("check", False, False, False,
+                 (15, 9, 11, 9, 10, 8, 10), (15, 9, 11, 9, 10, 8, 10)),
+                ("represent", False, False, False,
+                 (15, 9, 26, 21, 10, 14, 18), (15, 9, 47, 36, 10, 20, 28)),
+                ("unique", False, False, False,
+                 (15, 9, 26, 21, 10, 14, 18), (15, 9, 47, 36, 10, 20, 28)),
+                ("represent", True, False, False,
+                 (None, None, 52, 41, None, 25, 34), (None, None, 73, 56, None, 31, 44)),
+                ("unique", True, False, False,
+                 (None, None, 52, 41, None, 25, 34), (None, None, 73, 56, None, 31, 44)),
+                ("check", False, True, False,
+                 (59, 35, 53, 38, 36, 31, 43), (75, 54, 118, 68, 45, 49, 81)),
+                ("represent", False, True, False,
+                 (59, 35, 68, 50, 36, 37, 51), (75, 54, 154, 95, 45, 61, 99)),
+                ("unique", False, True, False,
+                 (59, 35, 68, 50, 36, 37, 51), (75, 54, 154, 95, 45, 61, 99)),
+                ("represent", True, True, False,
+                 (None, None, 94, 70, None, 48, 67), (None, None, 180, 115, None, 72, 115)),
+                ("unique", True, True, False,
+                 (None, None, 94, 70, None, 48, 67), (None, None, 180, 115, None, 72, 115)),
+                ("check", False, False, True,
+                 (10, 6, 21, 15, 6, 6, 10), (10, 6, 21, 15, 6, 6, 10)),
+                ("represent", False, False, True,
+                 (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
+                ("unique", False, False, True,
+                 (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
+                ("represent", True, False, True,
+                 (None, None, 66, 50, None, 28, 39), (None, None, 87, 65, None, 34, 49)),
+                ("unique", True, False, True,
+                 (None, None, 66, 50, None, 28, 39), (None, None, 87, 65, None, 34, 49)),
+                ("check", False, True, True,
+                 (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
+                ("represent", False, True, True,
+                 (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
+                ("unique", False, True, True,
+                 (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
+                ("represent", True, True, True,
+                 (None, None, 108, 79, None, 51, 72), (None, None, 194, 124, None, 75, 120)),
+                ("unique", True, True, True,
+                 (None, None, 108, 79, None, 51, 72), (None, None, 194, 124, None, 75, 120)),
+            )
+            for per_member, counts in ((False, one_pass), (True, by_member))
+            for name, calls in zip(
+                ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
+            if calls is not None
+        ])
     def test_closure_calls_pinned_on_fixtures(self, tmp_path, monkeypatch, command, name,
-                                              per_member, by_pairs, pair_scan, calls):
+                                              per_member, by_pairs, pair_scan, by_kernel,
+                                              calls):
         if per_member:
             monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
         if by_pairs:
@@ -299,6 +340,9 @@ class TestCheck:
                 monkeypatch.setattr(module, "verify_representation", verify_representation_by_pairs)
         if pair_scan:
             monkeypatch.setattr(properties, "check_sq", check_sq_by_pair_scan)
+        if by_kernel:
+            monkeypatch.setattr(ConvexGeometry, "pair_closures", pair_closures_by_kernel)
+            monkeypatch.setattr(representation, "_insert", insert_by_kernel)
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
         code, out, _ = run(command, str(path), "--json")
@@ -316,11 +360,13 @@ class TestCheck:
             body = ["cdim2", "representation", "blocks", "representation_count", "unique"]
         assert list(payload) == head + body + ["closure_calls"]
 
-    def test_decide_closes_each_pair_of_a_long_chain_pair_once(self, tmp_path):
+    def test_decide_on_a_long_chain_pair_skips_the_nested_pairs(self, tmp_path):
+        # a pair is nested when both chains order it the same way; decide
+        # closes the n singletons and then only the pairs the chains cross on
         rng = random.Random(7)
         n = 40
-        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))),
-                                    rng.sample(range(n), n), rng.sample(range(n), n))
+        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
         labels = geom.ground.labels
         lines = ["elements " + " ".join(labels)]
         for imp in geom.basis.implications:
@@ -331,7 +377,10 @@ class TestCheck:
         path.write_text("\n".join(lines) + "\n")
         code, out, _ = run("check", str(path), "--json", "--max-n", str(n))
         assert code == 0
-        assert json.loads(out)["closure_calls"] == n * (n - 1) // 2 == 780
+        lrank, rrank = {e: r for r, e in enumerate(left)}, {e: r for r, e in enumerate(right)}
+        crossing = sum((lrank[i] < lrank[j]) != (rrank[i] < rrank[j])
+                       for i in range(n) for j in range(i + 1, n))
+        assert json.loads(out)["closure_calls"] == n + crossing == 428 < n * (n - 1) // 2
 
     # The exact witness text that `check --json` reports.
     @pytest.mark.parametrize("name, key, text", [

@@ -192,21 +192,54 @@ class TestValidate:
             validate_geometry(parse_geometry(fixture_text("un")))
 
 
+class TestPairClosures:
+    def test_table_matches_the_kernel_on_every_pair(self, pool_small, pool_n6):
+        # the closure of {i, j} is that of C_i | C_j, and C_i itself when it
+        # holds j, for any closure operator: non-geometries count too
+        bases = [geom.basis for geom in pool_small + pool_n6]
+        bases += [load_fixture(name).geometry.basis for name in FIXTURE_NAMES]
+        rng = random.Random(31)
+        violators = 0
+        for _ in range(2400):
+            basis = varied_basis(rng)
+            try:
+                validate_geometry(basis)
+            except NotAGeometry as err:
+                if err.reason == "anti-exchange":
+                    violators += 1
+                    bases.append(basis)
+        assert violators == 920
+        for basis in bases:
+            n = basis.ground.n
+            expected = {
+                (i, j): basis.closure((1 << i) | (1 << j))
+                for i in range(n) for j in range(i + 1, n)
+            }
+            assert geometry.ConvexGeometry(basis).pair_closures() == expected, basis
+
+
 class TestOneClosurePath:
-    def test_decide_closes_each_pair_once(self, kernel_seeds):
-        # check_sq and check_2ex share the pair table: a fresh geometry
-        # reaches the kernel once per pair, and a second decision not at all
+    def test_decide_closes_singletons_then_the_non_nested_pairs(self, kernel_seeds):
+        # check_sq fills the pair table and check_2ex reads it: a fresh
+        # geometry sends each singleton to the kernel, then C_i | C_j for
+        # each pair that neither singleton closure holds, and a second
+        # decision sends nothing
         for name in FIXTURE_NAMES:
             geom = validate_geometry(parse_geometry(fixture_text(name)))
             n = geom.n
-            pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+            own = [geom.basis.closure(1 << i) for i in range(n)]
+            expected = [1 << i for i in range(n)] + [
+                own[i] | own[j]
+                for i in range(n) for j in range(i + 1, n)
+                if not ((own[i] >> j) & 1 or (own[j] >> i) & 1)
+            ]
             kernel_seeds.clear()
             decision = decide_cdim2(geom)
-            assert kernel_seeds == pairs, name
-            assert geom.closure_calls == n * (n - 1) // 2
+            assert kernel_seeds == expected, name
+            assert geom.closure_calls == len(expected)
             kernel_seeds.clear()
             again = decide_cdim2(geom)
-            assert kernel_seeds == [] and geom.closure_calls == n * (n - 1) // 2
+            assert kernel_seeds == [] and geom.closure_calls == len(expected)
             assert (again.two_ex.witness, again.sq.witness) == (
                 decision.two_ex.witness, decision.sq.witness)
 

@@ -231,7 +231,8 @@ class TestSq:
         assert failing > len(padded)
 
     def test_closure_queries_grow_quadratically(self):
-        # the scan closes each of the n(n-1)/2 pairs once and reads every
+        # the scan fills the pair table, closing each singleton and then each
+        # pair that neither singleton closure holds, and reads every
         # extreme-point set off the basis
         rng = random.Random(9)
         counts = {}

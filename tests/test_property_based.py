@@ -1,11 +1,11 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint (on small random bases, on wide chain-pair bases and on long
-implication chains), extreme points against their definition on the wide
-bases that are convex geometries, the closed-set walk against the
-brute-force family on the wide bases with n <= 10, the polynomial decision
-and builder against the brute-force oracle on generated bases with n <= 7,
-and the round trip from a chain pair through its basis back to the chain
-pair with n <= 10."""
+implication chains), the pair table against the kernel on the wide bases,
+extreme points against their definition on the wide bases that are convex
+geometries, the closed-set walk against the brute-force family on the wide
+bases with n <= 10, the polynomial decision and builder against the
+brute-force oracle on generated bases with n <= 7, and the round trip from a
+chain pair through its basis back to the chain pair with n <= 10."""
 
 import pytest
 
@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from segrep import (  # noqa: E402
+    ConvexGeometry,
     GroundSet,
     Implication,
     ImplicationBasis,
@@ -118,6 +119,18 @@ def test_closure_on_wide_bases_matches_naive_fixpoint(case):
     basis, seeds = case
     for seed in seeds:
         assert basis.closure(seed) == fixpoint(basis, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_bases())
+def test_pair_table_on_wide_bases_matches_the_kernel(case):
+    # filled from the singleton closures, on geometries and other bases alike
+    basis, _seeds = case
+    n = basis.ground.n
+    table = ConvexGeometry(basis).pair_closures()
+    assert table == {
+        (i, j): basis.closure((1 << i) | (1 << j)) for i in range(n) for j in range(i + 1, n)
+    }
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -222,8 +222,10 @@ class TestBuilder:
                 assert verify_representation(geom, rep)[0]
 
     def test_closure_queries_grow_quadratically(self):
-        # criterion 8's shape one degree lower: a re-inserted point checks
-        # only the pairs through it, and the result is verified once
+        # criterion 8's shape one degree lower: without a decision first, the
+        # build fills the pair table (n singletons and at most n(n-1)/2
+        # pairs), then peels and re-inserts with one closure per point each,
+        # and the verification closes nothing on a chain-pair basis
         rng = random.Random(8)
         counts = {}
         for n in range(6, 29, 2):
@@ -234,6 +236,29 @@ class TestBuilder:
             counts[n] = geom.closure_calls
         constant = counts[6] / 6**2
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
+
+    def test_build_after_decide_makes_two_kernel_calls_per_peeled_point(self, monkeypatch):
+        # decide fills the pair table; the build then asks one extreme-point
+        # query per peeled point and one closure, of the point itself, per
+        # insertion, and reads every pair off the table
+        seeds = []
+        original = ImplicationBasis.closure
+
+        def counting(basis, seed):
+            seeds.append(seed)
+            return original(basis, seed)
+
+        monkeypatch.setattr(ImplicationBasis, "closure", counting)
+        rng = random.Random(22)
+        for n in range(6, 41, 2):
+            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            assert decide_cdim2(geom).cdim2
+            seeds.clear()
+            geom.closure_calls = 0
+            rep = build_representation(geom)
+            assert len(seeds) == geom.closure_calls == 2 * (n - 1), n
+            assert rep.n == n
 
     def test_depth_does_not_grow_with_n(self):
         # builder and reconstruction must fit in 40 frames above the caller
