@@ -110,9 +110,10 @@ class ConvexGeometry:
 
     Instances come from :func:`validate_geometry` and keep no closed-set
     family.  They do not change apart from ``closure_calls``, the number of
-    closure queries asked so far, and the table of pair closures that the
-    first call of :meth:`pair_closures` fills from the n singleton closures
-    and one closure per pair that neither singleton closure holds.
+    closure queries asked so far, and the table that the first call of
+    :meth:`pair_closures` fills with the closure of every seed of one or two
+    elements: the n singleton closures, and one closure per pair that
+    neither singleton closure holds.
     """
 
     __slots__ = ("ground", "basis", "closure_calls", "_pairs")
@@ -136,15 +137,16 @@ class ConvexGeometry:
         return self.basis.closure(seed)
 
     def pair_closures(self) -> dict[tuple[int, int], int]:
-        """The closure of ``{i, j}`` for every ``i < j``, keyed ``(i, j)``.
+        """The closure of ``{i, j}`` for every ``i <= j``, keyed ``(i, j)``:
+        the singleton closure ``C_i`` under ``(i, i)``.
 
-        The first call closes each singleton once through :meth:`closure`,
-        giving ``C_i``, and fills the table from those: the closure of
-        ``{i, j}`` is that of ``C_i | C_j``, which is ``C_i`` itself when
-        ``C_i`` holds ``j`` (and ``C_j`` when ``C_j`` holds ``i``).  So a
-        nested pair asks no closure query, and every other pair asks one, of
-        ``C_i | C_j``.  This holds for any closure operator.  Later calls
-        return the same table and ask no closure query.
+        The first call closes each singleton once through :meth:`closure`
+        and fills the pairs from those: the closure of ``{i, j}`` is that of
+        ``C_i | C_j``, which is ``C_i`` itself when ``C_i`` holds ``j`` (and
+        ``C_j`` when ``C_j`` holds ``i``).  So a nested pair asks no closure
+        query, and every other pair asks one, of ``C_i | C_j``.  This holds
+        for any closure operator.  Later calls return the same table and ask
+        no closure query.
         """
         if self._pairs is None:
             n = self.n
@@ -152,6 +154,7 @@ class ConvexGeometry:
             own = [closure(1 << i) for i in range(n)]
             pairs = {}
             for i, c_i in enumerate(own):
+                pairs[(i, i)] = c_i
                 for j in range(i + 1, n):
                     c_j = own[j]
                     if (c_i >> j) & 1:

@@ -146,8 +146,9 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
 
     Only subsets whose extreme points are an actual pair can satisfy the
     premise, and each such closed set is the closure of its two extreme
-    points, so scanning the distinct pair closures X in canonical order
-    covers them, trying both labellings ``(a, b)`` of Ex(X).  Every set the
+    points, so scanning the distinct closures X of the table in canonical
+    order covers them, trying both labellings ``(a, b)`` of Ex(X); a
+    singleton closure has one extreme point and is skipped.  Every set the
     scan asks about is closed: X itself, X-a and X-b because a and b are
     extreme in X, and X-a-b, asked only once b is extreme in X-a.  So each
     extreme-point set is read off the basis

@@ -94,18 +94,15 @@ def verify_representation(
     """Check that segment closure agrees with the geometry's closure.
 
     Segment closure ρ and the geometry's closure φ agree on every subset
-    exactly when they agree on every seed of at most two elements: ρ(X) =
-    ρ({max_L X, max_R X}), and each ρ-closed set is then the φ-closure of a
-    pair.  Both close ∅ to ∅; the singletons and then the pairs are taken in
-    canonical order, and the first disagreeing seed is returned.  One pass
-    over the basis first checks (a): every implication ``A -> B`` has ``B``
-    inside ρ(A).  Then every ρ-closed set is closed under the basis, so φ
-    lies inside ρ, and a seed agrees as soon as its ρ lies inside a lower
-    bound on its φ: the seed plus the gains of the rules whose premise it is
-    and, for a pair, the ρ of both its elements, which agree with φ by then.
-    Only a seed whose ρ exceeds that bound goes to ``geom.closure``; without
-    (a) every seed does.  The all-subsets twin is the test oracle
-    ``verify_representation_exhaustive`` in ``tests/oracles.py``.
+    exactly when they agree on every seed of at most two elements.  For any
+    X, the seed S = {max_L X, max_R X} lies in X and ρ(X) = ρ(S); if ρ(S) =
+    φ(S), then ρ(X) ⊆ φ(X), and X ⊆ ρ(S) gives φ(X) ⊆ φ(S) = ρ(X).  Both
+    close ∅ to ∅, and φ of every other such seed is read off the table of
+    :meth:`ConvexGeometry.pair_closures`: the singletons and then the pairs,
+    in canonical order, and the first disagreeing seed is returned.  After
+    ``decide_cdim2`` the table is full and this asks no closure query;
+    without it, the table is filled first.  The all-subsets twin is the
+    test oracle ``verify_representation_exhaustive`` in ``tests/oracles.py``.
 
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
     disagreeing seed.  Raises ValueError unless the representation orders
@@ -113,60 +110,20 @@ def verify_representation(
     """
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
-    gains = _premise_gains(geom, rep)
-    proven = gains is not None
-    closure = geom.closure
+    table = geom.pair_closures()
     lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
     n = rep.n
     ranks = [(lrank[e], rrank[e]) for e in range(n)]
-    below = []  # ρ({x}) per element x, equal to φ({x}) once x is passed
     for x, (lx, rx) in enumerate(ranks):
-        seed = 1 << x
-        closed = lpref[lx] & rpref[rx]
-        below.append(closed)
-        if proven and not closed & ~(seed | gains.get(seed, 0)):
-            continue
-        if closed != closure(seed):
-            return (False, seed)
+        if lpref[lx] & rpref[rx] != table[(x, x)]:
+            return (False, 1 << x)
     for x, (lx, rx) in enumerate(ranks):
         for y in range(x + 1, n):
             ly, ry = ranks[y]
-            seed = (1 << x) | (1 << y)
             closed = lpref[lx if lx > ly else ly] & rpref[rx if rx > ry else ry]
-            if proven and not closed & ~(below[x] | below[y] | gains.get(seed, 0)):
-                continue
-            if closed != closure(seed):
-                return (False, seed)
+            if closed != table[(x, y)]:
+                return (False, (1 << x) | (1 << y))
     return (True, None)
-
-
-def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> dict | None:
-    """Fact (a) of :func:`verify_representation` in one pass over the
-    implications: None when some conclusion leaves the segment closure of
-    its premise, else the gains of the rules with at most two premise
-    elements, ORed up by premise."""
-    lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
-    gains: dict[int, int] = {}
-    for imp in geom.basis.implications:
-        premise = imp.premise
-        gain = imp.conclusion & ~premise
-        if not gain:
-            continue
-        top_l = top_r = 0
-        rest = premise
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            if lrank[e] > top_l:
-                top_l = lrank[e]
-            if rrank[e] > top_r:
-                top_r = rrank[e]
-            rest ^= low
-        if gain & ~(lpref[top_l] & rpref[top_r]):
-            return None
-        if premise.bit_count() <= 2:
-            gains[premise] = gains.get(premise, 0) | gain
-    return gains
 
 
 def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
@@ -186,11 +143,12 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     dropping that point from both chains yields a representation of the rest
     that the orientation search reaches.
 
-    The build first fills the geometry's pair table
-    (:meth:`ConvexGeometry.pair_closures`), also on an input that then
-    raises; after ``decide_cdim2`` it is already full.  Past it, the peel
-    asks n-1 extreme-point queries and the insertions n-1 singleton
-    closures, and the verification closes nothing on a chain-pair basis.
+    The build first fills the geometry's table of singleton and pair
+    closures (:meth:`ConvexGeometry.pair_closures`), also on an input that
+    then raises; after ``decide_cdim2`` it is already full.  Past it, the
+    peel asks n-1 extreme-point queries, and the insertions and the
+    verification read the table, so a build after decide asks n-1 closure
+    queries.
     """
     geom.pair_closures()
     subset = geom.ground.full
@@ -224,14 +182,15 @@ def _insert(
     their closures (``a`` tops the left chain and is in no closure of the
     rest); ``{a}``, and ``{a, x}`` with ``x`` below the cut, hold when the
     prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
-    above the cut are checked, read off the pair table; a sole extreme point
-    closes to all of ``subset`` and goes on top of both chains unchecked.
-    The one closure query is ``a``'s own.  Raise Infeasible, with the subset
-    and ``a``, if no block orientation of ``sub`` admits it."""
+    above the cut are checked; a sole extreme point closes to all of
+    ``subset`` and goes on top of both chains unchecked.  ``subset`` is
+    closed, so every closure read off the table lies inside it, and the
+    insertion asks no closure query.  Raise Infeasible, with the subset and
+    ``a``, if no block orientation of ``sub`` admits it."""
     from .uniqueness import block_orientations
 
     pairs = geom.pair_closures()
-    own = geom.closure(1 << a) & subset
+    own = pairs[(a, a)]
     below_a = own & ~(1 << a)
     cut = below_a.bit_count()
     for left, right in block_orientations(sub):
@@ -240,7 +199,7 @@ def _insert(
         prefix = own
         for x in right[cut:]:
             prefix |= 1 << x
-            if pairs[(a, x) if a < x else (x, a)] & subset != prefix:
+            if pairs[(a, x) if a < x else (x, a)] != prefix:
                 break
         else:
             return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])

@@ -15,12 +15,16 @@ Test-only code: it lives under ``tests/`` and is not part of the
   asking ``geom.extreme_points`` for every set, the scan that ``check_sq``
   answers off the basis;
 * ``verify_representation_by_pairs`` closes every seed of at most two
-  elements, the scan that ``verify_representation`` replaces with a proof
-  read off the basis;
+  elements, the scan that ``verify_representation`` reads off the table of
+  ``ConvexGeometry.pair_closures``, and ``verify_representation_by_proof``
+  settles most seeds with a lower bound read off the basis and closes only
+  the rest;
 * ``pair_closures_by_kernel`` closes every pair through ``geom.closure``,
   the table that ``ConvexGeometry.pair_closures`` fills from the singleton
-  closures, and ``insert_by_kernel`` is the builder's insertion closing
-  each pair it checks again instead of reading that table;
+  closures, without the singletons; ``insert_by_kernel`` is the builder's
+  insertion closing its own point and each pair it checks again instead of
+  reading that table, and ``insert_closing_own`` closes only its own point
+  again;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -53,7 +57,12 @@ from segrep.core import (
 )
 from segrep.geometry import ConvexGeometry
 from segrep.properties import PropertyReport, SqWitness, TwoExWitness
-from segrep.representation import Infeasible, SegmentRepresentation, segment_closure
+from segrep.representation import (
+    Infeasible,
+    SegmentRepresentation,
+    _insert,
+    segment_closure,
+)
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
@@ -178,10 +187,73 @@ def verify_representation_by_pairs(
     return (True, None)
 
 
+def verify_representation_by_proof(
+    geom: ConvexGeometry, rep: SegmentRepresentation
+) -> tuple[bool, Optional[int]]:
+    """``verify_representation`` closing only the seeds that a proof read off
+    the basis cannot settle, with the same ``(ok, seed)``.
+
+    One pass over the basis first checks (a): every implication ``A -> B``
+    has ``B`` inside ρ(A).  Then every ρ-closed set is closed under the
+    basis, so φ lies inside ρ, and a seed agrees as soon as its ρ lies
+    inside a lower bound on its φ: the seed plus the gains of the rules
+    whose premise it is and, for a pair, the ρ of both its elements, which
+    agree with φ by then.  Only a seed whose ρ exceeds that bound goes to
+    ``geom.closure``; without (a) every seed does."""
+    if rep.elements != geom.ground.full:
+        raise ValueError("representation must order the whole ground set")
+    gains = _premise_gains(geom, rep)
+    proven = gains is not None
+    closure = geom.closure
+    lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
+    n = rep.n
+    ranks = [(lrank[e], rrank[e]) for e in range(n)]
+    below = []  # ρ({x}) per element x, equal to φ({x}) once x is passed
+    for x, (lx, rx) in enumerate(ranks):
+        seed = 1 << x
+        closed = lpref[lx] & rpref[rx]
+        below.append(closed)
+        if proven and not closed & ~(seed | gains.get(seed, 0)):
+            continue
+        if closed != closure(seed):
+            return (False, seed)
+    for x, (lx, rx) in enumerate(ranks):
+        for y in range(x + 1, n):
+            ly, ry = ranks[y]
+            seed = (1 << x) | (1 << y)
+            closed = lpref[max(lx, ly)] & rpref[max(rx, ry)]
+            if proven and not closed & ~(below[x] | below[y] | gains.get(seed, 0)):
+                continue
+            if closed != closure(seed):
+                return (False, seed)
+    return (True, None)
+
+
+def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> Optional[dict]:
+    """Fact (a) of ``verify_representation_by_proof``: None when some
+    conclusion leaves the segment closure of its premise, else the gains of
+    the rules with at most two premise elements, ORed up by premise."""
+    gains: dict[int, int] = {}
+    for imp in geom.basis.implications:
+        premise = imp.premise
+        gain = imp.conclusion & ~premise
+        if not gain:
+            continue
+        if gain & ~segment_closure(rep, premise):
+            return None
+        if premise.bit_count() <= 2:
+            gains[premise] = gains.get(premise, 0) | gain
+    return gains
+
+
 def pair_closures_by_kernel(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
-    """``ConvexGeometry.pair_closures`` with one closure query per pair: the
-    first call closes every ``{i, j}`` through ``geom.closure`` and keeps the
-    table on the geometry, so that later calls ask nothing."""
+    """``ConvexGeometry.pair_closures`` with one closure query per pair and
+    no singleton entries: the first call closes every ``{i, j}`` with
+    ``i < j`` through ``geom.closure`` and keeps the table on the geometry,
+    so that later calls ask nothing.  The package's ``verify_representation``
+    and ``_insert`` read singleton entries, so patch this in only together
+    with ``verify_representation_by_proof`` (or ``..._by_pairs``) and
+    ``insert_by_kernel``."""
     if geom._pairs is None:
         geom._pairs = {
             (i, j): geom.closure((1 << i) | (1 << j))
@@ -193,9 +265,9 @@ def pair_closures_by_kernel(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
 def insert_by_kernel(
     geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
 ) -> SegmentRepresentation:
-    """The builder's insertion of ``a`` with every pair ``{a, x}`` it checks
-    closed again through ``geom.closure``, where the package's ``_insert``
-    reads the pair table."""
+    """The builder's insertion of ``a`` with ``{a}`` and every pair
+    ``{a, x}`` it checks closed again through ``geom.closure``, where the
+    package's ``_insert`` reads the table."""
     from segrep.uniqueness import block_orientations
 
     own = geom.closure(1 << a) & subset
@@ -212,6 +284,16 @@ def insert_by_kernel(
         else:
             return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
     raise Infeasible("insertion", (subset, 1 << a))
+
+
+def insert_closing_own(
+    geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
+) -> SegmentRepresentation:
+    """The package's ``_insert`` after closing ``{a}`` again through
+    ``geom.closure``, which must give the table's singleton entry."""
+    if geom.closure(1 << a) & subset != geom.pair_closures()[(a, a)]:
+        raise AssertionError(f"the table's closure of {{{a}}} is not the kernel's")
+    return _insert(geom, subset, a, sub)
 
 
 @dataclass(frozen=True)

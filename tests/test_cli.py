@@ -42,8 +42,10 @@ from oracles import (
     check_sq_exhaustive,
     extreme_points_by_definition,
     insert_by_kernel,
+    insert_closing_own,
     pair_closures_by_kernel,
     verify_representation_by_pairs,
+    verify_representation_by_proof,
 )
 
 
@@ -65,17 +67,19 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _pin_id(command, name, per_member, by_pairs, pair_scan, by_kernel, calls):
+def _pin_id(command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof, calls):
     """Test id of a closure-call pin.  The pins with the kernel pair path
     patched in keep the ids of the counts they pin, and of those, the pins
     with the pair scan patched in for ``check_sq`` carry no mode.  The other
-    pins name every mode and end in ``from-singletons``, since a count alone
-    does not tell them apart from the kernel pair path's."""
+    pins name every mode and end in ``from-singletons``, or in
+    ``reads-table`` for the pins without the proof-reading verification,
+    since a count alone does not tell them apart."""
     if by_kernel and pair_scan:
         return f"{name}-{calls}" if command == "check" else f"{command}-{name}-{calls}"
     modes = ["by-member"] * per_member + ["by-pairs"] * by_pairs
     if not by_kernel:
-        modes += ["pair-scan"] * pair_scan + ["from-singletons"]
+        modes += ["pair-scan"] * pair_scan
+        modes.append("from-singletons" if by_proof else "reads-table")
     return "-".join([command, name, *modes, str(calls)])
 
 
@@ -275,55 +279,73 @@ class TestCheck:
     # that an insertion checks again.  Those pins hold every other closure
     # query where it was before the pair table was filled from the
     # singleton closures and the builder read it; they differ from the
-    # shipped pins by exactly those queries.  On a geometry where no pair is
-    # nested (fivepoint, triangle) the table costs n queries more than the
-    # kernel pair path, the n singleton closures.
+    # `from-singletons` pins by exactly those queries.  On a geometry where
+    # no pair is nested (fivepoint, triangle) the table costs n queries more
+    # than the kernel pair path, the n singleton closures.  All of these
+    # pins run with `verify_representation_by_proof` patched in for the
+    # verification, where `by-pairs` does not replace it, and with
+    # `insert_closing_own` for the insertion, where `insert_by_kernel` does
+    # not: they hold every closure query where it was before verification
+    # and insertion read the singleton closures off the table.  `check`
+    # neither verifies nor builds, so its pins are the shipped counts too.
+    # The `reads-table` pins are the shipped counts of `represent` and
+    # `unique` on the four fixtures that get a representation; after decide
+    # they differ from the `from-singletons` pins by the insertions' n - 1
+    # singleton closures and, without `by-pairs`, the proof's closures.
     @pytest.mark.parametrize(
-        "command, name, per_member, by_pairs, pair_scan, by_kernel, calls", [
-            pytest.param(command, name, per_member, by_pairs, pair_scan, by_kernel, calls,
-                         id=_pin_id(command, name, per_member, by_pairs, pair_scan,
-                                    by_kernel, calls))
-            for command, by_pairs, pair_scan, by_kernel, one_pass, by_member in (
-                ("check", False, False, False,
+        "command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof, calls", [
+            pytest.param(command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof,
+                         calls, id=_pin_id(command, name, per_member, by_pairs, pair_scan,
+                                           by_kernel, by_proof, calls))
+            for command, by_pairs, pair_scan, by_kernel, by_proof, one_pass, by_member in (
+                ("check", False, False, False, True,
                  (15, 9, 11, 9, 10, 8, 10), (15, 9, 11, 9, 10, 8, 10)),
-                ("represent", False, False, False,
+                ("represent", False, False, False, True,
                  (15, 9, 26, 21, 10, 14, 18), (15, 9, 47, 36, 10, 20, 28)),
-                ("unique", False, False, False,
+                ("unique", False, False, False, True,
                  (15, 9, 26, 21, 10, 14, 18), (15, 9, 47, 36, 10, 20, 28)),
-                ("represent", True, False, False,
+                ("represent", True, False, False, True,
                  (None, None, 52, 41, None, 25, 34), (None, None, 73, 56, None, 31, 44)),
-                ("unique", True, False, False,
+                ("unique", True, False, False, True,
                  (None, None, 52, 41, None, 25, 34), (None, None, 73, 56, None, 31, 44)),
-                ("check", False, True, False,
+                ("check", False, True, False, True,
                  (59, 35, 53, 38, 36, 31, 43), (75, 54, 118, 68, 45, 49, 81)),
-                ("represent", False, True, False,
+                ("represent", False, True, False, True,
                  (59, 35, 68, 50, 36, 37, 51), (75, 54, 154, 95, 45, 61, 99)),
-                ("unique", False, True, False,
+                ("unique", False, True, False, True,
                  (59, 35, 68, 50, 36, 37, 51), (75, 54, 154, 95, 45, 61, 99)),
-                ("represent", True, True, False,
+                ("represent", True, True, False, True,
                  (None, None, 94, 70, None, 48, 67), (None, None, 180, 115, None, 72, 115)),
-                ("unique", True, True, False,
+                ("unique", True, True, False, True,
                  (None, None, 94, 70, None, 48, 67), (None, None, 180, 115, None, 72, 115)),
-                ("check", False, False, True,
+                ("check", False, False, True, True,
                  (10, 6, 21, 15, 6, 6, 10), (10, 6, 21, 15, 6, 6, 10)),
-                ("represent", False, False, True,
+                ("represent", False, False, True, True,
                  (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
-                ("unique", False, False, True,
+                ("unique", False, False, True, True,
                  (10, 6, 40, 30, 6, 17, 23), (10, 6, 61, 45, 6, 23, 33)),
-                ("represent", True, False, True,
+                ("represent", True, False, True, True,
                  (None, None, 66, 50, None, 28, 39), (None, None, 87, 65, None, 34, 49)),
-                ("unique", True, False, True,
+                ("unique", True, False, True, True,
                  (None, None, 66, 50, None, 28, 39), (None, None, 87, 65, None, 34, 49)),
-                ("check", False, True, True,
+                ("check", False, True, True, True,
                  (54, 32, 63, 44, 32, 29, 43), (70, 51, 128, 74, 41, 47, 81)),
-                ("represent", False, True, True,
+                ("represent", False, True, True, True,
                  (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
-                ("unique", False, True, True,
+                ("unique", False, True, True, True,
                  (54, 32, 82, 59, 32, 40, 56), (70, 51, 168, 104, 41, 64, 104)),
-                ("represent", True, True, True,
+                ("represent", True, True, True, True,
                  (None, None, 108, 79, None, 51, 72), (None, None, 194, 124, None, 75, 120)),
-                ("unique", True, True, True,
+                ("unique", True, True, True, True,
                  (None, None, 108, 79, None, 51, 72), (None, None, 194, 124, None, 75, 120)),
+                ("represent", False, False, False, False,
+                 (None, None, 17, 14, None, 11, 14), (None, None, 38, 29, None, 17, 24)),
+                ("unique", False, False, False, False,
+                 (None, None, 17, 14, None, 11, 14), (None, None, 38, 29, None, 17, 24)),
+                ("represent", True, False, False, False,
+                 (None, None, 46, 36, None, 22, 30), (None, None, 67, 51, None, 28, 40)),
+                ("unique", True, False, False, False,
+                 (None, None, 46, 36, None, 22, 30), (None, None, 67, 51, None, 28, 40)),
             )
             for per_member, counts in ((False, one_pass), (True, by_member))
             for name, calls in zip(
@@ -332,17 +354,20 @@ class TestCheck:
         ])
     def test_closure_calls_pinned_on_fixtures(self, tmp_path, monkeypatch, command, name,
                                               per_member, by_pairs, pair_scan, by_kernel,
-                                              calls):
+                                              by_proof, calls):
         if per_member:
             monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
-        if by_pairs:
+        if by_pairs or by_proof:
+            verify = verify_representation_by_pairs if by_pairs else verify_representation_by_proof
             for module in (representation, uniqueness):
-                monkeypatch.setattr(module, "verify_representation", verify_representation_by_pairs)
+                monkeypatch.setattr(module, "verify_representation", verify)
         if pair_scan:
             monkeypatch.setattr(properties, "check_sq", check_sq_by_pair_scan)
+        if by_kernel or by_proof:
+            insert = insert_by_kernel if by_kernel else insert_closing_own
+            monkeypatch.setattr(representation, "_insert", insert)
         if by_kernel:
             monkeypatch.setattr(ConvexGeometry, "pair_closures", pair_closures_by_kernel)
-            monkeypatch.setattr(representation, "_insert", insert_by_kernel)
         path = tmp_path / f"{name}.geom"
         path.write_text(fixture_text(name))
         code, out, _ = run(command, str(path), "--json")
