@@ -10,7 +10,6 @@ from importlib import resources
 
 from segrep import (
     NotApplicable,
-    block_decomposition,
     build_representation,
     count_representations,
     enumerate_representations,
@@ -18,7 +17,7 @@ from segrep import (
     reconstruct_by_peeling,
     validate_geometry,
 )
-from segrep.cli import chain_display, parse_geometry
+from segrep.cli import block_table, chain_display, parse_geometry
 
 data = resources.files("segrep") / "data"
 for name in ("un", "switch", "unique", "seven"):
@@ -26,7 +25,7 @@ for name in ("un", "switch", "unique", "seven"):
     gs = geom.ground
     rep = build_representation(geom)
     print(f"== {name}: {chain_display(gs, rep)}")
-    print(block_decomposition(rep).describe(gs))
+    print(block_table(gs, rep))
     print("representations:", count_representations(rep))
     for other in enumerate_representations(rep):
         print("  ", chain_display(gs, other))

@@ -34,7 +34,6 @@ from .representation import (
 )
 from .uniqueness import (
     Block,
-    BlockDecomposition,
     NotApplicable,
     TooManyBlocks,
     UniquenessReport,

@@ -97,6 +97,16 @@ def chain_display(ground: GroundSet, rep: SegmentRepresentation) -> str:
     return "(" + " ".join(parts) + ")"
 
 
+def block_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
+    """One line per block of the representation, from the bottom up."""
+    return "\n".join(
+        f"block {i}: positions [{b.start}..{b.end}], "
+        f"members {ground.format_set(b.members)}, "
+        f"switchable {'yes' if b.switchable else 'no'}"
+        for i, b in enumerate(block_decomposition(rep), start=1)
+    )
+
+
 def layout_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
     rows = {e: (lo, hi) for e, lo, hi in segment_layout(rep)}
     lines = ["element left_endpoint right_endpoint"]
@@ -275,7 +285,7 @@ def cmd_unique(args, report: Report, geom: ConvexGeometry) -> int:
     rep = _represent(report, geom)
     if rep is None:
         return 1
-    report.add("blocks", "\n" + block_decomposition(rep).describe(geom.ground))
+    report.add("blocks", "\n" + block_table(geom.ground, rep))
     report.add("representation_count", count_representations(rep))
     report.add("unique", is_unique(rep).unique)
     return 0
@@ -286,7 +296,8 @@ def cmd_closure(args, report: Report, geom: ConvexGeometry) -> int:
     closed = geom.closure(seed)
     report.add("seed", geom.ground.format_set(seed))
     report.add("closure", geom.ground.format_set(closed))
-    report.add("extreme_points", geom.ground.format_set(geom.extreme_points(closed)))
+    extreme = geom.basis.extreme_points_of_closed(closed)
+    report.add("extreme_points", geom.ground.format_set(extreme))
     return 0
 
 

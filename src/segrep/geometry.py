@@ -110,10 +110,9 @@ class ConvexGeometry:
 
     Instances come from :func:`validate_geometry` and keep no closed-set
     family.  They do not change apart from ``closure_calls``, the number of
-    closure queries asked so far, and the table that the first call of
+    closure queries asked so far, and the n rows that the first call of
     :meth:`pair_closures` fills with the closure of every seed of one or two
-    elements: the n singleton closures, and one closure per pair that
-    neither singleton closure holds.
+    elements.
     """
 
     __slots__ = ("ground", "basis", "closure_calls", "_pairs")
@@ -122,7 +121,7 @@ class ConvexGeometry:
         self.ground = basis.ground
         self.basis = basis
         self.closure_calls = 0
-        self._pairs: dict[tuple[int, int], int] | None = None
+        self._pairs: list[list[int]] | None = None
 
     @property
     def n(self) -> int:
@@ -136,34 +135,37 @@ class ConvexGeometry:
         self.closure_calls += 1
         return self.basis.closure(seed)
 
-    def pair_closures(self) -> dict[tuple[int, int], int]:
-        """The closure of ``{i, j}`` for every ``i <= j``, keyed ``(i, j)``:
-        the singleton closure ``C_i`` under ``(i, i)``.
+    def pair_closures(self) -> list[list[int]]:
+        """The closure of every seed of one or two elements, as n rows:
+        ``rows[i][j]`` and ``rows[j][i]`` are the closure of ``{i, j}``, and
+        ``rows[i][i]`` is the singleton closure ``C_i``.
 
         The first call closes each singleton once through :meth:`closure`
         and fills the pairs from those: the closure of ``{i, j}`` is that of
         ``C_i | C_j``, which is ``C_i`` itself when ``C_i`` holds ``j`` (and
         ``C_j`` when ``C_j`` holds ``i``).  So a nested pair asks no closure
         query, and every other pair asks one, of ``C_i | C_j``.  This holds
-        for any closure operator.  Later calls return the same table and ask
-        no closure query.
+        for any closure operator.  Later calls return the same rows and ask
+        no closure query; callers read them and do not change them.
         """
         if self._pairs is None:
             n = self.n
             closure = self.closure
             own = [closure(1 << i) for i in range(n)]
-            pairs = {}
+            rows = [[0] * n for _ in range(n)]
             for i, c_i in enumerate(own):
-                pairs[(i, i)] = c_i
+                row = rows[i]
+                row[i] = c_i
                 for j in range(i + 1, n):
                     c_j = own[j]
                     if (c_i >> j) & 1:
-                        pairs[(i, j)] = c_i
+                        closed = c_i
                     elif (c_j >> i) & 1:
-                        pairs[(i, j)] = c_j
+                        closed = c_j
                     else:
-                        pairs[(i, j)] = closure(c_i | c_j)
-            self._pairs = pairs
+                        closed = closure(c_i | c_j)
+                    row[j] = rows[j][i] = closed
+            self._pairs = rows
         return self._pairs
 
     def extreme_points(self, subset: int) -> int:

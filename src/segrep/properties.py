@@ -123,20 +123,19 @@ def check_2ex(geom: ConvexGeometry) -> PropertyReport:
     """At most two extreme points in every subset, via the triple test.
 
     Equivalent formulation: for every three elements, one of them lies in the
-    closure of the other two.  Reads the pair table of
-    :meth:`ConvexGeometry.pair_closures` and makes O(n^3) bit tests; the
-    first failing triple in lexicographic order is the witness.
+    closure of the other two.  Reads the rows of
+    :meth:`ConvexGeometry.pair_closures`: for each pair ``i < j`` only the
+    ``k > j`` outside the closure of ``{i, j}`` are visited, with two bit
+    tests each, so at most O(n^3) in all.  The first failing triple in
+    lexicographic order is the witness.
     """
-    pc = geom.pair_closures()
-    n = geom.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if (
-                    not (pc[(i, j)] >> k) & 1
-                    and not (pc[(i, k)] >> j) & 1
-                    and not (pc[(j, k)] >> i) & 1
-                ):
+    rows = geom.pair_closures()
+    full = geom.ground.full
+    for i, row_i in enumerate(rows):
+        for j in range(i + 1, geom.n):
+            row_j = rows[j]
+            for k in iter_bits(full & ~row_i[j] & -(2 << j)):
+                if not (row_i[k] >> j) & 1 and not (row_j[k] >> i) & 1:
                     return PropertyReport("TwoEx", TwoExWitness(mask_of((i, j, k))))
     return PropertyReport("TwoEx")
 
@@ -167,7 +166,8 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
             found = known[closed] = of_closed(closed)
         return found
 
-    for subset in sorted(set(geom.pair_closures().values()), key=canonical_key):
+    closures = {closed for row in geom.pair_closures() for closed in row}
+    for subset in sorted(closures, key=canonical_key):
         ends = extreme(subset)
         if ends.bit_count() != 2:
             continue

@@ -97,11 +97,11 @@ def verify_representation(
     exactly when they agree on every seed of at most two elements.  For any
     X, the seed S = {max_L X, max_R X} lies in X and ρ(X) = ρ(S); if ρ(S) =
     φ(S), then ρ(X) ⊆ φ(X), and X ⊆ ρ(S) gives φ(X) ⊆ φ(S) = ρ(X).  Both
-    close ∅ to ∅, and φ of every other such seed is read off the table of
+    close ∅ to ∅, and φ of every other such seed is read off the rows of
     :meth:`ConvexGeometry.pair_closures`: the singletons and then the pairs,
     in canonical order, and the first disagreeing seed is returned.  After
-    ``decide_cdim2`` the table is full and this asks no closure query;
-    without it, the table is filled first.  The all-subsets twin is the
+    ``decide_cdim2`` the rows are full and this asks no closure query;
+    without it, they are filled first.  The all-subsets twin is the
     test oracle ``verify_representation_exhaustive`` in ``tests/oracles.py``.
 
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
@@ -110,18 +110,19 @@ def verify_representation(
     """
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
-    table = geom.pair_closures()
+    rows = geom.pair_closures()
     lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
     n = rep.n
     ranks = [(lrank[e], rrank[e]) for e in range(n)]
     for x, (lx, rx) in enumerate(ranks):
-        if lpref[lx] & rpref[rx] != table[(x, x)]:
+        if lpref[lx] & rpref[rx] != rows[x][x]:
             return (False, 1 << x)
     for x, (lx, rx) in enumerate(ranks):
+        row = rows[x]
         for y in range(x + 1, n):
             ly, ry = ranks[y]
             closed = lpref[lx if lx > ly else ly] & rpref[rx if rx > ry else ry]
-            if closed != table[(x, y)]:
+            if closed != row[y]:
                 return (False, (1 << x) | (1 << y))
     return (True, None)
 
@@ -143,11 +144,11 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     dropping that point from both chains yields a representation of the rest
     that the orientation search reaches.
 
-    The build first fills the geometry's table of singleton and pair
+    The build first fills the geometry's rows of singleton and pair
     closures (:meth:`ConvexGeometry.pair_closures`), also on an input that
-    then raises; after ``decide_cdim2`` it is already full.  Past it, the
-    peel asks n-1 extreme-point queries, and the insertions and the
-    verification read the table, so a build after decide asks n-1 closure
+    then raises; after ``decide_cdim2`` they are already full.  Past them,
+    the peel asks n-1 extreme-point queries, and the insertions and the
+    verification read the rows, so a build after decide asks n-1 closure
     queries.
     """
     geom.pair_closures()
@@ -184,13 +185,14 @@ def _insert(
     prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
     above the cut are checked; a sole extreme point closes to all of
     ``subset`` and goes on top of both chains unchecked.  ``subset`` is
-    closed, so every closure read off the table lies inside it, and the
-    insertion asks no closure query.  Raise Infeasible, with the subset and
-    ``a``, if no block orientation of ``sub`` admits it."""
+    closed, so every closure in ``a``'s row of
+    :meth:`ConvexGeometry.pair_closures` lies inside it, and the insertion
+    reads them there, asking no closure query.  Raise Infeasible, with the
+    subset and ``a``, if no block orientation of ``sub`` admits it."""
     from .uniqueness import block_orientations
 
-    pairs = geom.pair_closures()
-    own = pairs[(a, a)]
+    row = geom.pair_closures()[a]
+    own = row[a]
     below_a = own & ~(1 << a)
     cut = below_a.bit_count()
     for left, right in block_orientations(sub):
@@ -199,7 +201,7 @@ def _insert(
         prefix = own
         for x in right[cut:]:
             prefix |= 1 << x
-            if pairs[(a, x) if a < x else (x, a)] != prefix:
+            if row[x] != prefix:
                 break
         else:
             return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])

@@ -54,29 +54,9 @@ class Block:
         return self.left_sub != self.right_sub
 
 
-class BlockDecomposition:
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[Block, ...]):
-        self.blocks = blocks
-
-    @property
-    def switchable_count(self) -> int:
-        return sum(1 for b in self.blocks if b.switchable)
-
-    def describe(self, ground) -> str:
-        lines = []
-        for i, b in enumerate(self.blocks, start=1):
-            flag = "yes" if b.switchable else "no"
-            lines.append(
-                f"block {i}: positions [{b.start}..{b.end}], "
-                f"members {ground.format_set(b.members)}, switchable {flag}"
-            )
-        return "\n".join(lines)
-
-
-def block_decomposition(rep: SegmentRepresentation) -> BlockDecomposition:
-    """Finest partition into position ranges with matching cumulative sets."""
+def block_decomposition(rep: SegmentRepresentation) -> tuple[Block, ...]:
+    """Finest partition into position ranges with matching cumulative sets,
+    as its blocks from the bottom of the chains up."""
     blocks = []
     acc_l = acc_r = 0
     start = 1
@@ -94,7 +74,7 @@ def block_decomposition(rep: SegmentRepresentation) -> BlockDecomposition:
             )
             start = pos + 1
             left_sub, right_sub = [], []
-    return BlockDecomposition(tuple(blocks))
+    return tuple(blocks)
 
 
 def block_orientations(rep: SegmentRepresentation):
@@ -104,9 +84,8 @@ def block_orientations(rep: SegmentRepresentation):
     collapse of the output is the full set of representations of the same
     geometry.
     """
-    decomposition = block_decomposition(rep)
     choices = []
-    for b in decomposition.blocks:
+    for b in block_decomposition(rep):
         if b.switchable:
             choices.append(((b.left_sub, b.right_sub), (b.right_sub, b.left_sub)))
         else:
@@ -122,7 +101,7 @@ def block_orientations(rep: SegmentRepresentation):
 
 def count_representations(rep: SegmentRepresentation) -> int:
     """Number of distinct representations of the represented geometry."""
-    s = block_decomposition(rep).switchable_count
+    s = sum(b.switchable for b in block_decomposition(rep))
     return 1 if s <= 1 else 2 ** (s - 1)
 
 
@@ -136,7 +115,7 @@ class UniquenessReport:
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
     """Uniqueness holds exactly when at most one block is switchable; the
     report names that block when there is one."""
-    switchable = [b for b in block_decomposition(rep).blocks if b.switchable]
+    switchable = [b for b in block_decomposition(rep) if b.switchable]
     if len(switchable) > 1:
         return UniquenessReport(False, None)
     return UniquenessReport(True, switchable[0] if switchable else None)
@@ -145,16 +124,17 @@ def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
 def enumerate_representations(
     rep: SegmentRepresentation, max_blocks: int = 20
 ) -> tuple[SegmentRepresentation, ...]:
-    """All representations reachable by block flips, canonical and sorted;
-    each pair, which the flips yield in both orders, is built once."""
-    s = block_decomposition(rep).switchable_count
+    """All representations reachable by block flips, canonical and sorted.
+    Flipping every switchable block swaps the chains, so keeping the
+    orientations with ``left <= right`` builds each representation once."""
+    s = sum(b.switchable for b in block_decomposition(rep))
     if s > max_blocks:
         raise TooManyBlocks(
             f"{s} switchable blocks exceed the guard of {max_blocks}; "
             "raise 'max_blocks' to override"
         )
-    pairs = {(l, r) if l <= r else (r, l) for l, r in block_orientations(rep)}
-    return tuple(SegmentRepresentation(l, r) for l, r in sorted(pairs))
+    pairs = sorted((l, r) for l, r in block_orientations(rep) if l <= r)
+    return tuple(SegmentRepresentation(l, r) for l, r in pairs)
 
 
 def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:

@@ -20,8 +20,8 @@ Test-only code: it lives under ``tests/`` and is not part of the
   settles most seeds with a lower bound read off the basis and closes only
   the rest;
 * ``pair_closures_by_kernel`` closes every pair through ``geom.closure``,
-  the table that ``ConvexGeometry.pair_closures`` fills from the singleton
-  closures, without the singletons; ``insert_by_kernel`` is the builder's
+  the rows that ``ConvexGeometry.pair_closures`` fill from the singleton
+  closures, with 0 for the singletons; ``insert_by_kernel`` is the builder's
   insertion closing its own point and each pair it checks again instead of
   reading that table, and ``insert_closing_own`` closes only its own point
   again;
@@ -246,19 +246,21 @@ def _premise_gains(geom: ConvexGeometry, rep: SegmentRepresentation) -> Optional
     return gains
 
 
-def pair_closures_by_kernel(geom: ConvexGeometry) -> dict[tuple[int, int], int]:
+def pair_closures_by_kernel(geom: ConvexGeometry) -> list[list[int]]:
     """``ConvexGeometry.pair_closures`` with one closure query per pair and
-    no singleton entries: the first call closes every ``{i, j}`` with
-    ``i < j`` through ``geom.closure`` and keeps the table on the geometry,
-    so that later calls ask nothing.  The package's ``verify_representation``
-    and ``_insert`` read singleton entries, so patch this in only together
-    with ``verify_representation_by_proof`` (or ``..._by_pairs``) and
+    0 on the diagonal: the first call closes every ``{i, j}`` with ``i < j``
+    through ``geom.closure``, in the package's order, fills both
+    ``rows[i][j]`` and ``rows[j][i]`` and keeps the rows on the geometry,
+    so that later calls ask nothing.  ``check_sq`` skips the 0 entries, as
+    they have no extreme point.  The package's ``verify_representation``
+    and ``_insert`` read the diagonal, so patch this in only together with
+    ``verify_representation_by_proof`` (or ``..._by_pairs``) and
     ``insert_by_kernel``."""
     if geom._pairs is None:
-        geom._pairs = {
-            (i, j): geom.closure((1 << i) | (1 << j))
-            for i, j in combinations(range(geom.n), 2)
-        }
+        rows = [[0] * geom.n for _ in range(geom.n)]
+        for i, j in combinations(range(geom.n), 2):
+            rows[i][j] = rows[j][i] = geom.closure((1 << i) | (1 << j))
+        geom._pairs = rows
     return geom._pairs
 
 
@@ -291,7 +293,7 @@ def insert_closing_own(
 ) -> SegmentRepresentation:
     """The package's ``_insert`` after closing ``{a}`` again through
     ``geom.closure``, which must give the table's singleton entry."""
-    if geom.closure(1 << a) & subset != geom.pair_closures()[(a, a)]:
+    if geom.closure(1 << a) & subset != geom.pair_closures()[a][a]:
         raise AssertionError(f"the table's closure of {{{a}}} is not the kernel's")
     return _insert(geom, subset, a, sub)
 

@@ -449,6 +449,16 @@ class TestUnique:
         assert "unique: False" in out
         assert "switchable yes" in out
 
+    def test_switch_blocks_text(self, files):
+        # one line per block, bottom up, as demo 03 prints them too
+        code, out, _ = run("unique", files["switch"])
+        assert code == 0
+        assert "\nblocks: \n" + "\n".join([
+            "block 1: positions [1..3], members {1,2,3}, switchable yes",
+            "block 2: positions [4..4], members {c}, switchable no",
+            "block 3: positions [5..6], members {a,b}, switchable yes",
+        ]) + "\nrepresentation_count: 2\n" in out
+
     def test_unique_fixture(self, files):
         code, out, _ = run("unique", files["unique"])
         assert code == 0
@@ -462,6 +472,11 @@ class TestClosureCmd:
         assert code == 0
         assert "closure: {a,d}" in out
         assert "extreme_points: {a}" in out
+        # the closed set's extreme points are read off the basis: the seed's
+        # closure is the one closure query
+        code, out, _ = run("closure", files["notsuf"], "a", "--json")
+        assert code == 0
+        assert json.loads(out)["closure_calls"] == 1
 
 
 class TestOracle:

@@ -194,9 +194,9 @@ class TestValidate:
 
 class TestPairClosures:
     def test_table_matches_the_kernel_on_every_pair(self, pool_small, pool_n6):
-        # the table keeps C_i under (i, i); the closure of {i, j} is that of
-        # C_i | C_j, and C_i itself when it holds j, for any closure
-        # operator: non-geometries count too
+        # row i holds C_i at [i][i] and the closure of {i, j} at [i][j] and
+        # [j][i]; that is the closure of C_i | C_j, and C_i itself when it
+        # holds j, for any closure operator: non-geometries count too
         bases = [geom.basis for geom in pool_small + pool_n6]
         bases += [load_fixture(name).geometry.basis for name in FIXTURE_NAMES]
         rng = random.Random(31)
@@ -212,10 +212,9 @@ class TestPairClosures:
         assert violators == 920
         for basis in bases:
             n = basis.ground.n
-            expected = {
-                (i, j): basis.closure((1 << i) | (1 << j))
-                for i in range(n) for j in range(i, n)
-            }
+            expected = [
+                [basis.closure((1 << i) | (1 << j)) for j in range(n)] for i in range(n)
+            ]
             assert geometry.ConvexGeometry(basis).pair_closures() == expected, basis
 
 

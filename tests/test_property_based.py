@@ -124,14 +124,14 @@ def test_closure_on_wide_bases_matches_naive_fixpoint(case):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(wide_bases())
 def test_pair_table_on_wide_bases_matches_the_kernel(case):
-    # filled from the singleton closures, kept under (i, i), on geometries
-    # and other bases alike
+    # filled from the singleton closures, n symmetric rows with C_i at
+    # [i][i], on geometries and other bases alike
     basis, _seeds = case
     n = basis.ground.n
-    table = ConvexGeometry(basis).pair_closures()
-    assert table == {
-        (i, j): basis.closure((1 << i) | (1 << j)) for i in range(n) for j in range(i, n)
-    }
+    rows = ConvexGeometry(basis).pair_closures()
+    assert rows == [
+        [basis.closure((1 << i) | (1 << j)) for j in range(n)] for i in range(n)
+    ]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -40,42 +40,42 @@ def switch_rep(switch):
 class TestBlockDecomposition:
     def test_switch_blocks(self, switch, switch_rep):
         gs = switch.geometry.ground
-        dec = block_decomposition(switch_rep)
-        members = [b.members for b in dec.blocks]
+        blocks = block_decomposition(switch_rep)
+        members = [b.members for b in blocks]
         assert members == [gs.mask("123"), gs.mask("c"), gs.mask("ab")]
-        assert [b.switchable for b in dec.blocks] == [True, False, True]
-        assert dec.switchable_count == 2
-        assert (dec.blocks[0].start, dec.blocks[0].end) == (1, 3)
-        assert (dec.blocks[2].start, dec.blocks[2].end) == (5, 6)
+        assert [b.switchable for b in blocks] == [True, False, True]
+        assert sum(b.switchable for b in blocks) == 2
+        assert (blocks[0].start, blocks[0].end) == (1, 3)
+        assert (blocks[2].start, blocks[2].end) == (5, 6)
 
     def test_un_single_block(self):
         fixture = load_fixture("un")
         rep = build_representation(fixture.geometry)
-        dec = block_decomposition(rep)
-        assert len(dec.blocks) == 1
-        assert dec.blocks[0].members == fixture.geometry.ground.full
-        assert dec.switchable_count == 1
+        blocks = block_decomposition(rep)
+        assert len(blocks) == 1
+        assert blocks[0].members == fixture.geometry.ground.full
+        assert sum(b.switchable for b in blocks) == 1
 
     def test_identical_chains_all_singletons(self):
         rep = SegmentRepresentation((2, 0, 1), (2, 0, 1))
-        dec = block_decomposition(rep)
-        assert len(dec.blocks) == 3
-        assert dec.switchable_count == 0
+        blocks = block_decomposition(rep)
+        assert len(blocks) == 3
+        assert sum(b.switchable for b in blocks) == 0
 
     def test_blocks_partition_positions(self, switch_rep):
-        dec = block_decomposition(switch_rep)
-        positions = [p for b in dec.blocks for p in range(b.start, b.end + 1)]
+        blocks = block_decomposition(switch_rep)
+        positions = [p for b in blocks for p in range(b.start, b.end + 1)]
         assert positions == list(range(1, switch_rep.n + 1))
 
     def test_blocks_are_irreducible(self, switch_rep):
         # a block re-read as its own representation decomposes into itself
-        for block in block_decomposition(switch_rep).blocks:
+        for block in block_decomposition(switch_rep):
             sub = SegmentRepresentation(block.left_sub, block.right_sub)
-            assert len(block_decomposition(sub).blocks) == 1
+            assert len(block_decomposition(sub)) == 1
 
     def test_cross_block_implications(self, switch):
         rep = build_representation(switch.geometry)
-        blocks = block_decomposition(rep).blocks
+        blocks = block_decomposition(rep)
         geom = switch.geometry
         for high in range(len(blocks)):
             for low in range(high):
