@@ -67,21 +67,26 @@ def parse_geometry(text: str) -> ImplicationBasis:
                 ground = GroundSet(tuple(args))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
+            bit = {label: 1 << i for i, label in enumerate(args)}
         elif keyword == "imp":
             if ground is None:
                 raise ParseError(lineno, "'imp' before 'elements' line")
             if "->" not in args:
                 raise ParseError(lineno, "'imp' needs '->' between premise and conclusion")
             arrow = args.index("->")
-            premise, conclusion = args[:arrow], args[arrow + 1:]
-            if not premise:
+            if not arrow:
                 raise ParseError(lineno, "empty premise side")
-            if not conclusion:
+            if arrow == len(args) - 1:
                 raise ParseError(lineno, "empty conclusion side")
+            premise = conclusion = 0
             try:
-                implications.append(Implication(ground.mask(premise), ground.mask(conclusion)))
-            except SegrepError as exc:
-                raise ParseError(lineno, str(exc)) from None
+                for label in args[:arrow]:
+                    premise |= bit[label]
+                for label in args[arrow + 1:]:
+                    conclusion |= bit[label]
+            except KeyError as exc:
+                raise ParseError(lineno, f"unknown element {exc.args[0]!r}") from None
+            implications.append(Implication(premise, conclusion))
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
     if ground is None:

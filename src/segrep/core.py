@@ -182,12 +182,20 @@ class ImplicationBasis(Value):
             rule = (imp.premise, gain)
             premised |= imp.premise
             concluded |= gain
-            for e in iter_bits(imp.premise):
-                uses[e] |= 1 << i
+            bit = 1 << i
+            rest = imp.premise
+            while rest:
+                low = rest & -rest
+                e = low.bit_length() - 1
+                uses[e] |= bit
                 if gain:
                     rules[e].append(rule)
-            for e in iter_bits(gain):
-                adds[e] |= 1 << i
+                rest ^= low
+            rest = gain
+            while rest:
+                low = rest & -rest
+                adds[low.bit_length() - 1] |= bit
+                rest ^= low
         self.ground = ground
         self.implications = implications
         self._uses = tuple(uses)

@@ -110,18 +110,22 @@ class ConvexGeometry:
 
     Instances come from :func:`validate_geometry` and keep no closed-set
     family.  They do not change apart from ``closure_calls``, the number of
-    closure queries asked so far, and the n rows that the first call of
-    :meth:`pair_closures` fills with the closure of every seed of one or two
-    elements.
+    closure queries asked so far, and what the first call of
+    :meth:`pair_closures` fills: n rows with the closure of every seed of
+    one or two elements, and an index from those closed sets to their
+    extreme points, which :meth:`extreme_points_of_closed` reads.  The
+    index is exact on a convex geometry, the only kind that
+    :func:`validate_geometry` returns.
     """
 
-    __slots__ = ("ground", "basis", "closure_calls", "_pairs")
+    __slots__ = ("ground", "basis", "closure_calls", "_pairs", "_extreme")
 
     def __init__(self, basis: ImplicationBasis):
         self.ground = basis.ground
         self.basis = basis
         self.closure_calls = 0
         self._pairs: list[list[int]] | None = None
+        self._extreme: dict[int, int] = {}
 
     @property
     def n(self) -> int:
@@ -147,13 +151,24 @@ class ConvexGeometry:
         query, and every other pair asks one, of ``C_i | C_j``.  This holds
         for any closure operator.  Later calls return the same rows and ask
         no closure query; callers read them and do not change them.
+
+        The same call indexes the extreme points of these closed sets, with
+        no query of its own.  A closed set is the closure of its extreme
+        points, and the extreme points of the closure of ``S`` lie in
+        ``S`` (Edelman and Jamison, 1985).  So the empty set has none, Ex(C_i)
+        is ``{i}``, and the closure of a pair that neither singleton closure
+        holds has both members extreme: one alone would close to its own
+        singleton closure, which misses the other.  Once every set has at
+        most two extreme points, every closed set is an entry.
         """
         if self._pairs is None:
             n = self.n
             closure = self.closure
             own = [closure(1 << i) for i in range(n)]
+            extreme = {0: 0}
             rows = [[0] * n for _ in range(n)]
             for i, c_i in enumerate(own):
+                extreme[c_i] = 1 << i
                 row = rows[i]
                 row[i] = c_i
                 for j in range(i + 1, n):
@@ -164,20 +179,34 @@ class ConvexGeometry:
                         closed = c_j
                     else:
                         closed = closure(c_i | c_j)
+                        extreme[closed] = (1 << i) | (1 << j)
                     row[j] = rows[j][i] = closed
             self._pairs = rows
+            self._extreme = extreme
         return self._pairs
+
+    def extreme_points_of_closed(self, closed: int) -> int:
+        """Extreme points of the closed set ``closed``: its entry in the
+        index that :meth:`pair_closures` fills, or on a miss (before that
+        call, or on a set with more than two extreme points) one pass over
+        the basis (:meth:`ImplicationBasis.extreme_points_of_closed`)."""
+        found = self._extreme.get(closed)
+        if found is None:
+            return self.basis.extreme_points_of_closed(closed)
+        return found
 
     def extreme_points(self, subset: int) -> int:
         """Members of ``subset`` not generated by the rest of it.
 
-        Issues one closure, of ``subset`` itself, and one pass over the
-        basis: in a convex geometry a set and its closure have the same
-        extreme points (one inclusion holds in any closure system, the other
-        is anti-exchange), and those of a closed set are read off the
-        implications whose premise lies inside it.
+        Issues one closure, of ``subset`` itself, and reads the closed
+        result through :meth:`extreme_points_of_closed`: in a convex
+        geometry a set and its closure have the same extreme points (one
+        inclusion holds in any closure system, the other is anti-exchange).
+        After :meth:`pair_closures` on a geometry with at most two extreme
+        points per set, every answer is an index entry and no basis pass
+        runs.
         """
-        return self.basis.extreme_points_of_closed(self.closure(subset))
+        return self.extreme_points_of_closed(self.closure(subset))
 
     def closed_sets(self) -> tuple[int, ...]:
         """Every closed set, in canonical order (by size, then by members).

@@ -9,7 +9,8 @@ The decision procedure is the conjunction of two checks:
   leaves consistent extreme-point pairs.
 
 Both read the closures of pairs, which ``ConvexGeometry.pair_closures``
-computes once per geometry; ``check_sq`` reads the rest off the basis.
+computes once per geometry; ``check_sq`` reads extreme points from the index
+that the same call fills.
 Each polynomial check has a brute-force twin (``*_exhaustive``) in the test
 oracles (``tests/oracles.py``, outside the package) that evaluates the
 defining quantifier literally over all subsets, with a scan of its own; the
@@ -71,13 +72,18 @@ class SqWitness(Value):
         )
 
     def verify(self, geom: ConvexGeometry) -> bool:
-        """Recompute the witness from the definition."""
+        """Recompute the witness from the definition.
+
+        Each of the four sets is closed again and its extreme points are
+        read off the basis, not the geometry's index, so the re-check
+        shares no table with ``check_sq``."""
         a, b, c, d = (1 << e for e in (self.a, self.b, self.c, self.d))
+        closure, of_closed = geom.closure, geom.basis.extreme_points_of_closed
         return (
-            geom.extreme_points(self.subset) == a | b
-            and geom.extreme_points(self.subset & ~a) == c | b
-            and geom.extreme_points(self.subset & ~(a | b)) == c | d
-            and geom.extreme_points(self.subset & ~b) == self.observed
+            of_closed(closure(self.subset)) == a | b
+            and of_closed(closure(self.subset & ~a)) == c | b
+            and of_closed(closure(self.subset & ~(a | b))) == c | d
+            and of_closed(closure(self.subset & ~b)) == self.observed
             and self.observed != a | d
             and self.observed != a
         )
@@ -150,21 +156,17 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
     singleton closure has one extreme point and is skipped.  Every set the
     scan asks about is closed: X itself, X-a and X-b because a and b are
     extreme in X, and X-a-b, asked only once b is extreme in X-a.  So each
-    extreme-point set is read off the basis
-    (:meth:`ImplicationBasis.extreme_points_of_closed`), once per distinct
-    set, and the check asks no closure beyond those that fill the pair
-    table (the n singletons, and each pair that neither singleton closure
-    holds), with O(n^3) big-integer operations.  The exhaustive twin in the
-    test oracles evaluates the condition on every subset.
+    extreme-point set is read through
+    :meth:`ConvexGeometry.extreme_points_of_closed`: an entry of the index
+    that fills with the pair table, or one pass over the basis for a set
+    with more than two extreme points, which only a geometry that fails
+    ``check_2ex`` has.  The check asks no closure beyond those that fill
+    the pair table (the n singletons, and each pair that neither singleton
+    closure holds), and at most seven lookups per distinct pair closure.
+    The exhaustive twin in the test oracles evaluates the condition on
+    every subset.
     """
-    of_closed = geom.basis.extreme_points_of_closed
-    known: dict[int, int] = {}
-
-    def extreme(closed: int) -> int:
-        found = known.get(closed)
-        if found is None:
-            found = known[closed] = of_closed(closed)
-        return found
+    extreme = geom.extreme_points_of_closed
 
     closures = {closed for row in geom.pair_closures() for closed in row}
     for subset in sorted(closures, key=canonical_key):
@@ -208,8 +210,9 @@ def decide_cdim2(geom: ConvexGeometry) -> Decision:
 def verify_witness(geom: ConvexGeometry, report: PropertyReport) -> bool:
     """Recompute a failure witness directly from the definitions.
 
-    The witness asks ``geom.closure`` and ``geom.extreme_points``, so each of
-    its queries reaches the basis.
+    The witness asks ``geom.closure`` and reads extreme points off the
+    basis, never the tables that the checks fill, so each of its queries
+    reaches the basis.
     """
     if report.holds:
         return False

@@ -147,9 +147,10 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     The build first fills the geometry's rows of singleton and pair
     closures (:meth:`ConvexGeometry.pair_closures`), also on an input that
     then raises; after ``decide_cdim2`` they are already full.  Past them,
-    the peel asks n-1 extreme-point queries, and the insertions and the
-    verification read the rows, so a build after decide asks n-1 closure
-    queries.
+    the peel asks n-1 extreme-point queries, one closure each, whose closed
+    results the geometry's extreme-point index answers, and the insertions
+    and the verification read the rows, so a build after decide asks n-1
+    closure queries.
     """
     geom.pair_closures()
     subset = geom.ground.full

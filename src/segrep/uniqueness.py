@@ -148,11 +148,13 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     remain, the two chains hold the same elements so far, so the remainder's
     top block is switchable and either candidate tops it in some block flip:
     the lesser is taken and the walk follows one path, verified once at its
-    end, with O(n^2) closure queries on every input.  Every representation is
-    a block flip of every other, so ``count_representations`` of the outcome
-    is the number of representations, and the outcome is returned only when
-    it is 1.  The initial two-way choice is the chain swap and is collapsed by
-    canonical form, not counted as ambiguity.
+    end, with O(n^2) closure queries on every input.  Each extreme-point
+    query is one closure, read through the geometry's extreme-point index
+    once the pair table is full.  Every representation is a block flip of
+    every other, so ``count_representations`` of the outcome is the number
+    of representations, and the outcome is returned only when it is 1.  The
+    initial two-way choice is the chain swap and is collapsed by canonical
+    form, not counted as ambiguity.
     """
     full = geom.ground.full
     det_l: tuple[int, ...] = ()

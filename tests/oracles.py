@@ -13,7 +13,7 @@ Test-only code: it lives under ``tests/`` and is not part of the
 * ``check_sq_by_pair_scan`` runs the square-condition scan of
   ``check_sq_exhaustive`` (and ``check_exr``) over the pair closures only,
   asking ``geom.extreme_points`` for every set, the scan that ``check_sq``
-  answers off the basis;
+  answers from the pair table and its extreme-point index;
 * ``verify_representation_by_pairs`` closes every seed of at most two
   elements, the scan that ``verify_representation`` reads off the table of
   ``ConvexGeometry.pair_closures``, and ``verify_representation_by_proof``
@@ -106,8 +106,8 @@ def check_sq_exhaustive(geom: ConvexGeometry, max_n: int = 15) -> PropertyReport
 def check_sq_by_pair_scan(geom: ConvexGeometry) -> PropertyReport:
     """Square condition over the distinct pair closures in canonical order,
     each pair closed again and each extreme-point set asked with
-    ``geom.extreme_points``: the scan that ``check_sq`` answers off the basis
-    from ``pair_closures()``, with one memoized pass per distinct set."""
+    ``geom.extreme_points``: the scan that ``check_sq`` answers from
+    ``pair_closures()`` and the extreme-point index it fills."""
     closed = {geom.closure((1 << i) | (1 << j)) for i, j in combinations(range(geom.n), 2)}
     return _pair_scan(geom, "Sq", sorted(closed, key=canonical_key), _sq_violation)
 

@@ -16,6 +16,7 @@ import segrep
 from segrep import (
     ConvexGeometry,
     GroundSet,
+    Implication,
     build_representation,
     cli,
     count_representations,
@@ -138,6 +139,27 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_geometry("elements a b\nimp a b")
         assert err.value.line == 2 and "'->'" in err.value.reason
+
+    def test_error_texts(self):
+        # the first unknown label, premise side before conclusion side, and
+        # the empty sides, each with its line
+        for text, message in (
+            ("elements a b\nimp a -> c", "line 2: unknown element 'c'"),
+            ("elements a b\n\nimp x a -> y", "line 3: unknown element 'x'"),
+            ("elements a b\nimp a -> b y z", "line 2: unknown element 'y'"),
+            ("elements a b\nimp a -> b -> a", "line 2: unknown element '->'"),
+            ("elements a b\nimp -> b", "line 2: empty premise side"),
+            ("elements a b\nimp a ->", "line 2: empty conclusion side"),
+            ("elements a b\nimp -> ", "line 2: empty premise side"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_geometry(text)
+            assert str(err.value) == message, text
+
+    def test_masks_follow_the_elements_line(self):
+        basis = parse_geometry("elements c a b\nimp b c -> a a\nimp a -> b c")
+        assert basis.implications == (
+            Implication(0b101, 0b010), Implication(0b010, 0b101))
 
     def test_comments_and_blank_lines(self):
         basis = parse_geometry("# intro\n\nelements a b  # trailing\nimp a -> b\n")
@@ -264,7 +286,8 @@ class TestCheck:
     # patched in, one closure per member.  The second pin holds every other
     # closure query of each command where it was before extreme points took
     # one pass.  The two `check` rows are equal: `check_sq` reads its extreme
-    # points off the basis, and `check` asks no other extreme-point query.
+    # points from the pair table's index, or off the basis where the index
+    # misses, and `check` asks no other extreme-point query.
     # On the four fixtures that get a representation, `represent` and
     # `unique` are pinned once more with the pair scan patched in for
     # `verify_representation`, one closure per seed of at most two elements:

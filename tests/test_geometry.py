@@ -11,10 +11,14 @@ from segrep import (
     ImplicationBasis,
     Infeasible,
     NotAGeometry,
+    NotApplicable,
     build_representation,
+    check_2ex,
+    check_sq,
     closed_family,
     decide_cdim2,
     geometry,
+    reconstruct_by_peeling,
     validate_geometry,
 )
 from segrep.cli import parse_geometry
@@ -271,9 +275,15 @@ class TestExtremePoints:
 
     def test_match_the_definition_on_every_subset(self, pool_small, pool_n6):
         # closed and non-closed subsets alike: the one-pass answer on the
-        # closure must equal one closure per member of the subset itself
+        # closure must equal one closure per member of the subset itself;
+        # once more after decide, which fills the extreme-point index
         geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
         for geom in geoms:
+            for subset in range(geom.ground.full + 1):
+                assert geom.extreme_points(subset) == extreme_points_by_definition(
+                    geom, subset), (geom.basis, subset)
+        for geom in geoms:
+            decide_cdim2(geom)
             for subset in range(geom.ground.full + 1):
                 assert geom.extreme_points(subset) == extreme_points_by_definition(
                     geom, subset), (geom.basis, subset)
@@ -357,6 +367,79 @@ class TestExtremePoints:
             for seed in range(1 << geom.n):
                 if not seed & ~domain:
                     assert not geom.closure(seed) & ~domain
+
+
+@pytest.fixture()
+def basis_passes(monkeypatch):
+    """Closed sets whose extreme points are read off the basis, in call order."""
+    passes = []
+    original = ImplicationBasis.extreme_points_of_closed
+
+    def counting(basis, closed):
+        passes.append(closed)
+        return original(basis, closed)
+
+    monkeypatch.setattr(ImplicationBasis, "extreme_points_of_closed", counting)
+    return passes
+
+
+class TestExtremeIndex:
+    def test_lookup_matches_the_basis_on_every_closed_set(self, pool_small, pool_n6):
+        # after the pair table, index hits and basis passes alike give the
+        # basis's answer on every closed set
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        for geom in geoms:
+            geom.pair_closures()
+            for closed in closed_family(geom.basis):
+                assert geom.extreme_points_of_closed(closed) == (
+                    geom.basis.extreme_points_of_closed(closed)), (geom.basis, closed)
+
+    def test_every_closed_set_is_a_hit_under_two_ex(self, pool_small, pool_n6, basis_passes):
+        # with at most two extreme points per set, every closed set is the
+        # empty set, a singleton closure or the closure of a pair that
+        # neither singleton closure holds; elsewhere some closed set misses
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        holding = missing = 0
+        for geom in geoms:
+            geom.pair_closures()
+            family = closed_family(geom.basis)
+            basis_passes.clear()
+            for closed in family:
+                geom.extreme_points_of_closed(closed)
+            if check_2ex(geom).holds:
+                holding += 1
+                assert basis_passes == [], geom.basis
+            else:
+                missing += bool(basis_passes)
+        assert holding > 500 and missing == len(geoms) - holding
+
+    def test_peel_and_scan_read_no_basis_after_decide(self, basis_passes):
+        # on a 40-element chain pair the extreme points of check_sq, of the
+        # builder's peel and of reconstruction all come from the index, while
+        # the peel and reconstruction still ask one closure per query
+        rng = random.Random(40)
+        n = 40
+        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        basis_passes.clear()
+        assert decide_cdim2(geom).cdim2
+        assert check_sq(geom).holds
+        calls = geom.closure_calls
+        build_representation(geom)
+        assert geom.closure_calls == calls + n - 1
+        calls = geom.closure_calls
+        try:
+            reconstruct_by_peeling(geom)
+        except NotApplicable as exc:
+            assert exc.outcomes > 1
+        assert geom.closure_calls > calls
+        assert basis_passes == []
+
+    def test_before_the_table_every_query_reads_the_basis(self, basis_passes):
+        geom = validate_geometry(parse_geometry(fixture_text("unique")))
+        full = geom.ground.full
+        assert geom.extreme_points(full) == geom.ground.mask("45")
+        assert basis_passes == [full]
 
 
 class TestFamilies:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from segrep import (
+    ConvexGeometry,
     GroundSet,
     GroundSetTooLarge,
     Implication,
@@ -20,8 +21,9 @@ from segrep import (
     validate_geometry,
     verify_witness,
 )
+from segrep.cli import parse_geometry
 import oracles
-from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, geometry_from_chains, load_fixture
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
@@ -196,6 +198,35 @@ class TestSq:
             assert w.observed == gs.mask("ac")
             assert verify_witness(notsuf, report)
 
+    def test_witness_recheck_reads_the_basis_not_the_index(self):
+        # a wrong index entry planted on notsuf changes geom.extreme_points
+        # but not the re-check: the true witness still verifies, and a
+        # forged one that the planted entry would confirm does not
+        geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
+        report = check_sq(geom)
+        w = report.witness
+        after_b = geom.closure(w.subset & ~(1 << w.b))
+        forged = SqWitness(w.subset, w.a, w.b, w.c, w.d, 1 << w.c)
+        geom._extreme[after_b] = forged.observed
+        assert geom.extreme_points(after_b) == forged.observed != w.observed
+        calls = geom.closure_calls
+        assert verify_witness(geom, report)
+        assert geom.closure_calls == calls + 4
+        assert not verify_witness(geom, PropertyReport("Sq", forged))
+
+    def test_an_empty_index_gives_the_same_report(self, pool_small, pool_n6):
+        # with the index emptied, every extreme-point set is read off the
+        # basis, and the report, witness included, is the same
+        rng = random.Random(22)
+        padded = [padded_notsuf(k, rng) for k in (1, 2, 4, 8, 12) for _ in range(3)]
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        for geom in geoms + padded:
+            bare = ConvexGeometry(geom.basis)
+            bare.pair_closures()
+            bare._extreme.clear()
+            full, empty = check_sq(geom), check_sq(bare)
+            assert (full.name, full.witness) == (empty.name, empty.witness), geom.basis
+
     def test_un_holds_both_ways(self, un):
         assert check_sq(un).holds
         assert check_sq_exhaustive(un).holds
@@ -233,7 +264,7 @@ class TestSq:
     def test_closure_queries_grow_quadratically(self):
         # the scan fills the pair table, closing each singleton and then each
         # pair that neither singleton closure holds, and reads every
-        # extreme-point set off the basis
+        # extreme-point set from the index that fills with it
         rng = random.Random(9)
         counts = {}
         for n in range(6, 29, 2):

@@ -1,7 +1,8 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint (on small random bases, on wide chain-pair bases and on long
 implication chains), the pair table against the kernel on the wide bases,
-extreme points against their definition on the wide bases that are convex
+extreme points against their definition, before and after decide, and the
+extreme-point index against the basis on the wide bases that are convex
 geometries, the closed-set walk against the brute-force family on the wide
 bases with n <= 10, the polynomial decision and builder against the
 brute-force oracle on generated bases with n <= 7, and the round trip from a
@@ -22,6 +23,7 @@ from segrep import (  # noqa: E402
     NotApplicable,
     SegmentRepresentation,
     build_representation,
+    closed_family,
     count_representations,
     decide_cdim2,
     enumerate_representations,
@@ -146,6 +148,26 @@ def test_extreme_points_on_wide_geometries_match_the_definition(case):
         closed = geom.closure(seed)
         for subset in (seed, closed):
             assert geom.extreme_points(subset) == extreme_points_by_definition(geom, subset)
+    # once more through the extreme-point index that decide fills
+    decide_cdim2(geom)
+    for seed in seeds:
+        closed = geom.closure(seed)
+        for subset in (seed, closed):
+            assert geom.extreme_points(subset) == extreme_points_by_definition(geom, subset)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_bases())
+def test_extreme_index_on_wide_geometries_matches_the_basis(case):
+    # after the pair table, on every closed set of the family
+    basis, _seeds = case
+    try:
+        geom = validate_geometry(basis)
+    except NotAGeometry:
+        assume(False)
+    geom.pair_closures()
+    for closed in closed_family(basis):
+        assert geom.extreme_points_of_closed(closed) == basis.extreme_points_of_closed(closed)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
