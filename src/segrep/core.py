@@ -67,7 +67,8 @@ def prefix_masks(order) -> tuple[int, ...]:
 class Value:
     """Base of the classes compared by value: two instances of one class are
     equal, and hash alike, when their ``_fields`` are equal.  Nothing assigns
-    to an instance after ``__init__``; the hash relies on that."""
+    to a field after ``__init__``; the hash relies on that.  A cache that is
+    not a field may be filled later."""
 
     __slots__ = _fields = ()
 

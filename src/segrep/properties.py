@@ -151,9 +151,11 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
 
     Only subsets whose extreme points are an actual pair can satisfy the
     premise, and each such closed set is the closure of its two extreme
-    points, so scanning the distinct closures X of the table in canonical
-    order covers them, trying both labellings ``(a, b)`` of Ex(X); a
-    singleton closure has one extreme point and is skipped.  Every set the
+    points, so scanning the distinct closures X of the table covers them,
+    trying both labellings ``(a, b)`` of Ex(X); a singleton closure has one
+    extreme point and is skipped.  The scan order is free: the report is
+    the canonically least violating X, keyed only when it violates, with
+    its first violating labelling.  Every set the
     scan asks about is closed: X itself, X-a and X-b because a and b are
     extreme in X, and X-a-b, asked only once b is extreme in X-a.  So each
     extreme-point set is read through
@@ -167,29 +169,32 @@ def check_sq(geom: ConvexGeometry) -> PropertyReport:
     every subset.
     """
     extreme = geom.extreme_points_of_closed
-
-    closures = {closed for row in geom.pair_closures() for closed in row}
-    for subset in sorted(closures, key=canonical_key):
+    least = None  # (canonical key, witness) of the least violating set
+    for subset in {closed for row in geom.pair_closures() for closed in row}:
         ends = extreme(subset)
         if ends.bit_count() != 2:
             continue
-        first, second = iter_bits(ends)
-        for a, b in ((first, second), (second, first)):
+        low = ends & -ends
+        for a, b in ((low, ends ^ low), (ends ^ low, low)):
             # Premise: Ex(X-a) = {c, b} and Ex(X-a-b) = {c, d}, two elements
             # each; any other instance holds vacuously.
-            after_a = extreme(subset & ~(1 << a))
-            if not (after_a >> b) & 1 or after_a.bit_count() != 2:
+            after_a = extreme(subset ^ a)
+            if not after_a & b or after_a.bit_count() != 2:
                 continue
-            c = next(iter_bits(after_a & ~(1 << b)))
-            after_ab = extreme(subset & ~(1 << a) & ~(1 << b))
-            if not (after_ab >> c) & 1 or after_ab.bit_count() != 2:
+            c = after_a ^ b
+            after_ab = extreme(subset ^ a ^ b)
+            if not after_ab & c or after_ab.bit_count() != 2:
                 continue
-            d = next(iter_bits(after_ab & ~(1 << c)))
+            d = after_ab ^ c
             # Conclusion: Ex(X-b) is {a, d} or {a}.
-            after_b = extreme(subset & ~(1 << b))
-            if after_b != (1 << a) | (1 << d) and after_b != 1 << a:
-                return PropertyReport("Sq", SqWitness(subset, a, b, c, d, after_b))
-    return PropertyReport("Sq")
+            after_b = extreme(subset ^ b)
+            if after_b != a | d and after_b != a:
+                key = canonical_key(subset)
+                if least is None or key < least[0]:
+                    index = [bit.bit_length() - 1 for bit in (a, b, c, d)]
+                    least = key, SqWitness(subset, *index, after_b)
+                break
+    return PropertyReport("Sq", least[1] if least else None)
 
 
 def decide_cdim2(geom: ConvexGeometry) -> Decision:

@@ -38,25 +38,39 @@ class SegmentRepresentation(Value):
 
     The pair is canonicalized on construction (the lexicographically smaller
     chain becomes ``left``), so equality and hashing treat ``(L, R)`` and
-    ``(R, L)`` as the same representation.
+    ``(R, L)`` as the same representation.  The rank dicts and prefix masks
+    are built on first read and kept, as ``block_decomposition`` keeps its
+    blocks; neither cache is a field.
     """
 
-    __slots__ = ("left", "right", "_lrank", "_rrank", "_lpref", "_rpref")
+    __slots__ = ("left", "right", "_tables", "_blocks")
     _fields = ("left", "right")
 
     def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
         left, right = tuple(left), tuple(right)
-        if sorted(left) != sorted(right):
+        elements = sorted(left)
+        if elements != sorted(right):
             raise ValueError("chains must order the same elements")
         if len(set(left)) != len(left):
             raise ValueError("chains must be permutations")
+        if not {*map(type, left)} <= {int} or elements and elements[0] < 0:
+            raise ValueError("chains must hold non-negative ints")
         if right < left:
             left, right = right, left
         self.left, self.right = left, right
-        self._lrank = {e: i + 1 for i, e in enumerate(left)}
-        self._rrank = {e: i + 1 for i, e in enumerate(right)}
-        self._lpref = prefix_masks(left)
-        self._rpref = prefix_masks(right)
+        self._tables = self._blocks = None
+
+    def _derive(self) -> tuple:
+        """The left and right rank dicts and prefix masks, built once."""
+        if self._tables is None:
+            left, right = self.left, self.right
+            self._tables = (
+                {e: i for i, e in enumerate(left, 1)},
+                {e: i for i, e in enumerate(right, 1)},
+                prefix_masks(left),
+                prefix_masks(right),
+            )
+        return self._tables
 
     @property
     def n(self) -> int:
@@ -64,13 +78,13 @@ class SegmentRepresentation(Value):
 
     @property
     def elements(self) -> int:
-        return self._lpref[-1]
+        return self._derive()[2][-1]
 
     def left_rank(self, element: int) -> int:
-        return self._lrank[element]
+        return self._derive()[0][element]
 
     def right_rank(self, element: int) -> int:
-        return self._rrank[element]
+        return self._derive()[1][element]
 
 
 def segment_closure(rep: SegmentRepresentation, seed: int) -> int:
@@ -83,9 +97,10 @@ def segment_closure(rep: SegmentRepresentation, seed: int) -> int:
         return 0
     if seed & ~rep.elements:
         raise ValueError("seed is not a subset of the represented elements")
-    max_l = max(rep._lrank[e] for e in iter_bits(seed))
-    max_r = max(rep._rrank[e] for e in iter_bits(seed))
-    return rep._lpref[max_l] & rep._rpref[max_r]
+    lrank, rrank, lpref, rpref = rep._derive()
+    max_l = max(lrank[e] for e in iter_bits(seed))
+    max_r = max(rrank[e] for e in iter_bits(seed))
+    return lpref[max_l] & rpref[max_r]
 
 
 def verify_representation(
@@ -111,7 +126,7 @@ def verify_representation(
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
     rows = geom.pair_closures()
-    lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
+    lrank, rrank, lpref, rpref = rep._derive()
     n = rep.n
     ranks = [(lrank[e], rrank[e]) for e in range(n)]
     for x, (lx, rx) in enumerate(ranks):
@@ -215,10 +230,8 @@ def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ..
     The top of the left chain gets the most negative endpoint; every interval
     straddles the origin and all 2n endpoints are distinct.
     """
-    return tuple(
-        (e, -rep.left_rank(e), rep.right_rank(e))
-        for e in sorted(rep._lrank)
-    )
+    lrank, rrank = rep._derive()[:2]
+    return tuple((e, -lrank[e], rrank[e]) for e in sorted(lrank))
 
 
 def normalize_layout(intervals) -> SegmentRepresentation:

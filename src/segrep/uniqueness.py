@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import SegrepError, iter_bits, mask_of
+from .core import SegrepError
 from .geometry import ConvexGeometry
 from .representation import SegmentRepresentation, verify_representation
 
@@ -56,25 +56,21 @@ class Block:
 
 def block_decomposition(rep: SegmentRepresentation) -> tuple[Block, ...]:
     """Finest partition into position ranges with matching cumulative sets,
-    as its blocks from the bottom of the chains up."""
-    blocks = []
-    acc_l = acc_r = 0
-    start = 1
-    left_sub: list[int] = []
-    right_sub: list[int] = []
-    for pos in range(1, rep.n + 1):
-        l, r = rep.left[pos - 1], rep.right[pos - 1]
-        acc_l |= 1 << l
-        acc_r |= 1 << r
-        left_sub.append(l)
-        right_sub.append(r)
-        if acc_l == acc_r:
-            blocks.append(
-                Block(start, pos, mask_of(left_sub), tuple(left_sub), tuple(right_sub))
-            )
-            start = pos + 1
-            left_sub, right_sub = [], []
-    return tuple(blocks)
+    as its blocks from the bottom of the chains up; kept on ``rep``, so a
+    second call returns the same tuple."""
+    if rep._blocks is None:
+        left, right = rep.left, rep.right
+        blocks = []
+        acc_l = acc_r = below = start = 0
+        for end, (l, r) in enumerate(zip(left, right), 1):
+            acc_l |= 1 << l
+            acc_r |= 1 << r
+            if acc_l == acc_r:
+                blocks.append(Block(start + 1, end, acc_l ^ below,
+                                    left[start:end], right[start:end]))
+                below, start = acc_l, end
+        rep._blocks = tuple(blocks)
+    return rep._blocks
 
 
 def block_orientations(rep: SegmentRepresentation):
@@ -154,37 +150,42 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     every other, so ``count_representations`` of the outcome is the number
     of representations, and the outcome is returned only when it is 1.  The
     initial two-way choice is the chain swap and is collapsed by canonical
-    form, not counted as ambiguity.
+    form, not counted as ambiguity.  The known tops are kept as lists and
+    masks, so the walk's own bookkeeping is linear in n.
     """
     full = geom.ground.full
-    det_l: tuple[int, ...] = ()
-    det_r: tuple[int, ...] = ()
+    chains = ([], [])  # each chain's known tops, top first
+    removed = [0, 0]  # the same, as masks
+    passed = [0, 0]  # the other chain's leading tops that are removed
     first_split = None
     outcomes = 0
-    while len(det_l) < geom.n or len(det_r) < geom.n:
-        on_left = len(det_l) <= len(det_r)
-        det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
-        remainder = full & ~mask_of(det_side)
+    for step in range(2 * geom.n):
+        side = step & 1  # left first, then alternately
+        other, gone = chains[side ^ 1], removed[side]
+        remainder = full & ~gone
         extreme = geom.extreme_points(remainder)
         k = extreme.bit_count()
         if k == 0 or k > 2:
             raise NotApplicable(remainder, 0)
-        survivor = next((e for e in det_other if (remainder >> e) & 1), None)
-        if survivor is None:
-            new = next(iter_bits(extreme))
-            if k == 2 and (det_l or det_r) and first_split is None:
+        i = passed[side]
+        while i < len(other) and (gone >> other[i]) & 1:
+            i += 1
+        passed[side] = i
+        if i == len(other):
+            new = extreme & -extreme
+            if k == 2 and step and first_split is None:
                 first_split = remainder
-        elif (extreme >> survivor) & 1:
-            rest = extreme & ~(1 << survivor)
-            new = next(iter_bits(rest)) if rest else survivor
+        elif (extreme >> other[i]) & 1:
+            survivor = 1 << other[i]
+            rest = extreme ^ survivor
+            new = rest & -rest or survivor
         else:
             break  # the survivor is not extreme: no representation
-        if on_left:
-            det_l += (new,)
-        else:
-            det_r += (new,)
+        chains[side].append(new.bit_length() - 1)
+        removed[side] = gone | new
     else:
-        candidate = SegmentRepresentation(tuple(reversed(det_l)), tuple(reversed(det_r)))
+        left, right = chains
+        candidate = SegmentRepresentation(left[::-1], right[::-1])
         if verify_representation(geom, candidate)[0]:
             outcomes = count_representations(candidate)
             if outcomes == 1:

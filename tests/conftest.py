@@ -11,8 +11,20 @@ import random
 
 import pytest
 
-from segrep import GroundSet, check_2ex
-from fixtures import RejectionBudgetExceeded, geometry_from_chains, random_geometry
+from segrep import (
+    GroundSet,
+    Infeasible,
+    build_representation,
+    check_2ex,
+    enumerate_representations,
+)
+from fixtures import (
+    FIXTURE_NAMES,
+    RejectionBudgetExceeded,
+    geometry_from_chains,
+    load_fixture,
+    random_geometry,
+)
 
 DENSITIES = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4)
 
@@ -70,3 +82,19 @@ def pool_two_ex(pool_n6):
     pool = passing + filler
     assert len(pool) >= 500
     return pool
+
+
+@pytest.fixture(scope="session")
+def pool_representations(pool_small):
+    """``(geometry, representation)`` for every representation of every
+    representable geometry in ``pool_small`` and the fixtures: the built
+    one first, then each output of ``enumerate_representations``."""
+    geoms = pool_small + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+    pairs = []
+    for geom in geoms:
+        try:
+            rep = build_representation(geom)
+        except Infeasible:
+            continue
+        pairs += [(geom, r) for r in (rep, *enumerate_representations(rep))]
+    return pairs

@@ -25,6 +25,8 @@ Test-only code: it lives under ``tests/`` and is not part of the
   insertion closing its own point and each pair it checks again instead of
   reading that table, and ``insert_closing_own`` closes only its own point
   again;
+* ``reconstruct_by_peeling_reference`` is the reconstruction walk with its
+  bookkeeping redone from scratch at every step;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -62,7 +64,9 @@ from segrep.representation import (
     SegmentRepresentation,
     _insert,
     segment_closure,
+    verify_representation,
 )
+from segrep.uniqueness import NotApplicable, count_representations
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
@@ -205,7 +209,7 @@ def verify_representation_by_proof(
     gains = _premise_gains(geom, rep)
     proven = gains is not None
     closure = geom.closure
-    lrank, rrank, lpref, rpref = rep._lrank, rep._rrank, rep._lpref, rep._rpref
+    lrank, rrank, lpref, rpref = rep._derive()
     n = rep.n
     ranks = [(lrank[e], rrank[e]) for e in range(n)]
     below = []  # ρ({x}) per element x, equal to φ({x}) once x is passed
@@ -296,6 +300,48 @@ def insert_closing_own(
     if geom.closure(1 << a) & subset != geom.pair_closures()[a][a]:
         raise AssertionError(f"the table's closure of {{{a}}} is not the kernel's")
     return _insert(geom, subset, a, sub)
+
+
+def reconstruct_by_peeling_reference(geom: ConvexGeometry) -> SegmentRepresentation:
+    """``reconstruct_by_peeling`` with its bookkeeping redone at every step:
+    the removed elements' mask rebuilt from the chain, and the other chain
+    scanned from its top for its surviving maximum.  The same extreme-point
+    queries, in the same order, give the same result or the same
+    ``NotApplicable``."""
+    full = geom.ground.full
+    det_l: tuple[int, ...] = ()
+    det_r: tuple[int, ...] = ()
+    first_split = None
+    outcomes = 0
+    while len(det_l) < geom.n or len(det_r) < geom.n:
+        on_left = len(det_l) <= len(det_r)
+        det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
+        remainder = full & ~mask_of(det_side)
+        extreme = geom.extreme_points(remainder)
+        k = extreme.bit_count()
+        if k == 0 or k > 2:
+            raise NotApplicable(remainder, 0)
+        survivor = next((e for e in det_other if (remainder >> e) & 1), None)
+        if survivor is None:
+            new = next(iter_bits(extreme))
+            if k == 2 and (det_l or det_r) and first_split is None:
+                first_split = remainder
+        elif (extreme >> survivor) & 1:
+            rest = extreme & ~(1 << survivor)
+            new = next(iter_bits(rest)) if rest else survivor
+        else:
+            break
+        if on_left:
+            det_l += (new,)
+        else:
+            det_r += (new,)
+    else:
+        candidate = SegmentRepresentation(tuple(reversed(det_l)), tuple(reversed(det_r)))
+        if verify_representation(geom, candidate)[0]:
+            outcomes = count_representations(candidate)
+            if outcomes == 1:
+                return candidate
+    raise NotApplicable(full if first_split is None else first_split, outcomes)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from segrep import (
     count_representations,
     decide_cdim2,
     enumerate_representations,
+    iter_bits,
     normalize_layout,
     reconstruct_by_peeling,
     segment_closure,
@@ -25,7 +26,7 @@ from segrep import (
     validate_geometry,
     verify_representation,
 )
-from segrep import uniqueness
+from segrep import representation, uniqueness
 from fixtures import geometry_from_chains, load_fixture
 from oracles import (
     brute_force_cdim2,
@@ -36,6 +37,43 @@ from oracles import (
     verify_representation_by_proof,
     verify_representation_exhaustive,
 )
+
+
+def _copy(rep):
+    """An equal representation with none of its tables built yet."""
+    return SegmentRepresentation(rep.left, rep.right)
+
+
+def _eager(geom, rep):
+    """What every reader of the tables must give, read straight off the
+    chains, and the verification by closing every seed of two elements."""
+    left, right = rep.left, rep.right
+    lrank = {e: left.index(e) + 1 for e in left}
+    rrank = {e: right.index(e) + 1 for e in right}
+    lpref = [sum(1 << e for e in left[:k]) for k in range(rep.n + 1)]
+    rpref = [sum(1 << e for e in right[:k]) for k in range(rep.n + 1)]
+    closures = [0] + [
+        lpref[max(lrank[e] for e in iter_bits(seed))]
+        & rpref[max(rrank[e] for e in iter_bits(seed))]
+        for seed in range(1, 1 << rep.n)
+    ]
+    return {
+        "ranks": [(lrank[e], rrank[e]) for e in left],
+        "prefixes": (geom.ground.full, (lrank, rrank, tuple(lpref), tuple(rpref))),
+        "segment_closure": closures,
+        "segment_layout": tuple((e, -lrank[e], rrank[e]) for e in range(rep.n)),
+        "verify_representation": verify_representation_by_pairs(geom, rep),
+    }
+
+
+# Each reader of a representation's derived tables.
+READS = {
+    "ranks": lambda geom, rep: [(rep.left_rank(e), rep.right_rank(e)) for e in rep.left],
+    "prefixes": lambda geom, rep: (rep.elements, rep._derive()),
+    "segment_closure": lambda geom, rep: [segment_closure(rep, s) for s in range(1 << rep.n)],
+    "segment_layout": lambda geom, rep: segment_layout(rep),
+    "verify_representation": lambda geom, rep: verify_representation(geom, rep),
+}
 
 
 @pytest.fixture(scope="module")
@@ -467,3 +505,59 @@ class TestRepresentationType:
         assert empty.n == 0 and segment_closure(empty, 0) == 0
         single = SegmentRepresentation((4,), (4,))
         assert segment_closure(single, 1 << 4) == 1 << 4
+
+    def test_rejects_elements_that_are_not_non_negative_ints(self):
+        # the tables that would trip over such elements are built only on
+        # first read, so construction itself checks them
+        for chain in ((0, -1), ("a", "b"), (0.0, 1.0), (0, 1.5)):
+            with pytest.raises(ValueError, match="non-negative ints"):
+                SegmentRepresentation(chain, chain[::-1])
+
+
+class TestDerivedTables:
+    def test_every_reader_matches_an_eager_computation_in_any_order(
+        self, pool_representations
+    ):
+        # each reader goes first once, on a copy with no table built yet
+        names = list(READS)
+        for geom, rep in pool_representations:
+            expected = _eager(geom, rep)
+            for first in range(len(names)):
+                fresh = _copy(rep)
+                for name in names[first:] + names[:first]:
+                    assert READS[name](geom, fresh) == expected[name], (name, rep.left, rep.right)
+
+    def test_equality_and_hash_ignore_the_caches(self, pool_representations):
+        for _geom, rep in pool_representations:
+            cold, warm = _copy(rep), _copy(rep)
+            warm._derive()
+            uniqueness.block_decomposition(warm)
+            assert cold == warm == rep and hash(cold) == hash(warm) == hash(rep)
+            assert len({cold, warm, rep}) == 1
+            assert cold._tables is None and cold._blocks is None
+
+    def test_a_build_derives_tables_only_for_the_representation_it_verifies(
+        self, monkeypatch, pool_small
+    ):
+        rng = random.Random(26)
+        chains = [
+            geometry_from_chains(
+                GroundSet(tuple(f"e{i}" for i in range(n))),
+                rng.sample(range(n), n), rng.sample(range(n), n))
+            for n in range(6, 25)
+        ]
+        derived = []
+        real = representation.prefix_masks
+        monkeypatch.setattr(
+            representation, "prefix_masks", lambda order: derived.append(order) or real(order))
+        built = 0
+        for geom in pool_small + chains:
+            derived.clear()
+            try:
+                rep = build_representation(geom)
+            except Infeasible:
+                assert len(derived) in (0, 2)
+                continue
+            built += 1
+            assert derived == [rep.left, rep.right]
+        assert built > 500

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from segrep import (
+    ConvexGeometry,
     GroundSet,
     Implication,
     ImplicationBasis,
@@ -23,8 +24,9 @@ from segrep import (
     validate_geometry,
     verify_representation,
 )
-from fixtures import geometry_from_chains, load_fixture
-from oracles import brute_force_cdim2
+from segrep import representation
+from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture
+from oracles import brute_force_cdim2, reconstruct_by_peeling_reference
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,28 @@ class TestBlockDecomposition:
                 for u in iter_bits(blocks[high].members):
                     closed = geom.closure(1 << u)
                     assert blocks[low].members & ~closed == 0
+
+
+class TestBlockCache:
+    def test_a_second_decomposition_is_the_same_tuple(self, pool_representations):
+        def fields(blocks):
+            return [(b.start, b.end, b.members, b.left_sub, b.right_sub) for b in blocks]
+
+        for _geom, rep in pool_representations:
+            blocks = block_decomposition(rep)
+            assert block_decomposition(rep) is blocks
+            fresh = SegmentRepresentation(rep.left, rep.right)
+            assert fields(block_decomposition(fresh)) == fields(blocks)
+
+    def test_the_census_derives_no_table(self, monkeypatch):
+        # six switchable two-element blocks: 32 representations, and none
+        # of them, nor the one they come from, builds ranks or prefixes
+        rep = SegmentRepresentation(tuple(range(12)), tuple(i ^ 1 for i in range(12)))
+        derived = []
+        monkeypatch.setattr(representation, "prefix_masks", derived.append)
+        assert len(enumerate_representations(rep)) == count_representations(rep) == 32
+        assert not is_unique(rep).unique
+        assert derived == []
 
 
 class TestCountAndUnique:
@@ -265,6 +289,86 @@ class TestReconstruct:
         smallest = min(counts)
         constant = counts[smallest] / smallest**2
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
+
+
+class RecordingGeometry(ConvexGeometry):
+    """A geometry that lists the subsets it is asked extreme points of."""
+
+    __slots__ = ("queries",)
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.queries = []
+
+    def extreme_points(self, subset):
+        self.queries.append(subset)
+        return super().extreme_points(subset)
+
+
+def _walk(walk, basis):
+    """What ``walk`` makes of a fresh geometry over ``basis``: its outcome,
+    the subsets it asked extreme points of, and its closure queries."""
+    geom = RecordingGeometry(basis)
+    try:
+        rep = walk(geom)
+        outcome = ("rep", rep.left, rep.right)
+    except NotApplicable as err:
+        outcome = ("NotApplicable", err.witness, err.outcomes)
+    return outcome, geom.queries, geom.closure_calls
+
+
+def _block_chains(rng, n):
+    """A random chain and the same chain with 2-3 element blocks reversed."""
+    left = rng.sample(range(n), n)
+    right, start = [], 0
+    while start < n:
+        size = rng.choice((2, 3))
+        right += reversed(left[start:start + size])
+        start += size
+    return left, right
+
+
+def _unvalidated_basis(rng):
+    """A random basis with n <= 7, not necessarily a convex geometry."""
+    n = rng.randint(1, 7)
+    rules = []
+    for _ in range(rng.randint(0, 2 * n)):
+        conclusion = rng.getrandbits(n) if rng.random() < 0.3 else 1 << rng.randrange(n)
+        rules.append(Implication(rng.getrandbits(n) & rng.getrandbits(n), conclusion))
+    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+
+
+class TestReconstructMatchesReference:
+    # the walk keeps its bookkeeping as it grows; the reference redoes it at
+    # every step, and both must ask the same queries and end the same way
+
+    def check(self, bases):
+        kinds = set()
+        for basis in bases:
+            fast = _walk(reconstruct_by_peeling, basis)
+            assert fast == _walk(reconstruct_by_peeling_reference, basis), basis
+            kind, _, outcomes = fast[0]
+            kinds.add("rep" if kind == "rep" else "ambiguous" if outcomes else "none")
+        return kinds
+
+    def test_on_the_pools_and_fixtures(self, pool_small, pool_n6):
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        assert self.check(g.basis for g in geoms) == {"rep", "ambiguous", "none"}
+
+    def test_on_seeded_chain_pairs(self):
+        rng = random.Random(26)
+        bases = []
+        for n in range(6, 41):
+            ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+            bases.append(geometry_from_chains(
+                ground, rng.sample(range(n), n), rng.sample(range(n), n)).basis)
+            bases.append(geometry_from_chains(ground, *_block_chains(rng, n)).basis)
+        assert self.check(bases) >= {"rep", "ambiguous"}
+
+    def test_on_unvalidated_bases(self):
+        rng = random.Random(2026)
+        bases = [_unvalidated_basis(rng) for _ in range(5000)]
+        assert self.check(bases) == {"rep", "ambiguous", "none"}
 
 
 class TestDistinctEndingSegments:
