@@ -172,6 +172,14 @@ def geometry_from_chains(ground: GroundSet, left, right) -> ConvexGeometry:
     return validate_geometry(basis, max_n=n)
 
 
+def seeded_chain_pair(rng: random.Random, n: int):
+    """Two chains drawn from ``rng`` with ``rng.sample``, left first, and
+    their geometry on the labels ``e0 … e{n-1}``: ``(geom, left, right)``."""
+    left, right = rng.sample(range(n), n), rng.sample(range(n), n)
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return geometry_from_chains(ground, left, right), left, right
+
+
 def disjoint_chains_geometry(sizes: tuple[int, ...]) -> ConvexGeometry:
     """Disjoint totally ordered groups: inside each group every element pulls
     in its predecessor; groups do not interact.

@@ -15,7 +15,6 @@ import pytest
 import segrep
 from segrep import (
     ConvexGeometry,
-    GroundSet,
     Implication,
     build_representation,
     cli,
@@ -35,7 +34,7 @@ from segrep.cli import (
     parse_geometry,
     parse_layout_table,
 )
-from fixtures import FIXTURE_NAMES, fixture_text, geometry_from_chains, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
     brute_force_cdim2,
     check_2ex_exhaustive,
@@ -411,10 +410,8 @@ class TestCheck:
     def test_decide_on_a_long_chain_pair_skips_the_nested_pairs(self, tmp_path):
         # a pair is nested when both chains order it the same way; decide
         # closes the n singletons and then only the pairs the chains cross on
-        rng = random.Random(7)
         n = 40
-        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        geom, left, right = seeded_chain_pair(random.Random(7), n)
         labels = geom.ground.labels
         lines = ["elements " + " ".join(labels)]
         for imp in geom.basis.implications:

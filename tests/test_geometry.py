@@ -27,8 +27,8 @@ from fixtures import (
     FIXTURE_NAMES,
     disjoint_chains_geometry,
     fixture_text,
-    geometry_from_chains,
     load_fixture,
+    seeded_chain_pair,
 )
 from oracles import (
     Alignment,
@@ -417,10 +417,8 @@ class TestExtremeIndex:
         # on a 40-element chain pair the extreme points of check_sq, of the
         # builder's peel and of reconstruction all come from the index, while
         # the peel and reconstruction still ask one closure per query
-        rng = random.Random(40)
         n = 40
-        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        geom = seeded_chain_pair(random.Random(40), n)[0]
         basis_passes.clear()
         assert decide_cdim2(geom).cdim2
         assert check_sq(geom).holds
@@ -432,7 +430,7 @@ class TestExtremeIndex:
             reconstruct_by_peeling(geom)
         except NotApplicable as exc:
             assert exc.outcomes > 1
-        assert geom.closure_calls > calls
+        assert geom.closure_calls == calls + 2 * n
         assert basis_passes == []
 
     def test_before_the_table_every_query_reads_the_basis(self, basis_passes):
@@ -551,8 +549,7 @@ class TestClosedSetsByExtension:
         rng = random.Random(9)
         cases = []
         for n in range(6, 29, 2):
-            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom, left, right = seeded_chain_pair(rng, n)
             family = {a & b for a in prefix_masks(left) for b in prefix_masks(right)}
             cases.append((geom.basis, family))
         geom = disjoint_chains_geometry((3, 3, 3, 3))
@@ -620,8 +617,7 @@ class TestClosedSetsByExtension:
         # a 12-element chain pair with one planted mutual pair x -> y, y -> x
         rng = random.Random(12)
         n = 12
-        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-        chains = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        chains = seeded_chain_pair(rng, n)[0]
         x, y = rng.sample(range(n), 2)
         mutual = (Implication(1 << x, 1 << y), Implication(1 << y, 1 << x))
         basis = ImplicationBasis(chains.ground, chains.basis.implications + mutual)

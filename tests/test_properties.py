@@ -23,7 +23,7 @@ from segrep import (
 )
 from segrep.cli import parse_geometry
 import oracles
-from fixtures import FIXTURE_NAMES, fixture_text, geometry_from_chains, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
@@ -268,8 +268,7 @@ class TestSq:
         rng = random.Random(9)
         counts = {}
         for n in range(6, 29, 2):
-            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom = seeded_chain_pair(rng, n)[0]
             geom.closure_calls = 0
             assert check_sq(geom).holds
             counts[n] = geom.closure_calls

@@ -27,7 +27,7 @@ from segrep import (
     verify_representation,
 )
 from segrep import representation, uniqueness
-from fixtures import geometry_from_chains, load_fixture
+from fixtures import geometry_from_chains, load_fixture, seeded_chain_pair
 from oracles import (
     brute_force_cdim2,
     check_sq_exhaustive,
@@ -178,10 +178,8 @@ class TestVerify:
             except Infeasible:
                 pass
         for n in range(2, 9):
-            gs = GroundSet(tuple(f"e{i}" for i in range(n)))
             for _ in range(12):
-                left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-                geom = geometry_from_chains(gs, left, right)
+                geom, left, right = seeded_chain_pair(rng, n)
                 cases.append((geom, SegmentRepresentation(left, right)))
                 for i in range(n - 1):
                     swapped = left[:i] + [left[i + 1], left[i]] + left[i + 2:]
@@ -226,10 +224,8 @@ class TestVerify:
         # a standalone verification fills the closure table: the n singletons
         # and the pairs the chains cross.  Once it is full, verification asks
         # nothing and reconstruction only its 2n extreme-point queries
-        rng = random.Random(60)
         n = 60
-        left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        geom, left, right = seeded_chain_pair(random.Random(60), n)
         rep = SegmentRepresentation(left, right)
         lrank, rrank = {e: r for r, e in enumerate(left)}, {e: r for r, e in enumerate(right)}
         crossing = sum((lrank[i] < lrank[j]) != (rrank[i] < rrank[j])
@@ -241,7 +237,7 @@ class TestVerify:
         assert verify_representation(geom, rep) == (True, None)
         assert geom.closure_calls == 0
         assert reconstruct_by_peeling(geom) == rep
-        assert geom.closure_calls <= 2 * n
+        assert geom.closure_calls == 2 * n
 
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
@@ -295,8 +291,7 @@ class TestBuilder:
         rng = random.Random(8)
         counts = {}
         for n in range(6, 29, 2):
-            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom = seeded_chain_pair(rng, n)[0]
             geom.closure_calls = 0
             build_representation(geom)
             counts[n] = geom.closure_calls
@@ -317,8 +312,7 @@ class TestBuilder:
         monkeypatch.setattr(ImplicationBasis, "closure", counting)
         rng = random.Random(22)
         for n in range(6, 41, 2):
-            left, right = rng.sample(range(n), n), rng.sample(range(n), n)
-            geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+            geom = seeded_chain_pair(rng, n)[0]
             assert decide_cdim2(geom).cdim2
             seeds.clear()
             geom.closure_calls = 0
@@ -540,12 +534,7 @@ class TestDerivedTables:
         self, monkeypatch, pool_small
     ):
         rng = random.Random(26)
-        chains = [
-            geometry_from_chains(
-                GroundSet(tuple(f"e{i}" for i in range(n))),
-                rng.sample(range(n), n), rng.sample(range(n), n))
-            for n in range(6, 25)
-        ]
+        chains = [seeded_chain_pair(rng, n)[0] for n in range(6, 25)]
         derived = []
         real = representation.prefix_masks
         monkeypatch.setattr(

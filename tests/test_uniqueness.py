@@ -25,7 +25,7 @@ from segrep import (
     verify_representation,
 )
 from segrep import representation
-from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture
+from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture, seeded_chain_pair
 from oracles import brute_force_cdim2, reconstruct_by_peeling_reference
 
 
@@ -359,10 +359,9 @@ class TestReconstructMatchesReference:
         rng = random.Random(26)
         bases = []
         for n in range(6, 41):
-            ground = GroundSet(tuple(f"e{i}" for i in range(n)))
-            bases.append(geometry_from_chains(
-                ground, rng.sample(range(n), n), rng.sample(range(n), n)).basis)
-            bases.append(geometry_from_chains(ground, *_block_chains(rng, n)).basis)
+            chains = seeded_chain_pair(rng, n)[0]
+            bases.append(chains.basis)
+            bases.append(geometry_from_chains(chains.ground, *_block_chains(rng, n)).basis)
         assert self.check(bases) >= {"rep", "ambiguous"}
 
     def test_on_unvalidated_bases(self):
