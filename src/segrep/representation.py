@@ -171,7 +171,8 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     subset = geom.ground.full
     peeled = []
     while subset.bit_count() > 1:
-        extreme = geom.extreme_points(subset)
+        # the index answers outside subset only off a convex geometry
+        extreme = geom.extreme_points(subset) & subset
         k = extreme.bit_count()
         if k == 0:
             raise Infeasible("no-extreme-point", subset)

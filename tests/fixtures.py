@@ -180,6 +180,16 @@ def seeded_chain_pair(rng: random.Random, n: int):
     return geometry_from_chains(ground, left, right), left, right
 
 
+def unvalidated_basis(rng: random.Random) -> ImplicationBasis:
+    """A random basis with n <= 7, not necessarily a convex geometry."""
+    n = rng.randint(1, 7)
+    rules = []
+    for _ in range(rng.randint(0, 2 * n)):
+        conclusion = rng.getrandbits(n) if rng.random() < 0.3 else 1 << rng.randrange(n)
+        rules.append(Implication(rng.getrandbits(n) & rng.getrandbits(n), conclusion))
+    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+
+
 def disjoint_chains_geometry(sizes: tuple[int, ...]) -> ConvexGeometry:
     """Disjoint totally ordered groups: inside each group every element pulls
     in its predecessor; groups do not interact.

@@ -23,7 +23,7 @@ from segrep import (
 )
 from segrep.cli import parse_geometry
 import oracles
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
@@ -260,20 +260,6 @@ class TestSq:
             failing += not fast.holds
         assert all(not check_sq(geom).holds and check_2ex(geom).holds for geom in padded)
         assert failing > len(padded)
-
-    def test_closure_queries_grow_quadratically(self):
-        # the scan fills the pair table, closing each singleton and then each
-        # pair that neither singleton closure holds, and reads every
-        # extreme-point set from the index that fills with it
-        rng = random.Random(9)
-        counts = {}
-        for n in range(6, 29, 2):
-            geom = seeded_chain_pair(rng, n)[0]
-            geom.closure_calls = 0
-            assert check_sq(geom).holds
-            counts[n] = geom.closure_calls
-        constant = counts[6] / 6**2
-        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 
 
 class TestExR:

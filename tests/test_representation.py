@@ -7,9 +7,11 @@ from itertools import combinations
 import pytest
 
 from segrep import (
+    ConvexGeometry,
     DuplicateEndpoint,
     GroundSet,
     GroundSetTooLarge,
+    Implication,
     ImplicationBasis,
     Infeasible,
     SegmentRepresentation,
@@ -27,7 +29,7 @@ from segrep import (
     verify_representation,
 )
 from segrep import representation, uniqueness
-from fixtures import geometry_from_chains, load_fixture, seeded_chain_pair
+from fixtures import geometry_from_chains, load_fixture, seeded_chain_pair, unvalidated_basis
 from oracles import (
     brute_force_cdim2,
     check_sq_exhaustive,
@@ -283,42 +285,36 @@ class TestBuilder:
             if built:
                 assert verify_representation(geom, rep)[0]
 
-    def test_closure_queries_grow_quadratically(self):
-        # criterion 8's shape one degree lower: without a decision first, the
-        # build fills the closure table (n singletons and at most n(n-1)/2
-        # pairs), then peels with one closure per point, and the insertions
-        # and the verification read the table
-        rng = random.Random(8)
-        counts = {}
-        for n in range(6, 29, 2):
-            geom = seeded_chain_pair(rng, n)[0]
-            geom.closure_calls = 0
-            build_representation(geom)
-            counts[n] = geom.closure_calls
-        constant = counts[6] / 6**2
-        assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
+    def test_peel_stops_on_an_unvalidated_basis(self, monkeypatch):
+        # the extreme-point index is exact only on a convex geometry: on this
+        # 4-element non-geometry it gives Ex({a, c}) = {b}, outside the set.
+        # The peel keeps only what lies in the set, so every build ends within
+        # n - 1 extreme-point queries, verified or infeasible
+        gs = GroundSet(tuple("abcd"))
+        rules = ((10, 4), (7, 1), (9, 1), (2, 1), (1, 2), (13, 4), (8, 2), (1, 4), (10, 4))
+        stuck = ImplicationBasis(gs, tuple(Implication(p, c) for p, c in rules))
+        rng = random.Random(5)
+        bases = [stuck] + [unvalidated_basis(rng) for _ in range(2000)]
+        queries = []
+        extreme_points = ConvexGeometry.extreme_points
 
-    def test_build_after_decide_makes_one_kernel_call_per_point(self, monkeypatch):
-        # decide fills the closure table; the build then asks one
-        # extreme-point query per peeled point, and the insertions and the
-        # verification read every singleton and pair closure off the table
-        seeds = []
-        original = ImplicationBasis.closure
+        def guarded(geom, subset):
+            queries.append(subset)
+            if len(queries) >= geom.n:
+                pytest.fail(f"the peel asked {len(queries)} extreme-point queries at n = {geom.n}")
+            return extreme_points(geom, subset)
 
-        def counting(basis, seed):
-            seeds.append(seed)
-            return original(basis, seed)
-
-        monkeypatch.setattr(ImplicationBasis, "closure", counting)
-        rng = random.Random(22)
-        for n in range(6, 41, 2):
-            geom = seeded_chain_pair(rng, n)[0]
-            assert decide_cdim2(geom).cdim2
-            seeds.clear()
-            geom.closure_calls = 0
-            rep = build_representation(geom)
-            assert len(seeds) == geom.closure_calls == n - 1, n
-            assert rep.n == n
+        monkeypatch.setattr(ConvexGeometry, "extreme_points", guarded)
+        infeasible = 0
+        for basis in bases:
+            queries.clear()
+            try:
+                rep = build_representation(ConvexGeometry(basis))
+            except Infeasible:
+                infeasible += 1
+                continue
+            assert basis is not stuck and verify_representation(ConvexGeometry(basis), rep)[0]
+        assert 0 < infeasible < len(bases)
 
     @pytest.mark.xfail(strict=True, reason=(
         "the insertion searches every block orientation of the rest; "

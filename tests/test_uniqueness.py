@@ -25,7 +25,13 @@ from segrep import (
     verify_representation,
 )
 from segrep import representation
-from fixtures import FIXTURE_NAMES, geometry_from_chains, load_fixture, seeded_chain_pair
+from fixtures import (
+    FIXTURE_NAMES,
+    geometry_from_chains,
+    load_fixture,
+    seeded_chain_pair,
+    unvalidated_basis,
+)
 from oracles import brute_force_cdim2, reconstruct_by_peeling_reference
 
 
@@ -328,16 +334,6 @@ def _block_chains(rng, n):
     return left, right
 
 
-def _unvalidated_basis(rng):
-    """A random basis with n <= 7, not necessarily a convex geometry."""
-    n = rng.randint(1, 7)
-    rules = []
-    for _ in range(rng.randint(0, 2 * n)):
-        conclusion = rng.getrandbits(n) if rng.random() < 0.3 else 1 << rng.randrange(n)
-        rules.append(Implication(rng.getrandbits(n) & rng.getrandbits(n), conclusion))
-    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
-
-
 class TestReconstructMatchesReference:
     # the walk keeps its bookkeeping as it grows; the reference redoes it at
     # every step, and both must ask the same queries and end the same way
@@ -366,7 +362,7 @@ class TestReconstructMatchesReference:
 
     def test_on_unvalidated_bases(self):
         rng = random.Random(2026)
-        bases = [_unvalidated_basis(rng) for _ in range(5000)]
+        bases = [unvalidated_basis(rng) for _ in range(5000)]
         assert self.check(bases) == {"rep", "ambiguous", "none"}
 
 
