@@ -246,67 +246,109 @@ class ImplicationBasis(Value):
     def closed_sets_by_extension(self, start: int) -> frozenset[int] | None:
         """The closed sets reached from the closed set ``start`` by adding
         one element at a time, each step to a closed set, with no closure
-        call; None at the first one, other than the ground set, that has no
+        call; None when one of them, other than the ground set, has no
         closed one-element extension.
 
-        For closed ``y`` and ``x`` outside it, ``y + x`` is closed unless a
-        rule whose only premise element outside ``y`` is ``x`` gains an
-        element outside ``y`` (its gain never holds ``x``).  One pass over
-        the elements outside ``y`` that some rule names ORs up the rules
-        with a premise element outside (``once``), with two or more
-        (``twice``) and with a gain element outside (``gout``).  When no set
-        dead-ends, every closed ``Y`` is reached: a chain of closed sets
-        grows from ``start`` to the ground set, its intersections with ``Y``
-        grow by at most one element a step, so ``Y - y`` is closed for some
-        ``y``; induct on ``|Y|``.
+        The walk goes part by part (:meth:`parts`): every rule lies inside
+        one part, so a set is closed iff its trace on each part is closed
+        in that part, and the family is the product of the part families.
+        A closed set dead-ends iff its trace dead-ends in some part, and a
+        trace that dead-ends in its part does so in the whole with the
+        other parts full; so the walk returns None iff some part's walk,
+        from ``start`` inside that part, dead-ends.
+
+        Within a part, for closed ``y`` and ``x`` outside it, ``y + x`` is
+        closed unless a rule whose only premise element outside ``y`` is
+        ``x`` gains an element outside ``y`` (its gain never holds ``x``).
+        One pass over the elements outside ``y`` that some rule names ORs
+        up the rules with a premise element outside (``once``), with two
+        or more (``twice``) and with a gain element outside (``gout``).
+        When no set dead-ends, every closed ``Y`` is reached: a chain of
+        closed sets grows from ``start`` to the ground set, its
+        intersections with ``Y`` grow by at most one element a step, so
+        ``Y - y`` is closed for some ``y``; induct on ``|Y|``.
 
         When no rule fires, every ``y + x`` is closed and needs no test of
-        its own (always so on a basis with no premises); otherwise one pass
+        its own (always so on a part with no premises); otherwise one pass
         over the elements outside ``y`` tests each.  The walk goes one size
         at a time: every set of the next level has one element more than a
         set of this one, so a plain set per level holds each once.  The
-        family comes back as an unordered frozenset.
+        parts are disjoint, so every union of their closed sets is new, and
+        the family comes back as an unordered frozenset.
         """
-        uses, adds, full = self._uses, self._adds, self._full
+        uses, adds = self._uses, self._adds
         ruled = self._premised | self._concluded
-        levels = []
-        level = {start}
-        while level:
-            levels.append(level)
-            up = set()
-            add = up.add
-            for y in level:
-                outside = full & ~y
-                once = twice = gout = 0
-                rest = outside & ruled
-                while rest:
-                    low = rest & -rest
-                    e = low.bit_length() - 1
-                    twice |= once & uses[e]
-                    once |= uses[e]
-                    gout |= adds[e]
-                    rest ^= low
-                # uses[x] lies inside once, as x is outside y: y + x is closed
-                # unless one of its rules is in fires
-                fires = gout & ~twice
-                rest = outside
-                if not fires:
+        walks = []
+        for part in self.parts():
+            levels = []
+            level = {start & part}
+            while level:
+                levels.append(level)
+                up = set()
+                add = up.add
+                for y in level:
+                    outside = part & ~y
+                    once = twice = gout = 0
+                    rest = outside & ruled
                     while rest:
                         low = rest & -rest
-                        add(y | low)
+                        e = low.bit_length() - 1
+                        twice |= once & uses[e]
+                        once |= uses[e]
+                        gout |= adds[e]
                         rest ^= low
-                    continue
-                extended = False
-                while rest:
-                    low = rest & -rest
-                    if not uses[low.bit_length() - 1] & fires:
-                        extended = True
-                        add(y | low)
-                    rest ^= low
-                if not extended:
-                    return None
-            level = up
-        return frozenset().union(*levels)
+                    # uses[x] lies inside once, as x is outside y: y + x is
+                    # closed unless one of its rules is in fires
+                    fires = gout & ~twice
+                    rest = outside
+                    if not fires:
+                        while rest:
+                            low = rest & -rest
+                            add(y | low)
+                            rest ^= low
+                        continue
+                    extended = False
+                    while rest:
+                        low = rest & -rest
+                        if not uses[low.bit_length() - 1] & fires:
+                            extended = True
+                            add(y | low)
+                        rest ^= low
+                    if not extended:
+                        return None
+                level = up
+            walks.append(levels)
+        family = [0]
+        for levels in walks:
+            family = [y | z for level in levels for z in level for y in family]
+        return frozenset(family)
+
+    def parts(self) -> list[int]:
+        """The ground set split into its parts, as masks in the order of
+        their least elements: the classes of elements linked by naming a
+        common rule, in its premise or its gain.  An element that no rule
+        names is a part of its own.  Each round ORs up the rules of the
+        elements last added and then adds every element outside the part
+        that names one of them, in O(n) mask operations and no loop over
+        the rules."""
+        links = [u | a for u, a in zip(self._uses, self._adds)]
+        parts = []
+        rest = self._full
+        while rest:
+            part = new = rest & -rest
+            while new:
+                rest &= ~new
+                rules = 0
+                for e in iter_bits(new):
+                    rules |= links[e]
+                new = 0
+                if rules:
+                    for e in iter_bits(rest):
+                        if links[e] & rules:
+                            new |= 1 << e
+                part |= new
+            parts.append(part)
+        return parts
 
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""

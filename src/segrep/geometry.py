@@ -5,10 +5,15 @@ anti-exchange property holds: for closed ``Y`` and distinct ``x, z`` outside
 ``Y``, ``z`` entering the closure of ``Y + x`` forbids ``x`` from entering the
 closure of ``Y + z``.  :func:`closed_family` alone decides this while it
 walks the closed sets, which can number 2^n, so it is meant for desk-scale
-ground sets (default guard n <= 20); the dimension-2 decision procedure in
-:mod:`segrep.properties` never needs that walk.  Validation drops the family
-once the axioms are decided, so a :class:`ConvexGeometry` holds only its
-basis; :meth:`ConvexGeometry.closed_sets` walks again, when asked.
+ground sets (default guard n <= 20, on n itself); the dimension-2 decision
+procedure in :mod:`segrep.properties` never needs that walk.  The walk goes
+part by part, over the classes of elements linked by a common rule: a set
+is closed iff its trace on each part is, and a closed set dead-ends iff its
+trace dead-ends in some part.  So the family is the product of the part
+families; on a direct sum the extension tests cost their sum, and the
+product one union per closed set.  Validation drops the family once the
+axioms are decided, so a :class:`ConvexGeometry` holds only its basis;
+:meth:`ConvexGeometry.closed_sets` walks again, when asked.
 """
 
 from __future__ import annotations
@@ -51,7 +56,11 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
     Decides the axioms on the way by Edelman and Jamison's (1985) criterion:
     the empty set is closed and every proper closed set has a closed
     one-element extension, which the walk reads off the basis with no
-    closure call (:meth:`ImplicationBasis.closed_sets_by_extension`).
+    closure call (:meth:`ImplicationBasis.closed_sets_by_extension`).  The
+    walk takes each part of the basis alone and multiplies the families:
+    a set is closed iff its trace on each part is, and a closed set
+    dead-ends iff its trace dead-ends in some part (take the other parts
+    full).  The guard counts every element, not the largest part.
     Raises :class:`NotAGeometry` on any other basis.
     """
     empty = basis.closure(0)

@@ -119,9 +119,15 @@ def verify_representation(
     without it, they are filled first.  The all-subsets twin is the
     test oracle ``verify_representation_exhaustive`` in ``tests/oracles.py``.
 
+    ρ closes ∅ to ∅.  Once the singletons agree, φ(∅) lies inside
+    φ{x} = ρ{x} for the bottom x of each chain, so it is ∅ when the two
+    bottoms differ; when both are x, φ(∅) is ∅ iff x is an extreme point
+    of {x}, which one pass over the basis tells with no closure query.
+
     Returns ``(True, None)`` or ``(False, seed)`` for the canonically least
-    disagreeing seed.  Raises ValueError unless the representation orders
-    the whole ground set.
+    disagreeing seed, or ``(False, 0)`` when the singletons agree and the
+    empty set is not closed.  Raises ValueError unless the representation
+    orders the whole ground set.
     """
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
@@ -132,6 +138,10 @@ def verify_representation(
     for x, (lx, rx) in enumerate(ranks):
         if lpref[lx] & rpref[rx] != rows[x][x]:
             return (False, 1 << x)
+    if n and rep.left[0] == rep.right[0]:
+        bottom = 1 << rep.left[0]
+        if geom.basis.extreme_points_of_closed(bottom) != bottom:
+            return (False, 0)
     for x, (lx, rx) in enumerate(ranks):
         row = rows[x]
         for y in range(x + 1, n):

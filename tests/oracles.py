@@ -203,7 +203,9 @@ def verify_representation_by_proof(
     inside a lower bound on its φ: the seed plus the gains of the rules
     whose premise it is and, for a pair, the ρ of both its elements, which
     agree with φ by then.  Only a seed whose ρ exceeds that bound goes to
-    ``geom.closure``; without (a) every seed does."""
+    ``geom.closure``; without (a) every seed does.  Between the singletons
+    and the pairs it settles the empty seed off the basis, as
+    ``verify_representation`` does."""
     if rep.elements != geom.ground.full:
         raise ValueError("representation must order the whole ground set")
     gains = _premise_gains(geom, rep)
@@ -221,6 +223,10 @@ def verify_representation_by_proof(
             continue
         if closed != closure(seed):
             return (False, seed)
+    if n and rep.left[0] == rep.right[0]:
+        bottom = 1 << rep.left[0]
+        if geom.basis.extreme_points_of_closed(bottom) != bottom:
+            return (False, 0)
     for x, (lx, rx) in enumerate(ranks):
         for y in range(x + 1, n):
             ly, ry = ranks[y]

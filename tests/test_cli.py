@@ -206,6 +206,15 @@ class TestExitCodes:
     def test_guard_exits_three(self, files):
         assert run("check", files["un"], "--max-n", "2")[0] == 3
 
+    def test_guard_counts_the_ground_set_not_its_parts(self, tmp_path):
+        # 21 free elements are 21 parts of one element each; the default
+        # guard of 20 still refuses the walk
+        path = tmp_path / "free21.geom"
+        path.write_text("elements " + " ".join(f"e{i}" for i in range(21)) + "\n")
+        code, out, err = run("check", str(path))
+        assert (code, out) == (3, "")
+        assert "ground set has 21 elements, guard is 20" in err
+
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_exhaustion_exits_three(self, files, monkeypatch, exc):
         def exhausted(*args, **kwargs):

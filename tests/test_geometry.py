@@ -22,7 +22,7 @@ from segrep import (
     validate_geometry,
 )
 from segrep.cli import parse_geometry
-from segrep.core import canonical_key, prefix_masks
+from segrep.core import canonical_key, iter_bits, prefix_masks
 from fixtures import (
     FIXTURE_NAMES,
     disjoint_chains_geometry,
@@ -542,6 +542,61 @@ class TestClosedSetsByExtension:
             kind = self.outcome(varied_basis(rng))
             seen[kind] = seen.get(kind, 0) + 1
         assert min(seen.values()) >= 300, seen
+
+    def test_direct_sums(self):
+        # sums of one to three draws on shuffled elements: a set is closed iff
+        # its trace on each part is, and the walk multiplies the part
+        # families; it dead-ends iff some closed set short of the ground set
+        # does, and validation reports the literal first violation
+        rng = random.Random(30)
+        seen = {"sums": 0, "parts": 0, "empty": 0, "dead": 0}
+        for _ in range(3000):
+            draws = [varied_basis(rng) for _ in range(rng.randint(1, 3))]
+            n = sum(draw.ground.n for draw in draws)
+            if n > 11:
+                continue
+            place = rng.sample(range(n), n)
+            rules, offset = [], 0
+            for draw in draws:
+                def move(mask, offset=offset):
+                    return sum(1 << place[offset + i] for i in iter_bits(mask))
+                rules += [Implication(move(imp.premise), move(imp.conclusion))
+                          for imp in draw.implications]
+                offset += draw.ground.n
+            basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+            brute = closed_sets_by_definition(basis)
+            members = set(brute)
+            dead_end = any(
+                y != basis.ground.full
+                and all(y | (1 << x) not in members for x in range(n) if not (y >> x) & 1)
+                for y in brute)
+            walked = basis.closed_sets_by_extension(basis.closure(0))
+            assert walked == (None if dead_end else members), basis
+            try:
+                validate_geometry(basis)
+                verdict = None
+            except NotAGeometry as err:
+                verdict = (err.reason, err.witness)
+            assert verdict == literal_axiom_violation(basis), basis
+            seen["sums"] += 1
+            seen["parts"] += len(basis.parts()) > 1
+            seen["empty"] += brute[0] != 0
+            seen["dead"] += dead_end
+        assert seen == {"sums": 2104, "parts": 1382, "empty": 976, "dead": 1153}
+
+    def test_edges_of_the_walk(self, kernel_seeds):
+        # no element: no part, and the empty product is {∅}; 16 free
+        # elements: 16 parts of two sets each; four chains of five: 6^4 sets
+        assert ImplicationBasis(GroundSet(()), ()).closed_sets_by_extension(0) == {0}
+        free = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(16))), ())
+        assert free.parts() == [1 << i for i in range(16)]
+        assert free.closed_sets_by_extension(0) == set(range(1 << 16))
+        assert kernel_seeds == []
+        basis = disjoint_chains_geometry((5, 5, 5, 5)).basis
+        assert basis.parts() == [0b11111 << k for k in range(0, 20, 5)]
+        kernel_seeds.clear()
+        assert len(basis.closed_sets_by_extension(0)) == 6**4
+        assert kernel_seeds == []
 
     def test_validation_makes_one_closure_call(self, kernel_seeds):
         # the empty set's closure; the walk reads every closed set's closed

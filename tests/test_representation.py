@@ -241,6 +241,32 @@ class TestVerify:
         assert reconstruct_by_peeling(geom) == rep
         assert geom.closure_calls == 2 * n
 
+    def test_empty_seed_is_read_off_the_basis(self, monkeypatch):
+        # the builder's unverified chain pairs on bases that are not always
+        # geometries: when the empty set is not closed, the chain pair can
+        # match every seed of one or two elements, and both verifiers then
+        # reject it at the empty seed, with no closure query of their own
+        monkeypatch.setattr(representation, "verify_representation", lambda geom, rep: (True, None))
+        rng = random.Random(5)
+        seen = {True: 0, False: 0, "empty": 0}
+        for _ in range(2000):
+            basis = unvalidated_basis(rng)
+            geom = ConvexGeometry(basis)
+            try:
+                rep = build_representation(geom)
+            except Infeasible:
+                continue
+            geom.closure_calls = 0
+            result = verify_representation(geom, rep)
+            assert geom.closure_calls == 0
+            assert result == verify_representation_by_proof(geom, rep), basis
+            assert result[0] == verify_representation_exhaustive(geom, rep)[0], basis
+            seen[result[0]] += 1
+            if result == (False, 0):
+                assert basis.closure(0), basis
+                seen["empty"] += 1
+        assert seen == {True: 288, False: 550, "empty": 319}
+
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
             verify_representation_exhaustive(un, un_rep, max_n=2)
