@@ -143,30 +143,49 @@ class Implication(Value):
         self.conclusion = conclusion
 
 
+# Elements per block of the basis tables.  A kernel round or a walk step
+# reads one entry per block, so a wider block means fewer reads, but each
+# block holds 2**_WIDTH entries of each table, built at load.  Widths 4 to 6
+# ran alike on the chains benchmark and 3 was slower; on refuse, whose small
+# bases close in a microsecond or two, 4 was the fastest.
+_WIDTH = 4
+_SLICE = (1 << _WIDTH) - 1
+_STEP = 1 << _WIDTH
+
+
 class ImplicationBasis(Value):
     """A finite list of implications plus the closure operator they generate.
 
     ``closure`` computes the least fixpoint over tables built once per basis.
-    One bit-parallel round: the elements outside the closed set OR together
-    the masks of the implications they block, and every element that an
-    unblocked implication concludes is added, in O(n) big-integer operations
-    on m-bit masks (n elements, m implications).  The round runs again only
-    when the added elements times the mean number of gaining rules per
-    element exceed the elements still outside, and at most twice; a round
-    that adds nothing ends the call, as the second does on a direct
-    (iteration-free) basis such as the pairwise basis of a chain pair.
-    Otherwise a worklist over the last round's additions fires the rules
-    they complete, at the cost of the rules it touches.
+    The elements are cut into blocks of four, and each block has a table
+    over its subsets: the rules with a premise element in the subset, and
+    the rules with a gain element in it.  One bit-parallel round reads the
+    entry of each block's slice of the elements outside the closed set: the
+    rules they block and the rules that could gain one of them.  Every rule
+    of the second kind and not the first fires, and the round adds its gain.
+    That is n/4 table reads plus one OR per rule that fires, on m-bit masks
+    (n elements, m implications).  The round runs again only when the added
+    elements times the mean number of gaining rules per element exceed the
+    elements still outside, and at most twice; a round that fires nothing
+    ends the call, as the second does on a direct (iteration-free) basis
+    such as the pairwise basis of a chain pair.  Otherwise a worklist over
+    the last round's additions fires the rules they complete, at the cost
+    of the rules it touches.
     """
 
     # _uses[e] / _adds[e]: masks over implication indices whose premise /
-    # conclusion-minus-premise contains e.  _premised / _concluded: the
-    # elements in some premise / some conclusion-minus-premise.  _rules[e]:
-    # (premise, gain) of the implications with e in the premise and a gain.
-    # _full: the ground-set mask.  _fanout: the mean length of _rules[e],
-    # the rules the worklist scans per element it pops.
-    __slots__ = ("ground", "implications", "_uses", "_adds", "_premised",
-                 "_concluded", "_rules", "_full", "_fanout")
+    # conclusion-minus-premise contains e.  _uses_of[b << _WIDTH | s] /
+    # _adds_of[...]: the OR of _uses[e] / _adds[e] over e = b * _WIDTH + j
+    # for the bits j of s, and _twice_of[...]: the rules in _uses[e] of two
+    # or more of those e; the top block's tables stop at the ground set.
+    # _gains[r]: the conclusion-minus-premise of rule r.  _ruled: the
+    # elements that some premise or gain names.  _rules[e]: (premise, gain)
+    # of the implications with e in the premise and a gain.  _full: the
+    # ground-set mask.  _fanout: the mean length of _rules[e], the rules the
+    # worklist scans per element it pops.
+    __slots__ = ("ground", "implications", "_uses", "_adds", "_uses_of",
+                 "_adds_of", "_twice_of", "_gains", "_ruled", "_rules",
+                 "_full", "_fanout")
     _fields = ("ground", "implications")
 
     def __init__(self, ground: GroundSet, implications: tuple[Implication, ...]):
@@ -175,14 +194,15 @@ class ImplicationBasis(Value):
         uses = [0] * n
         adds = [0] * n
         rules: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        premised = concluded = 0
+        gains = []
+        ruled = 0
         for i, imp in enumerate(implications):
             if imp.premise & ~full or imp.conclusion & ~full:
                 raise ValueError("implication references elements outside the ground set")
             gain = imp.conclusion & ~imp.premise
+            gains.append(gain)
             rule = (imp.premise, gain)
-            premised |= imp.premise
-            concluded |= gain
+            ruled |= imp.premise | gain
             bit = 1 << i
             rest = imp.premise
             while rest:
@@ -197,12 +217,27 @@ class ImplicationBasis(Value):
                 low = rest & -rest
                 adds[low.bit_length() - 1] |= bit
                 rest ^= low
+        # each block's tables double per element: the new entries are the
+        # old ones with the element in
+        uses_of, adds_of, twice_of = [], [], []
+        for base in range(0, n, _WIDTH):
+            u_tab, a_tab, t_tab = [0], [0], [0]
+            for u, a in zip(uses[base:base + _WIDTH], adds[base:base + _WIDTH]):
+                t_tab += [t | v & u for t, v in zip(t_tab, u_tab)]
+                u_tab += [v | u for v in u_tab]
+                a_tab += [v | a for v in a_tab]
+            uses_of += u_tab
+            adds_of += a_tab
+            twice_of += t_tab
         self.ground = ground
         self.implications = implications
         self._uses = tuple(uses)
         self._adds = tuple(adds)
-        self._premised = premised
-        self._concluded = concluded
+        self._uses_of = tuple(uses_of)
+        self._adds_of = tuple(adds_of)
+        self._twice_of = tuple(twice_of)
+        self._gains = tuple(gains)
+        self._ruled = ruled
         self._rules = tuple(tuple(r) for r in rules)
         self._full = full
         self._fanout = sum(map(len, rules)) // n if n else 0
@@ -224,18 +259,19 @@ class ImplicationBasis(Value):
         """Members ``x`` of the closed set ``closed`` with ``closed - x``
         closed too: those that no implication with its premise inside
         ``closed`` gains.  Such a premise misses ``x``, and the closure of
-        ``closed - x`` stays inside ``closed``.  One pass over the rules that
-        the kernel's first round from ``closed`` leaves live."""
-        uses, adds = self._uses, self._adds
-        blocked = 0
-        rest = self._full & ~closed & self._premised
+        ``closed - x`` stays inside ``closed``.  The rules blocked from
+        ``closed`` come from the tables as in a kernel round; then one pass
+        over the members tests the rules that gain each."""
+        uses_of, adds = self._uses_of, self._adds
+        blocked = i = 0
+        rest = self._full & ~closed & self._ruled
         while rest:
-            low = rest & -rest
-            blocked |= uses[low.bit_length() - 1]
-            rest ^= low
+            blocked |= uses_of[i | (rest & _SLICE)]
+            rest >>= _WIDTH
+            i += _STEP
         live = ~blocked
         out = closed
-        rest = closed & self._concluded
+        rest = closed & self._ruled
         while rest:
             low = rest & -rest
             if adds[low.bit_length() - 1] & live:
@@ -260,9 +296,11 @@ class ImplicationBasis(Value):
         Within a part, for closed ``y`` and ``x`` outside it, ``y + x`` is
         closed unless a rule whose only premise element outside ``y`` is
         ``x`` gains an element outside ``y`` (its gain never holds ``x``).
-        One pass over the elements outside ``y`` that some rule names ORs
-        up the rules with a premise element outside (``once``), with two
-        or more (``twice``) and with a gain element outside (``gout``).
+        The tables give, one entry per block from the part's lowest block
+        up, the rules with a premise element outside ``y`` (``once``), with
+        two or more (``twice``: two in one block's slice, or one there and
+        one in a block below) and with a gain element outside (``gout``):
+        n/4 table reads per closed set.
         When no set dead-ends, every closed ``Y`` is reached: a chain of
         closed sets grows from ``start`` to the ground set, its
         intersections with ``Y`` grow by at most one element a step, so
@@ -276,12 +314,15 @@ class ImplicationBasis(Value):
         parts are disjoint, so every union of their closed sets is new, and
         the family comes back as an unordered frozenset.
         """
-        uses, adds = self._uses, self._adds
-        ruled = self._premised | self._concluded
+        uses, uses_of, adds_of, twice_of = (
+            self._uses, self._uses_of, self._adds_of, self._twice_of)
+        ruled = self._ruled
         walks = []
         for part in self.parts():
             levels = []
             level = {start & part}
+            block = ((part & -part).bit_length() - 1) // _WIDTH
+            shift, first = block * _WIDTH, block << _WIDTH
             while level:
                 levels.append(level)
                 up = set()
@@ -289,14 +330,16 @@ class ImplicationBasis(Value):
                 for y in level:
                     outside = part & ~y
                     once = twice = gout = 0
-                    rest = outside & ruled
+                    rest = (outside & ruled) >> shift
+                    i = first
                     while rest:
-                        low = rest & -rest
-                        e = low.bit_length() - 1
-                        twice |= once & uses[e]
-                        once |= uses[e]
-                        gout |= adds[e]
-                        rest ^= low
+                        k = i | (rest & _SLICE)
+                        u = uses_of[k]
+                        twice |= twice_of[k] | (once & u)
+                        once |= u
+                        gout |= adds_of[k]
+                        rest >>= _WIDTH
+                        i += _STEP
                     # uses[x] lies inside once, as x is outside y: y + x is
                     # closed unless one of its rules is in fires
                     fires = gout & ~twice
@@ -356,30 +399,33 @@ class ImplicationBasis(Value):
         if seed & ~full:
             raise ValueError("seed is not a subset of the ground set")
         outside = full & ~seed
-        uses = self._uses
-        adds = self._adds
+        uses_of = self._uses_of
+        adds_of = self._adds_of
+        gains = self._gains
+        ruled = self._ruled
         closed = seed
         second = False
         while True:
             # One bit-parallel round: an implication is blocked if a premise
-            # element lies outside; every unblocked one (empty premises
-            # included) fires now.
-            blocked = 0
-            rest = outside & self._premised
+            # element lies outside, and pending if a gain element does; every
+            # pending one that is not blocked (empty premises included) fires.
+            blocked = pending = i = 0
+            rest = outside & ruled
             while rest:
-                low = rest & -rest
-                blocked |= uses[low.bit_length() - 1]
-                rest ^= low
-            live = ~blocked
-            added = 0
-            rest = outside & self._concluded
-            while rest:
-                low = rest & -rest
-                if adds[low.bit_length() - 1] & live:
-                    added |= low
-                rest ^= low
-            if not added:
+                k = i | (rest & _SLICE)
+                blocked |= uses_of[k]
+                pending |= adds_of[k]
+                rest >>= _WIDTH
+                i += _STEP
+            fire = pending & ~blocked
+            if not fire:
                 return closed
+            added = 0
+            while fire:
+                low = fire & -fire
+                added |= gains[low.bit_length() - 1]
+                fire ^= low
+            added &= outside
             closed |= added
             outside ^= added
             # A second round runs only when the worklist would scan more

@@ -55,10 +55,17 @@ class SegmentRepresentation(Value):
             raise ValueError("chains must be permutations")
         if not {*map(type, left)} <= {int} or elements and elements[0] < 0:
             raise ValueError("chains must hold non-negative ints")
+        self._assign(left, right)
+
+    def _assign(self, left: tuple[int, ...], right: tuple[int, ...]):
+        """Store two chains that ``__init__`` would accept, canonically, and
+        return the representation; block flips, valid by construction,
+        skip the checks and call this alone."""
         if right < left:
             left, right = right, left
         self.left, self.right = left, right
         self._tables = self._blocks = None
+        return self
 
     def _derive(self) -> tuple:
         """The left and right rank dicts and prefix masks, built once."""

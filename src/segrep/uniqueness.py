@@ -122,7 +122,9 @@ def enumerate_representations(
 ) -> tuple[SegmentRepresentation, ...]:
     """All representations reachable by block flips, canonical and sorted.
     Flipping every switchable block swaps the chains, so keeping the
-    orientations with ``left <= right`` builds each representation once."""
+    orientations with ``left <= right`` builds each representation once.
+    A flip orders the same elements as ``rep``, so it skips the checks of
+    ``SegmentRepresentation.__init__``."""
     s = sum(b.switchable for b in block_decomposition(rep))
     if s > max_blocks:
         raise TooManyBlocks(
@@ -130,7 +132,8 @@ def enumerate_representations(
             "raise 'max_blocks' to override"
         )
     pairs = sorted((l, r) for l, r in block_orientations(rep) if l <= r)
-    return tuple(SegmentRepresentation(l, r) for l, r in pairs)
+    new = SegmentRepresentation.__new__
+    return tuple(new(SegmentRepresentation)._assign(l, r) for l, r in pairs)
 
 
 def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from segrep.cli import parse_geometry
-from segrep.core import GroundSet, Implication, ImplicationBasis, SegrepError
+from segrep.core import GroundSet, Implication, ImplicationBasis, SegrepError, iter_bits, mask_of
 from segrep.geometry import ConvexGeometry, NotAGeometry, validate_geometry
 from segrep.properties import decide_cdim2
 from segrep.representation import SegmentRepresentation, build_representation, segment_closure
@@ -209,3 +209,83 @@ def disjoint_chains_geometry(sizes: tuple[int, ...]) -> ConvexGeometry:
         offset += size
     basis = ImplicationBasis(ground, tuple(implications))
     return validate_geometry(basis)
+
+
+def varied_basis(rng: random.Random) -> ImplicationBasis:
+    """A random basis with n <= 8: rules with sparse or dense premises and
+    one- or many-element conclusions, plus, in a third of the draws each, a
+    planted mutual pair ``x -> y``, ``y -> x`` or a rule with an empty
+    premise (so that the empty set is not closed)."""
+    n = rng.randint(1, 8)
+    rules = []
+    for _ in range(rng.randint(0, n + 2)):
+        premise = rng.getrandbits(n)
+        if rng.random() < 0.5:
+            premise &= rng.getrandbits(n)
+        premise = premise or 1 << rng.randrange(n)
+        conclusion = 1 << rng.randrange(n) if rng.random() < 0.7 else rng.getrandbits(n)
+        rules.append(Implication(premise, conclusion))
+    kind = rng.randrange(3)
+    if kind == 1 and n >= 2:
+        x, y = rng.sample(range(n), 2)
+        rules += [Implication(1 << x, 1 << y), Implication(1 << y, 1 << x)]
+    elif kind == 2:
+        rules.append(Implication(0, 1 << rng.randrange(n)))
+    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+
+
+def direct_sums(rng: random.Random, draws: int = 3000, max_n: int = 11):
+    """Sums of one to three :func:`varied_basis` draws, each on its own
+    shuffled elements, skipping every sum with more than ``max_n``."""
+    for _ in range(draws):
+        parts = [varied_basis(rng) for _ in range(rng.randint(1, 3))]
+        n = sum(part.ground.n for part in parts)
+        if n > max_n:
+            continue
+        place = rng.sample(range(n), n)
+        rules, offset = [], 0
+        for part in parts:
+            def move(mask, offset=offset):
+                return sum(1 << place[offset + i] for i in iter_bits(mask))
+            rules += [Implication(move(imp.premise), move(imp.conclusion))
+                      for imp in part.implications]
+            offset += part.ground.n
+        yield ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+
+
+# ground-set sizes on both sides of the edges of the kernel's four-element
+# blocks: none, one partial block, whole blocks, and one element past them
+BLOCK_EDGE_NS = (0, 1, 3, 4, 5, 7, 8, 9, 31, 63, 64, 65, 70)
+
+
+def block_edge_cases(rng: random.Random, per_n: int = 12):
+    """``(basis, seeds)`` pairs, ``per_n`` for each n of :data:`BLOCK_EDGE_NS`.
+    The rules have premises of one to five elements and gains of one to
+    three; a third of the bases have a rule with an empty premise, some
+    conclusions overlap their premise, one lies inside it, and up to three
+    rules come twice.  The seeds are the empty set, the ground set, the
+    ground set less one element (a one-element slice outside), and sparse
+    and dense random sets."""
+    for n in BLOCK_EDGE_NS:
+        full = (1 << n) - 1
+        for _ in range(per_n):
+            def some(k):
+                return mask_of(rng.sample(range(n), min(k, n)))
+            rules = []
+            for _ in range(rng.randint(0, n + 4)):
+                premise = some(rng.choice((1, 1, 2, 2, 2, 3, 3, 5)))
+                conclusion = some(rng.randint(1, 3))
+                if rng.random() < 0.2:
+                    conclusion |= premise & rng.getrandbits(n)
+                rules.append(Implication(premise, conclusion))
+            if rng.random() < 0.3:
+                rules.append(Implication(0, some(1)))
+            premise = some(3)
+            rules.append(Implication(premise, premise & rng.getrandbits(n)))
+            rules += rng.sample(rules, min(3, len(rules)))
+            rng.shuffle(rules)
+            basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+            seeds = [0, full, some(2), some(n // 3)]
+            seeds += [full & ~(1 << e) for e in rng.sample(range(n), min(4, n))]
+            seeds += [rng.getrandbits(n) for _ in range(3)]
+            yield basis, seeds

@@ -35,7 +35,12 @@ Test-only code: it lives under ``tests/`` and is not part of the
   as joins of chains (Edelman and Jamison, 1985), ``closed_sets_by_definition``
   keeps every subset equal to its closure, on any basis, and
   ``extendability_witness`` tests the alignment-style definition of a
-  convex geometry.
+  convex geometry;
+* ``fixpoint`` closes by firing every rule until nothing changes, the
+  closure that ``ImplicationBasis.closure`` reads off its tables, and
+  ``kernel_mismatches`` compares the two; ``walk_by_definition`` pairs the
+  closed-set walk with what it must return, read off
+  ``closed_sets_by_definition``.
 
 The subset scans are guarded at ``max_n`` elements.
 """
@@ -697,3 +702,40 @@ def extendability_witness(basis: ImplicationBasis, max_n: int = 20):
         if y != full and not any(y | (1 << x) in members for x in iter_bits(full & ~y)):
             return ("no-extension", y)
     return None
+
+
+def fixpoint(basis: ImplicationBasis, seed: int) -> int:
+    """Fire every implication whose premise lies inside until nothing
+    changes: the closure with none of the kernel's tables."""
+    closed = seed
+    while True:
+        grown = closed
+        for imp in basis.implications:
+            if imp.premise & ~grown == 0:
+                grown |= imp.conclusion
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def kernel_mismatches(cases) -> list[tuple[ImplicationBasis, int]]:
+    """The ``(basis, seed)`` pairs of ``cases``, given as ``(basis, seeds)``,
+    where ``basis.closure(seed)`` differs from :func:`fixpoint`."""
+    return [(basis, seed) for basis, seeds in cases for seed in seeds
+            if basis.closure(seed) != fixpoint(basis, seed)]
+
+
+def walk_by_definition(basis: ImplicationBasis) -> tuple:
+    """``(walked, expected, family)``: the walk from the least closed set
+    (:meth:`ImplicationBasis.closed_sets_by_extension`), what it must
+    return, and :func:`closed_sets_by_definition`.  It must return None
+    when a closed set short of the ground set has no closed one-element
+    extension, and else the whole family."""
+    full = basis.ground.full
+    family = closed_sets_by_definition(basis)
+    members = set(family)
+    dead_end = any(
+        y != full and all(y | (1 << x) not in members for x in iter_bits(full & ~y))
+        for y in family)
+    walked = basis.closed_sets_by_extension(family[0])
+    return walked, None if dead_end else members, family

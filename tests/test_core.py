@@ -12,7 +12,9 @@ from segrep import (
     mask_of,
 )
 from segrep.cli import parse_geometry
-from segrep.core import canonical_key
+from segrep.core import _WIDTH, canonical_key
+from fixtures import BLOCK_EDGE_NS, block_edge_cases
+from oracles import fixpoint, kernel_mismatches
 
 NOTSUF = "elements a b c d\nimp a b -> c\nimp b c -> d\nimp a -> d\n"
 UN = "elements a b c d\nimp d -> b c\nimp a c -> b\n"
@@ -105,6 +107,46 @@ class TestClosure:
             assert y & ~cy == 0  # extensive
             assert cy & ~cz == 0  # monotone
             assert basis.closure(cy) == cy  # idempotent
+
+
+class TestBlockTables:
+    """The kernel and the walk read per-block tables; these cases sit on
+    both sides of the block edges, up to 70 elements."""
+
+    @staticmethod
+    def tables_by_element(basis):
+        """The three tables, each entry built from the implications one
+        element of its slice at a time."""
+        n = basis.ground.n
+        uses = [mask_of(r for r, imp in enumerate(basis.implications)
+                        if (imp.premise >> e) & 1) for e in range(n)]
+        adds = [mask_of(r for r, imp in enumerate(basis.implications)
+                        if ((imp.conclusion & ~imp.premise) >> e) & 1) for e in range(n)]
+        tables = ([], [], [])
+        for base in range(0, n, _WIDTH):
+            for s in range(1 << min(_WIDTH, n - base)):
+                members = [base + j for j in iter_bits(s)]
+                named = [0] * len(basis.implications)
+                for e in members:
+                    for r in iter_bits(uses[e]):
+                        named[r] += 1
+                tables[0].append(mask_of(r for r in range(len(named)) if named[r]))
+                tables[1].append(mask_of(r for e in members for r in iter_bits(adds[e])))
+                tables[2].append(mask_of(r for r in range(len(named)) if named[r] >= 2))
+        return tables
+
+    def test_kernel_extreme_points_and_tables_at_block_edges(self):
+        cases = list(block_edge_cases(random.Random(31)))
+        assert sorted({basis.ground.n for basis, _ in cases}) == list(BLOCK_EDGE_NS)
+        assert kernel_mismatches(cases) == []
+        for basis, seeds in cases:
+            tables = basis._uses_of, basis._adds_of, basis._twice_of
+            assert tuple(map(list, tables)) == self.tables_by_element(basis), basis
+            for seed in seeds:
+                closed = fixpoint(basis, seed)
+                extreme = mask_of(x for x in iter_bits(closed)
+                                  if not (fixpoint(basis, closed & ~(1 << x)) >> x) & 1)
+                assert basis.extreme_points_of_closed(closed) == extreme, (basis, seed)
 
 
 class TestValueSemantics:

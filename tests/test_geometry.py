@@ -22,13 +22,15 @@ from segrep import (
     validate_geometry,
 )
 from segrep.cli import parse_geometry
-from segrep.core import canonical_key, iter_bits, prefix_masks
+from segrep.core import canonical_key, prefix_masks
 from fixtures import (
     FIXTURE_NAMES,
+    direct_sums,
     disjoint_chains_geometry,
     fixture_text,
     load_fixture,
     seeded_chain_pair,
+    varied_basis,
 )
 from oracles import (
     Alignment,
@@ -38,6 +40,7 @@ from oracles import (
     extreme_points_by_definition,
     join_alignments,
     linear_alignment,
+    walk_by_definition,
 )
 
 
@@ -49,29 +52,6 @@ def random_basis(rng, n, m):
         z = rng.randrange(n)
         imps.append(Implication(premise & ~(1 << z), 1 << z))
     return ImplicationBasis(gs, tuple(imps))
-
-
-def varied_basis(rng):
-    """A random basis with n <= 8: rules with sparse or dense premises and
-    one- or many-element conclusions, plus, in a third of the draws each, a
-    planted mutual pair ``x -> y``, ``y -> x`` or a rule with an empty
-    premise (so that the empty set is not closed)."""
-    n = rng.randint(1, 8)
-    rules = []
-    for _ in range(rng.randint(0, n + 2)):
-        premise = rng.getrandbits(n)
-        if rng.random() < 0.5:
-            premise &= rng.getrandbits(n)
-        premise = premise or 1 << rng.randrange(n)
-        conclusion = 1 << rng.randrange(n) if rng.random() < 0.7 else rng.getrandbits(n)
-        rules.append(Implication(premise, conclusion))
-    kind = rng.randrange(3)
-    if kind == 1 and n >= 2:
-        x, y = rng.sample(range(n), 2)
-        rules += [Implication(1 << x, 1 << y), Implication(1 << y, 1 << x)]
-    elif kind == 2:
-        rules.append(Implication(0, 1 << rng.randrange(n)))
-    return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
 
 
 def naive_closure(basis, seed):
@@ -502,14 +482,8 @@ class TestClosedSetsByExtension:
 
     @staticmethod
     def outcome(basis):
-        n, full = basis.ground.n, basis.ground.full
-        brute = closed_sets_by_definition(basis)
-        members = set(brute)
-        dead_end = any(
-            y != full and all(y | (1 << x) not in members for x in range(n) if not (y >> x) & 1)
-            for y in brute)
-        walked = basis.closed_sets_by_extension(brute[0])
-        assert walked == (None if dead_end else members), basis
+        walked, expected, brute = walk_by_definition(basis)
+        assert walked == expected, basis
         try:
             geom = validate_geometry(basis)
         except NotAGeometry as err:
@@ -548,30 +522,10 @@ class TestClosedSetsByExtension:
         # its trace on each part is, and the walk multiplies the part
         # families; it dead-ends iff some closed set short of the ground set
         # does, and validation reports the literal first violation
-        rng = random.Random(30)
         seen = {"sums": 0, "parts": 0, "empty": 0, "dead": 0}
-        for _ in range(3000):
-            draws = [varied_basis(rng) for _ in range(rng.randint(1, 3))]
-            n = sum(draw.ground.n for draw in draws)
-            if n > 11:
-                continue
-            place = rng.sample(range(n), n)
-            rules, offset = [], 0
-            for draw in draws:
-                def move(mask, offset=offset):
-                    return sum(1 << place[offset + i] for i in iter_bits(mask))
-                rules += [Implication(move(imp.premise), move(imp.conclusion))
-                          for imp in draw.implications]
-                offset += draw.ground.n
-            basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
-            brute = closed_sets_by_definition(basis)
-            members = set(brute)
-            dead_end = any(
-                y != basis.ground.full
-                and all(y | (1 << x) not in members for x in range(n) if not (y >> x) & 1)
-                for y in brute)
-            walked = basis.closed_sets_by_extension(basis.closure(0))
-            assert walked == (None if dead_end else members), basis
+        for basis in direct_sums(random.Random(30)):
+            walked, expected, brute = walk_by_definition(basis)
+            assert walked == expected, basis
             try:
                 validate_geometry(basis)
                 verdict = None
@@ -581,7 +535,7 @@ class TestClosedSetsByExtension:
             seen["sums"] += 1
             seen["parts"] += len(basis.parts()) > 1
             seen["empty"] += brute[0] != 0
-            seen["dead"] += dead_end
+            seen["dead"] += expected is None
         assert seen == {"sums": 2104, "parts": 1382, "empty": 976, "dead": 1153}
 
     def test_edges_of_the_walk(self, kernel_seeds):
@@ -680,6 +634,27 @@ class TestClosedSetsByExtension:
         assert basis.closed_sets_by_extension(0) is None
         assert kernel_seeds == []
         assert self.outcome(basis) == "anti-exchange"
+
+    def test_walk_dead_ends_across_blocks(self, kernel_seeds):
+        # a mutual pair x -> y, y -> x planted in the first four elements,
+        # then in the last four, of chain pairs whose top block of the
+        # kernel's tables holds one element (n = 21, 33) or four (n = 40)
+        rng = random.Random(21)
+        for n in (21, 33, 40):
+            chains = seeded_chain_pair(rng, n)[0]
+            for x, y in (rng.sample(range(4), 2), (n - 1, rng.randrange(n - 4, n - 1))):
+                mutual = (Implication(1 << x, 1 << y), Implication(1 << y, 1 << x))
+                basis = ImplicationBasis(chains.ground, chains.basis.implications + mutual)
+                kernel_seeds.clear()
+                assert basis.closed_sets_by_extension(0) is None, (n, x, y)
+                assert kernel_seeds == []
+                with pytest.raises(NotAGeometry) as err:
+                    validate_geometry(basis, max_n=n)
+                assert err.value.reason == "anti-exchange"
+                closed, a, b = err.value.witness
+                assert basis.closure(closed) == closed
+                assert (basis.closure(closed | 1 << a) >> b) & 1
+                assert (basis.closure(closed | 1 << b) >> a) & 1
 
 
 class TestAlignmentOps:

@@ -1,0 +1,77 @@
+"""Mutants of the basis tables, each rejected by the gate that guards it.
+
+Each row patches one entry of a table that ``ImplicationBasis`` builds at
+load: the entry for the whole first block, which a kernel round or a walk
+step reads when every element of that block is named by some rule and lies
+outside the set it starts from.  The row then runs its gate's own
+comparison on that gate's own inputs, and the comparison must report a
+mismatch:
+
+* a uses entry with one rule bit dropped lets a blocked rule fire, and an
+  adds entry with one rule bit dropped hides a pending one: the kernel
+  against :func:`oracles.fixpoint` on :func:`fixtures.block_edge_cases`;
+* a twice entry with one rule bit added counts a rule named once as named
+  twice, so the walk takes an extension that rule forbids: the walk
+  against the family by definition on :func:`fixtures.direct_sums`.
+"""
+
+import random
+
+import pytest
+
+from segrep import ImplicationBasis
+from segrep.core import _WIDTH
+from fixtures import block_edge_cases, direct_sums
+from oracles import kernel_mismatches, walk_by_definition
+
+
+def drop_rule(entry, uses):
+    """The entry less its lowest rule."""
+    return entry & (entry - 1)
+
+
+def add_rule(entry, uses):
+    """The entry plus the lowest rule of ``uses`` that it lacks."""
+    missing = uses & ~entry
+    return entry | (missing & -missing)
+
+
+def kernel_gate():
+    """The block-edge cases whose kernel closure differs from the fixpoint."""
+    return kernel_mismatches(block_edge_cases(random.Random(31)))
+
+
+def walk_gate():
+    """The direct sums on which the walk returns what it must not."""
+    mismatches = []
+    for basis in direct_sums(random.Random(30)):
+        walked, expected, _ = walk_by_definition(basis)
+        if walked != expected:
+            mismatches.append(basis)
+    return mismatches
+
+
+# mutant -> (the table it patches, the change to its whole-first-block
+# entry, the gate that must reject it)
+MUTANTS = {
+    "uses-entry-drops-a-rule": ("_uses_of", drop_rule, kernel_gate),
+    "adds-entry-drops-a-rule": ("_adds_of", drop_rule, kernel_gate),
+    "twice-entry-gains-a-rule": ("_twice_of", add_rule, walk_gate),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_gate_rejects_table_mutant(monkeypatch, name):
+    table, change, gate = MUTANTS[name]
+    build = ImplicationBasis.__init__
+
+    def mutated(basis, ground, implications):
+        build(basis, ground, implications)
+        if basis.ground.n:
+            entries = list(getattr(basis, table))
+            whole = (1 << min(_WIDTH, basis.ground.n)) - 1
+            entries[whole] = change(entries[whole], basis._uses_of[whole])
+            setattr(basis, table, tuple(entries))
+
+    monkeypatch.setattr(ImplicationBasis, "__init__", mutated)
+    assert gate()

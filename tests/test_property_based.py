@@ -33,7 +33,7 @@ from segrep import (  # noqa: E402
 )
 from fixtures import geometry_from_chains  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_cdim2, extreme_points_by_definition, verify_representation_exhaustive,
+    brute_force_cdim2, extreme_points_by_definition, fixpoint, verify_representation_exhaustive,
 )
 
 
@@ -58,19 +58,6 @@ def chain_pair_bases(draw):
     left = draw(st.permutations(range(n)))
     right = draw(st.permutations(range(n)))
     return geometry_from_chains(ground(n), left, right).basis
-
-
-def fixpoint(basis, seed):
-    """Fire every implication whose premise lies inside until nothing changes."""
-    closed = seed
-    while True:
-        grown = closed
-        for imp in basis.implications:
-            if imp.premise & ~grown == 0:
-                grown |= imp.conclusion
-        if grown == closed:
-            return closed
-        closed = grown
 
 
 @st.composite
