@@ -11,7 +11,7 @@ when it is below the set's maximum in both chains.
 
 from __future__ import annotations
 
-from .core import SegrepError, Value, iter_bits, mask_of, prefix_masks
+from .core import SegrepError, Value, iter_bits, prefix_masks
 from .geometry import ConvexGeometry
 
 
@@ -162,84 +162,79 @@ def verify_representation(
 def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     """Construct a verified segment representation, or raise Infeasible.
 
-    Peel the least extreme point of the remaining set (at most two exist when
-    construction can succeed) down to at most one element, then re-insert
-    the peeled points in reverse order by one rule: the point goes on top of
-    the left chain and just above its own closure in the right chain.  The
-    representation of the rest may need some of its interchangeable blocks
-    flipped for that, so insertion searches the block orientations, checking
-    only the seeds through the new point.  The result is verified once.
-
-    One peeling order suffices: every representation of a closed set is a
-    block flip of any other, so if the set is representable, one of its
-    representations has the least extreme point on top of a chain, and
-    dropping that point from both chains yields a representation of the rest
-    that the orientation search reaches.
-
-    The build first fills the geometry's rows of singleton and pair
-    closures (:meth:`ConvexGeometry.pair_closures`), also on an input that
-    then raises; after ``decide_cdim2`` they are already full.  Past them,
-    the peel asks n-1 extreme-point queries, one closure each, whose closed
-    results the geometry's extreme-point index answers, and the insertions
-    and the verification read the rows, so a build after decide asks n-1
-    closure queries.
+    Fill the rows of :meth:`ConvexGeometry.pair_closures` (already full
+    after ``decide_cdim2``), read a chain pair off extreme points by
+    :func:`_walk`, 2n closure queries, and verify it once.  On a geometry
+    with more than one representation, the walk's seam rule picks one.
     """
+    # perfbench counts the orientations a build tries by wrapping
+    # uniqueness.block_orientations, looked up at call time; the walk tries
+    # one.  This goes once segrep keeps its own stage counters (ROADMAP item 2).
+    from .uniqueness import block_orientations
+
     geom.pair_closures()
-    subset = geom.ground.full
-    peeled = []
-    while subset.bit_count() > 1:
-        # the index answers outside subset only off a convex geometry
-        extreme = geom.extreme_points(subset) & subset
-        k = extreme.bit_count()
-        if k == 0:
-            raise Infeasible("no-extreme-point", subset)
-        if k > 2:
-            raise Infeasible("extreme-count", (subset, extreme))
-        a = next(iter_bits(extreme))
-        peeled.append((subset, a))
-        subset &= ~(1 << a)
-    last = tuple(iter_bits(subset))
-    rep = SegmentRepresentation(last, last)
-    for subset, a in reversed(peeled):
-        rep = _insert(geom, subset, a, rep)
+    chains, witness = _walk(geom)
+    if chains is None:
+        raise Infeasible("walk", witness)
+    rep = SegmentRepresentation(*next(block_orientations(SegmentRepresentation(*chains))))
     ok, seed = verify_representation(geom, rep)
     if not ok:
         raise Infeasible("verification", seed)
     return rep
 
 
-def _insert(
-    geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
-) -> SegmentRepresentation:
-    """Re-enter ``a``, an extreme point of ``subset``, into ``sub``, a
-    representation of ``subset`` without ``a``: on top of the left chain and,
-    in the right chain, just above its own closure.  Seeds without ``a`` keep
-    their closures (``a`` tops the left chain and is in no closure of the
-    rest); ``{a}``, and ``{a, x}`` with ``x`` below the cut, hold when the
-    prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
-    above the cut are checked; a sole extreme point closes to all of
-    ``subset`` and goes on top of both chains unchecked.  ``subset`` is
-    closed, so every closure in ``a``'s row of
-    :meth:`ConvexGeometry.pair_closures` lies inside it, and the insertion
-    reads them there, asking no closure query.  Raise Infeasible, with the
-    subset and ``a``, if no block orientation of ``sub`` admits it."""
-    from .uniqueness import block_orientations
+def _walk(geom: ConvexGeometry) -> tuple[tuple[list[int], list[int]] | None, int]:
+    """Read a chain pair off the extreme points of shrinking subsets.
 
-    row = geom.pair_closures()[a]
-    own = row[a]
-    below_a = own & ~(1 << a)
-    cut = below_a.bit_count()
-    for left, right in block_orientations(sub):
-        if mask_of(right[:cut]) != below_a:
-            continue
-        prefix = own
-        for x in right[cut:]:
-            prefix |= 1 << x
-            if row[x] != prefix:
-                break
+    The tops of both chains are recovered alternately: dropping the known
+    top-k of one chain exposes, among the extreme points of the remainder,
+    the other chain's surviving maximum (already known) plus one new
+    element, this chain's next entry.  When the other chain's known tops are
+    all dropped, both chains hold the same elements so far: a seam.  If two
+    candidates remain there, the top block of the remainder is switchable
+    and either candidate tops it in some block flip, so the walk takes the
+    lesser and follows one path.  (The first step's two are the chain swap.)
+
+    Each of the 2n steps asks one extreme-point query, one closure, which
+    the geometry's extreme-point index answers once the pair table is full.
+    The index is exact only on a convex geometry, so only points inside the
+    remainder count.  The bookkeeping is linear in n.
+
+    Returns the chains bottom-to-top, unverified, and the first seam with
+    two candidates (the ground set if none); or None and where the walk
+    stopped: a remainder with no or over two extreme points, or the first
+    seam (or the ground set) when the surviving maximum is not extreme.
+    """
+    full = split = geom.ground.full
+    chains = ([], [])  # each chain's known tops, top first
+    removed = [0, 0]  # the same, as masks
+    passed = [0, 0]  # the other chain's leading tops that are removed
+    for step in range(2 * geom.n):
+        side = step & 1  # left first, then alternately
+        other, gone = chains[side ^ 1], removed[side]
+        remainder = full & ~gone
+        extreme = geom.extreme_points(remainder) & remainder
+        k = extreme.bit_count()
+        if k == 0 or k > 2:
+            return None, remainder
+        i = passed[side]
+        while i < len(other) and (gone >> other[i]) & 1:
+            i += 1
+        passed[side] = i
+        if i == len(other):
+            new = extreme & -extreme
+            if k == 2 and split == full:  # step 0's remainder is full
+                split = remainder
+        elif (extreme >> other[i]) & 1:
+            survivor = 1 << other[i]
+            rest = extreme ^ survivor
+            new = rest & -rest or survivor
         else:
-            return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
-    raise Infeasible("insertion", (subset, 1 << a))
+            return None, split  # the survivor is not extreme
+        chains[side].append(new.bit_length() - 1)
+        removed[side] = gone | new
+    left, right = chains
+    return (left[::-1], right[::-1]), split
 
 
 def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ...]:

@@ -15,7 +15,7 @@ from itertools import product
 
 from .core import SegrepError
 from .geometry import ConvexGeometry
-from .representation import SegmentRepresentation, verify_representation
+from .representation import SegmentRepresentation, _walk, verify_representation
 
 
 class TooManyBlocks(SegrepError):
@@ -137,60 +137,18 @@ def enumerate_representations(
 
 
 def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
-    """Rebuild the chain pair purely from extreme points of shrinking subsets.
-
-    The top elements of both chains are recovered alternately: dropping the
-    known top-k of one chain exposes, among the extreme points of the
-    remainder, the other chain's surviving maximum (already known) plus one
-    new element, which must be this chain's next entry.  When the known tops
-    of the other chain are all among the dropped elements and two candidates
-    remain, the two chains hold the same elements so far, so the remainder's
-    top block is switchable and either candidate tops it in some block flip:
-    the lesser is taken and the walk follows one path, verified once at its
-    end, with O(n^2) closure queries on every input.  Each extreme-point
-    query is one closure, read through the geometry's extreme-point index
-    once the pair table is full.  Every representation is a block flip of
-    every other, so ``count_representations`` of the outcome is the number
-    of representations, and the outcome is returned only when it is 1.  The
-    initial two-way choice is the chain swap and is collapsed by canonical
-    form, not counted as ambiguity.  The known tops are kept as lists and
-    masks, so the walk's own bookkeeping is linear in n.
-    """
-    full = geom.ground.full
-    chains = ([], [])  # each chain's known tops, top first
-    removed = [0, 0]  # the same, as masks
-    passed = [0, 0]  # the other chain's leading tops that are removed
-    first_split = None
+    """Rebuild the chain pair purely from extreme points of shrinking subsets:
+    the builder's walk (``representation._walk``), 2n extreme-point queries,
+    verified once.  Every representation is a block flip of every other, so
+    ``count_representations`` of the outcome is the number of
+    representations; the outcome is returned only when it is 1, and else
+    ``NotApplicable`` carries the walk's witness."""
+    chains, witness = _walk(geom)
     outcomes = 0
-    for step in range(2 * geom.n):
-        side = step & 1  # left first, then alternately
-        other, gone = chains[side ^ 1], removed[side]
-        remainder = full & ~gone
-        extreme = geom.extreme_points(remainder)
-        k = extreme.bit_count()
-        if k == 0 or k > 2:
-            raise NotApplicable(remainder, 0)
-        i = passed[side]
-        while i < len(other) and (gone >> other[i]) & 1:
-            i += 1
-        passed[side] = i
-        if i == len(other):
-            new = extreme & -extreme
-            if k == 2 and step and first_split is None:
-                first_split = remainder
-        elif (extreme >> other[i]) & 1:
-            survivor = 1 << other[i]
-            rest = extreme ^ survivor
-            new = rest & -rest or survivor
-        else:
-            break  # the survivor is not extreme: no representation
-        chains[side].append(new.bit_length() - 1)
-        removed[side] = gone | new
-    else:
-        left, right = chains
-        candidate = SegmentRepresentation(left[::-1], right[::-1])
+    if chains is not None:
+        candidate = SegmentRepresentation(*chains)
         if verify_representation(geom, candidate)[0]:
             outcomes = count_representations(candidate)
             if outcomes == 1:
                 return candidate
-    raise NotApplicable(full if first_split is None else first_split, outcomes)
+    raise NotApplicable(witness, outcomes)

@@ -180,6 +180,17 @@ def seeded_chain_pair(rng: random.Random, n: int):
     return geometry_from_chains(ground, left, right), left, right
 
 
+def block_chains(rng: random.Random, n: int):
+    """A random chain and the same chain with 2-3 element blocks reversed."""
+    left = rng.sample(range(n), n)
+    right, start = [], 0
+    while start < n:
+        size = rng.choice((2, 3))
+        right += reversed(left[start:start + size])
+        start += size
+    return left, right
+
+
 def unvalidated_basis(rng: random.Random) -> ImplicationBasis:
     """A random basis with n <= 7, not necessarily a convex geometry."""
     n = rng.randint(1, 7)
@@ -188,6 +199,18 @@ def unvalidated_basis(rng: random.Random) -> ImplicationBasis:
         conclusion = rng.getrandbits(n) if rng.random() < 0.3 else 1 << rng.randrange(n)
         rules.append(Implication(rng.getrandbits(n) & rng.getrandbits(n), conclusion))
     return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
+
+
+def index_outside_bases() -> list[ImplicationBasis]:
+    """Bases on which the extreme-point index answers outside the queried
+    set once the pair table is full: the 4-element non-geometry with the
+    rules (as masks) 10→4, 7→1, 9→1, 2→1, 1→2, 13→4, 8→2, 1→4, 10→4, which
+    gets Ex({a, c}) = {b}, then 2,000 ``unvalidated_basis`` draws from
+    ``random.Random(5)``."""
+    rules = ((10, 4), (7, 1), (9, 1), (2, 1), (1, 2), (13, 4), (8, 2), (1, 4), (10, 4))
+    stuck = ImplicationBasis(GroundSet(tuple("abcd")), tuple(Implication(p, c) for p, c in rules))
+    rng = random.Random(5)
+    return [stuck] + [unvalidated_basis(rng) for _ in range(2000)]
 
 
 def disjoint_chains_geometry(sizes: tuple[int, ...]) -> ConvexGeometry:

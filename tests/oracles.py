@@ -21,10 +21,13 @@ Test-only code: it lives under ``tests/`` and is not part of the
   the rest;
 * ``pair_closures_by_kernel`` closes every pair through ``geom.closure``,
   the rows that ``ConvexGeometry.pair_closures`` fill from the singleton
-  closures, with 0 for the singletons; ``insert_by_kernel`` is the builder's
-  insertion closing its own point and each pair it checks again instead of
-  reading that table, and ``insert_closing_own`` closes only its own point
-  again;
+  closures, with 0 for the singletons;
+* ``build_by_insertion`` is the package's former builder, the reference for
+  the walk's: it peels extreme points and re-inserts each one by a search
+  over block orientations, exponential in the switchable blocks.
+  ``insert_by_table`` is its insertion, reading the pair table;
+  ``insert_by_kernel`` closes its own point and each pair it checks again
+  instead, and ``insert_closing_own`` closes only its own point again;
 * ``reconstruct_by_peeling_reference`` is the reconstruction walk with its
   bookkeeping redone from scratch at every step;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from segrep import representation
 from segrep.core import (
     GroundSet,
     GroundSetTooLarge,
@@ -67,11 +71,10 @@ from segrep.properties import PropertyReport, SqWitness, TwoExWitness
 from segrep.representation import (
     Infeasible,
     SegmentRepresentation,
-    _insert,
     segment_closure,
     verify_representation,
 )
-from segrep.uniqueness import NotApplicable, count_representations
+from segrep.uniqueness import NotApplicable, block_orientations, count_representations
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
@@ -268,9 +271,9 @@ def pair_closures_by_kernel(geom: ConvexGeometry) -> list[list[int]]:
     ``rows[i][j]`` and ``rows[j][i]`` and keeps the rows on the geometry,
     so that later calls ask nothing.  ``check_sq`` skips the 0 entries, as
     they have no extreme point.  The package's ``verify_representation``
-    and ``_insert`` read the diagonal, so patch this in only together with
-    ``verify_representation_by_proof`` (or ``..._by_pairs``) and
-    ``insert_by_kernel``."""
+    and ``insert_by_table`` read the diagonal, so patch this in only
+    together with ``verify_representation_by_proof`` (or ``..._by_pairs``)
+    and ``insert_by_kernel``."""
     if geom._pairs is None:
         rows = [[0] * geom.n for _ in range(geom.n)]
         for i, j in combinations(range(geom.n), 2):
@@ -279,14 +282,88 @@ def pair_closures_by_kernel(geom: ConvexGeometry) -> list[list[int]]:
     return geom._pairs
 
 
+def insert_by_table(
+    geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
+) -> SegmentRepresentation:
+    """Re-enter ``a``, an extreme point of ``subset``, into ``sub``, a
+    representation of ``subset`` without ``a``: on top of the left chain and,
+    in the right chain, just above its own closure.  Seeds without ``a`` keep
+    their closures (``a`` tops the left chain and is in no closure of the
+    rest); ``{a}``, and ``{a, x}`` with ``x`` below the cut, hold when the
+    prefix below the cut is ``a``'s closure.  So only the pairs with ``x``
+    above the cut are checked; a sole extreme point closes to all of
+    ``subset`` and goes on top of both chains unchecked.  ``subset`` is
+    closed, so every closure in ``a``'s row of
+    :meth:`ConvexGeometry.pair_closures` lies inside it, and the insertion
+    reads them there, asking no closure query.  Raise Infeasible, with the
+    subset and ``a``, if no block orientation of ``sub`` admits it."""
+    row = geom.pair_closures()[a]
+    own = row[a]
+    below_a = own & ~(1 << a)
+    cut = below_a.bit_count()
+    for left, right in block_orientations(sub):
+        if mask_of(right[:cut]) != below_a:
+            continue
+        prefix = own
+        for x in right[cut:]:
+            prefix |= 1 << x
+            if row[x] != prefix:
+                break
+        else:
+            return SegmentRepresentation(left + (a,), right[:cut] + (a,) + right[cut:])
+    raise Infeasible("insertion", (subset, 1 << a))
+
+
+def build_by_insertion(geom: ConvexGeometry, insert=insert_by_table) -> SegmentRepresentation:
+    """The package's builder before it read the reconstruction walk: a
+    verified representation, or Infeasible.
+
+    Peel the least extreme point of the remaining set (at most two exist when
+    construction can succeed) down to at most one element, then re-insert
+    the peeled points in reverse order by one rule: the point goes on top of
+    the left chain and just above its own closure in the right chain.  The
+    representation of the rest may need some of its interchangeable blocks
+    flipped for that, so insertion searches the block orientations, checking
+    only the seeds through the new point; that search is exponential in the
+    switchable blocks.  ``insert`` does one insertion.  The result is
+    verified once through ``representation.verify_representation``, looked
+    up at call time, so a test that patches the package's verifier patches
+    this one's too.
+
+    The build first fills the pair table, and past it the peel asks n - 1
+    extreme-point queries, one closure each; the insertions by the table
+    and the verification read the table.
+    """
+    geom.pair_closures()
+    subset = geom.ground.full
+    peeled = []
+    while subset.bit_count() > 1:
+        # the index answers outside subset only off a convex geometry
+        extreme = geom.extreme_points(subset) & subset
+        k = extreme.bit_count()
+        if k == 0:
+            raise Infeasible("no-extreme-point", subset)
+        if k > 2:
+            raise Infeasible("extreme-count", (subset, extreme))
+        a = next(iter_bits(extreme))
+        peeled.append((subset, a))
+        subset &= ~(1 << a)
+    last = tuple(iter_bits(subset))
+    rep = SegmentRepresentation(last, last)
+    for subset, a in reversed(peeled):
+        rep = insert(geom, subset, a, rep)
+    ok, seed = representation.verify_representation(geom, rep)
+    if not ok:
+        raise Infeasible("verification", seed)
+    return rep
+
+
 def insert_by_kernel(
     geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
 ) -> SegmentRepresentation:
-    """The builder's insertion of ``a`` with ``{a}`` and every pair
-    ``{a, x}`` it checks closed again through ``geom.closure``, where the
-    package's ``_insert`` reads the table."""
-    from segrep.uniqueness import block_orientations
-
+    """``insert_by_table`` with ``{a}`` and every pair ``{a, x}`` it checks
+    closed again through ``geom.closure``, where ``insert_by_table`` reads
+    the table."""
     own = geom.closure(1 << a) & subset
     below_a = own & ~(1 << a)
     cut = below_a.bit_count()
@@ -306,11 +383,11 @@ def insert_by_kernel(
 def insert_closing_own(
     geom: ConvexGeometry, subset: int, a: int, sub: SegmentRepresentation
 ) -> SegmentRepresentation:
-    """The package's ``_insert`` after closing ``{a}`` again through
+    """``insert_by_table`` after closing ``{a}`` again through
     ``geom.closure``, which must give the table's singleton entry."""
     if geom.closure(1 << a) & subset != geom.pair_closures()[a][a]:
         raise AssertionError(f"the table's closure of {{{a}}} is not the kernel's")
-    return _insert(geom, subset, a, sub)
+    return insert_by_table(geom, subset, a, sub)
 
 
 def reconstruct_by_peeling_reference(geom: ConvexGeometry) -> SegmentRepresentation:
@@ -328,7 +405,8 @@ def reconstruct_by_peeling_reference(geom: ConvexGeometry) -> SegmentRepresentat
         on_left = len(det_l) <= len(det_r)
         det_side, det_other = (det_l, det_r) if on_left else (det_r, det_l)
         remainder = full & ~mask_of(det_side)
-        extreme = geom.extreme_points(remainder)
+        # the index answers outside remainder only off a convex geometry
+        extreme = geom.extreme_points(remainder) & remainder
         k = extreme.bit_count()
         if k == 0 or k > 2:
             raise NotApplicable(remainder, 0)

@@ -37,11 +37,13 @@ from segrep.cli import (
 from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
     brute_force_cdim2,
+    build_by_insertion,
     check_2ex_exhaustive,
     check_sq_by_pair_scan,
     check_sq_exhaustive,
     extreme_points_by_definition,
     insert_by_kernel,
+    insert_by_table,
     insert_closing_own,
     pair_closures_by_kernel,
     verify_representation_by_pairs,
@@ -319,15 +321,19 @@ class TestCheck:
     # not: they hold every closure query where it was before verification
     # and insertion read the singleton closures off the table.  `check`
     # neither verifies nor builds, so its pins are the shipped counts too.
-    # The `reads-table` pins are the shipped counts of `represent` and
-    # `unique` on the four fixtures that get a representation; after decide
-    # they differ from the `from-singletons` pins by the insertions' n - 1
-    # singleton closures and, without `by-pairs`, the proof's closures.
+    # The `reads-table` pins are the counts of `represent` and `unique` on
+    # the four fixtures that get a representation with nothing else patched
+    # in; after decide they differ from the `from-singletons` pins by the
+    # insertions' n - 1 singleton closures and, without `by-pairs`, the
+    # proof's closures.  All of these pins build with the former builder,
+    # `build_by_insertion`, whose peel asks n - 1 extreme-point queries after
+    # decide; the eight `shipped` pins patch nothing and build with the
+    # package's walk, 2n extreme-point queries after decide.
     @pytest.mark.parametrize(
-        "command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof, calls", [
+        "command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof, shipped, calls", [
             pytest.param(command, name, per_member, by_pairs, pair_scan, by_kernel, by_proof,
-                         calls, id=_pin_id(command, name, per_member, by_pairs, pair_scan,
-                                           by_kernel, by_proof, calls))
+                         False, calls, id=_pin_id(command, name, per_member, by_pairs,
+                                                  pair_scan, by_kernel, by_proof, calls))
             for command, by_pairs, pair_scan, by_kernel, by_proof, one_pass, by_member in (
                 ("check", False, False, False, True,
                  (15, 9, 11, 9, 10, 8, 10), (15, 9, 11, 9, 10, 8, 10)),
@@ -382,10 +388,15 @@ class TestCheck:
             for name, calls in zip(
                 ("fivepoint", "notsuf", "seven", "switch", "triangle", "un", "unique"), counts)
             if calls is not None
+        ] + [
+            pytest.param(command, name, False, False, False, False, False, True, calls,
+                         id=f"{command}-{name}-shipped")
+            for command in ("represent", "unique")
+            for name, calls in (("seven", 25), ("switch", 21), ("un", 16), ("unique", 20))
         ])
     def test_closure_calls_pinned_on_fixtures(self, tmp_path, monkeypatch, command, name,
                                               per_member, by_pairs, pair_scan, by_kernel,
-                                              by_proof, calls):
+                                              by_proof, shipped, calls):
         if per_member:
             monkeypatch.setattr(ConvexGeometry, "extreme_points", extreme_points_by_definition)
         if by_pairs or by_proof:
@@ -394,9 +405,11 @@ class TestCheck:
                 monkeypatch.setattr(module, "verify_representation", verify)
         if pair_scan:
             monkeypatch.setattr(properties, "check_sq", check_sq_by_pair_scan)
-        if by_kernel or by_proof:
-            insert = insert_by_kernel if by_kernel else insert_closing_own
-            monkeypatch.setattr(representation, "_insert", insert)
+        if not shipped:
+            insert = (insert_by_kernel if by_kernel else
+                      insert_closing_own if by_proof else insert_by_table)
+            monkeypatch.setattr(cli, "build_representation",
+                                lambda geom: build_by_insertion(geom, insert))
         if by_kernel:
             monkeypatch.setattr(ConvexGeometry, "pair_closures", pair_closures_by_kernel)
         path = tmp_path / f"{name}.geom"

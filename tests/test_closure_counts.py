@@ -52,12 +52,12 @@ def test_closure_calls_per_stage_follow_their_formulas(request, monkeypatch, sou
     # on a fresh geometry, the closure table costs the n singletons and each
     # pair that neither singleton closure holds: a first decide, or
     # `check_sq` alone, pays it, and a second decide asks nothing.  On a
-    # yes, the build then asks one extreme-point query per peeled point, or
-    # pays the table first when nothing filled it; verification reads the
-    # table, or pays it alone, and the block counts read the representation.
-    # Reconstruction asks one extreme-point query per step, 2n in all,
-    # whether it returns or finds more than one representation, and pays
-    # the table alone for its verification.  Every kernel call is counted
+    # yes, the build then asks the walk's one extreme-point query per step,
+    # 2n in all, or pays the table first when nothing filled it;
+    # verification reads the table, or pays it alone, and the block counts
+    # read the representation.  Reconstruction runs the same walk, whether
+    # it returns or finds more than one representation, and pays the table
+    # alone for its verification.  Every kernel call is counted
     if source == "fixtures":
         geoms = [load_fixture(name).geometry for name in FIXTURE_NAMES]
     elif source == "chain-pairs":
@@ -91,9 +91,8 @@ def test_closure_calls_per_stage_follow_their_formulas(request, monkeypatch, sou
             seen["build_alone"], _ = _fresh(kernel, basis, build_representation)
             seen["verify_alone"], _ = _fresh(kernel, basis, verify_representation, rep)
             seen["reconstruct_alone"], _ = _fresh(kernel, basis, _reconstruct)
-            peel = max(n - 1, 0)
-            expected.update(build=peel, verify=0, blocks=0, reconstruct=2 * n,
-                            build_alone=table + peel, verify_alone=table,
+            expected.update(build=2 * n, verify=0, blocks=0, reconstruct=2 * n,
+                            build_alone=table + 2 * n, verify_alone=table,
                             reconstruct_alone=2 * n + table)
         assert seen == expected, f"{source}[{index}], n = {n}"
     assert representable

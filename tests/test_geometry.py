@@ -38,6 +38,7 @@ from oracles import (
     closed_sets_by_definition,
     extendability_witness,
     extreme_points_by_definition,
+    fixpoint,
     join_alignments,
     linear_alignment,
     walk_by_definition,
@@ -54,19 +55,6 @@ def random_basis(rng, n, m):
     return ImplicationBasis(gs, tuple(imps))
 
 
-def naive_closure(basis, seed):
-    """Fire implications until nothing changes."""
-    closed = seed
-    changed = True
-    while changed:
-        changed = False
-        for imp in basis.implications:
-            if imp.premise & ~closed == 0 and imp.conclusion & ~closed:
-                closed |= imp.conclusion
-                changed = True
-    return closed
-
-
 def literal_axiom_violation(basis):
     """First failure of the convex-geometry axioms, read off the definitions.
 
@@ -76,7 +64,7 @@ def literal_axiom_violation(basis):
     carries, or None.
     """
     n = basis.ground.n
-    empty = naive_closure(basis, 0)
+    empty = fixpoint(basis, 0)
     if empty:
         return ("empty-set-not-closed", empty)
 
@@ -84,14 +72,14 @@ def literal_axiom_violation(basis):
         members = [i for i in range(n) if (s >> i) & 1]
         return (len(members), members)
 
-    closed = sorted((s for s in range(1 << n) if naive_closure(basis, s) == s), key=canonical)
+    closed = sorted((s for s in range(1 << n) if fixpoint(basis, s) == s), key=canonical)
     for y in closed:
         outside = [i for i in range(n) if not (y >> i) & 1]
         for i, x in enumerate(outside):
             for z in outside[i + 1:]:
                 if (
-                    (naive_closure(basis, y | (1 << x)) >> z) & 1
-                    and (naive_closure(basis, y | (1 << z)) >> x) & 1
+                    (fixpoint(basis, y | (1 << x)) >> z) & 1
+                    and (fixpoint(basis, y | (1 << z)) >> x) & 1
                 ):
                     return ("anti-exchange", (y, x, z))
     return None
@@ -394,9 +382,9 @@ class TestExtremeIndex:
         assert holding > 500 and missing == len(geoms) - holding
 
     def test_peel_and_scan_read_no_basis_after_decide(self, basis_passes):
-        # on a 40-element chain pair the extreme points of check_sq, of the
-        # builder's peel and of reconstruction all come from the index, while
-        # the peel and reconstruction still ask one closure per query
+        # on a 40-element chain pair the extreme points of check_sq and of
+        # the walk that builds and reconstructs all come from the index,
+        # while the walk still asks one closure per query
         n = 40
         geom = seeded_chain_pair(random.Random(40), n)[0]
         basis_passes.clear()
@@ -404,7 +392,7 @@ class TestExtremeIndex:
         assert check_sq(geom).holds
         calls = geom.closure_calls
         build_representation(geom)
-        assert geom.closure_calls == calls + n - 1
+        assert geom.closure_calls == calls + 2 * n
         calls = geom.closure_calls
         try:
             reconstruct_by_peeling(geom)

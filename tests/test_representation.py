@@ -11,7 +11,6 @@ from segrep import (
     DuplicateEndpoint,
     GroundSet,
     GroundSetTooLarge,
-    Implication,
     ImplicationBasis,
     Infeasible,
     SegmentRepresentation,
@@ -29,9 +28,18 @@ from segrep import (
     verify_representation,
 )
 from segrep import representation, uniqueness
-from fixtures import geometry_from_chains, load_fixture, seeded_chain_pair, unvalidated_basis
+from fixtures import (
+    FIXTURE_NAMES,
+    block_chains,
+    geometry_from_chains,
+    index_outside_bases,
+    load_fixture,
+    seeded_chain_pair,
+    unvalidated_basis,
+)
 from oracles import (
     brute_force_cdim2,
+    build_by_insertion,
     check_sq_exhaustive,
     join_alignments,
     linear_alignment,
@@ -242,10 +250,11 @@ class TestVerify:
         assert geom.closure_calls == 2 * n
 
     def test_empty_seed_is_read_off_the_basis(self, monkeypatch):
-        # the builder's unverified chain pairs on bases that are not always
-        # geometries: when the empty set is not closed, the chain pair can
-        # match every seed of one or two elements, and both verifiers then
-        # reject it at the empty seed, with no closure query of their own
+        # the reference builder's unverified chain pairs on bases that are
+        # not always geometries: when the empty set is not closed, the chain
+        # pair can match every seed of one or two elements, and both
+        # verifiers then reject it at the empty seed, with no closure query
+        # of their own
         monkeypatch.setattr(representation, "verify_representation", lambda geom, rep: (True, None))
         rng = random.Random(5)
         seen = {True: 0, False: 0, "empty": 0}
@@ -253,7 +262,7 @@ class TestVerify:
             basis = unvalidated_basis(rng)
             geom = ConvexGeometry(basis)
             try:
-                rep = build_representation(geom)
+                rep = build_by_insertion(geom)
             except Infeasible:
                 continue
             geom.closure_calls = 0
@@ -270,6 +279,19 @@ class TestVerify:
     def test_exhaustive_guard(self, un, un_rep):
         with pytest.raises(GroundSetTooLarge):
             verify_representation_exhaustive(un, un_rep, max_n=2)
+
+
+def _flipped_blocks(n):
+    """``(geom, left, right)`` for odd ``n``: the two-element blocks
+    {2i+1, 2i+2}, each ordered one way in the left chain and the other way
+    in the right, and element 0 on top of the left chain and at the bottom
+    of the right.  The geometry has one representation."""
+    left, right = [], [0]
+    for a in range(1, n, 2):
+        left += [a, a + 1]
+        right += [a + 1, a]
+    left.append(0)
+    return geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right), left, right
 
 
 class TestBuilder:
@@ -312,22 +334,19 @@ class TestBuilder:
                 assert verify_representation(geom, rep)[0]
 
     def test_peel_stops_on_an_unvalidated_basis(self, monkeypatch):
-        # the extreme-point index is exact only on a convex geometry: on this
-        # 4-element non-geometry it gives Ex({a, c}) = {b}, outside the set.
-        # The peel keeps only what lies in the set, so every build ends within
-        # n - 1 extreme-point queries, verified or infeasible
-        gs = GroundSet(tuple("abcd"))
-        rules = ((10, 4), (7, 1), (9, 1), (2, 1), (1, 2), (13, 4), (8, 2), (1, 4), (10, 4))
-        stuck = ImplicationBasis(gs, tuple(Implication(p, c) for p, c in rules))
-        rng = random.Random(5)
-        bases = [stuck] + [unvalidated_basis(rng) for _ in range(2000)]
+        # the extreme-point index is exact only on a convex geometry: on the
+        # first of these bases it gives Ex({a, c}) = {b}, outside the set.
+        # The walk keeps only what lies in the remainder, so every build ends
+        # within 2n extreme-point queries, verified or infeasible
+        bases = index_outside_bases()
+        stuck = bases[0]
         queries = []
         extreme_points = ConvexGeometry.extreme_points
 
         def guarded(geom, subset):
             queries.append(subset)
-            if len(queries) >= geom.n:
-                pytest.fail(f"the peel asked {len(queries)} extreme-point queries at n = {geom.n}")
+            if len(queries) > 2 * geom.n:
+                pytest.fail(f"the walk asked {len(queries)} extreme-point queries at n = {geom.n}")
             return extreme_points(geom, subset)
 
         monkeypatch.setattr(ConvexGeometry, "extreme_points", guarded)
@@ -342,21 +361,11 @@ class TestBuilder:
             assert basis is not stuck and verify_representation(ConvexGeometry(basis), rep)[0]
         assert 0 < infeasible < len(bases)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the insertion searches every block orientation of the rest; "
-        "ROADMAP item 4 builds from the reconstruction walk instead"))
     def test_orientations_tried_stay_polynomial(self, monkeypatch):
-        # 14 two-element blocks {2i+1, 2i+2}, each ordered one way in the left
-        # chain and the other way in the right, and element 0 on top of the
-        # left chain and at the bottom of the right: one representation, yet
-        # the insertions try 8,219 block orientations
+        # one representation, on which the former builder's insertions
+        # tried 8,219 block orientations
         n = 29
-        left, right = [], [0]
-        for a in range(1, n, 2):
-            left += [a, a + 1]
-            right += [a + 1, a]
-        left.append(0)
-        geom = geometry_from_chains(GroundSet(tuple(f"e{i}" for i in range(n))), left, right)
+        geom, left, right = _flipped_blocks(n)
         tried = 0
         original = uniqueness.block_orientations
 
@@ -369,6 +378,58 @@ class TestBuilder:
         monkeypatch.setattr(uniqueness, "block_orientations", counting)
         assert build_representation(geom) == SegmentRepresentation(left, right)
         assert tried <= n * n
+
+    def test_build_after_decide_is_the_walk_and_one_verification(self, monkeypatch, pool_small):
+        # 2n extreme-point queries and one verification on every input the
+        # build returns, the n = 43 geometry of _flipped_blocks included, on
+        # which the former builder tried 1,048,617 block orientations
+        cliff, left, right = _flipped_blocks(43)
+        rng = random.Random(43)
+        chains = [seeded_chain_pair(rng, k)[0] for k in range(2, 41)]
+        queries, verified = [], []
+        extreme_points, verify = ConvexGeometry.extreme_points, representation.verify_representation
+        monkeypatch.setattr(ConvexGeometry, "extreme_points",
+                            lambda geom, subset: queries.append(subset) or extreme_points(geom, subset))
+        monkeypatch.setattr(representation, "verify_representation",
+                            lambda geom, rep: verified.append(rep) or verify(geom, rep))
+        built = 0
+        for geom in [cliff] + chains + pool_small[:300]:
+            if not decide_cdim2(geom).cdim2:
+                continue
+            queries.clear()
+            verified.clear()
+            rep = build_representation(geom)
+            assert len(queries) == 2 * geom.n and verified == [rep]
+            built += 1
+        assert built > 100
+        assert build_representation(cliff) == SegmentRepresentation(left, right)
+
+    def test_walk_matches_the_insertion_builder(self, pool_small, pool_n6):
+        # the same verdict, the same representations and, where there is one
+        # representation, the same chains; with more than one, the two
+        # builders may pick different block flips
+        rng = random.Random(32)
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        for _ in range(100):
+            n = rng.randint(4, 16)
+            ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+            geoms.append(geometry_from_chains(ground, *block_chains(rng, n)))
+        seen = {"infeasible": 0, "same": 0, "flipped": 0}
+        for geom in geoms:
+            try:
+                expected = build_by_insertion(geom)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    build_representation(geom)
+                seen["infeasible"] += 1
+                continue
+            rep = build_representation(geom)
+            count = count_representations(rep)
+            assert count == count_representations(expected)
+            assert enumerate_representations(rep) == enumerate_representations(expected)
+            assert rep == expected or count > 1
+            seen["same" if rep == expected else "flipped"] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_depth_does_not_grow_with_n(self):
         # builder and reconstruction must fit in 40 frames above the caller

@@ -27,12 +27,14 @@ from segrep import (
 from segrep import representation
 from fixtures import (
     FIXTURE_NAMES,
+    block_chains,
     geometry_from_chains,
+    index_outside_bases,
     load_fixture,
     seeded_chain_pair,
     unvalidated_basis,
 )
-from oracles import brute_force_cdim2, reconstruct_by_peeling_reference
+from oracles import brute_force_cdim2, build_by_insertion, reconstruct_by_peeling_reference
 
 
 @pytest.fixture(scope="module")
@@ -233,10 +235,11 @@ class TestReconstruct:
         assert rep.left == rep.right == (gs.index("b"), gs.index("a"))
 
     def test_agrees_with_builder_exactly_when_unique(self, pool_small):
+        # against the former builder: the package's builder runs the same walk
         for geom in pool_small[:200]:
             if not decide_cdim2(geom).cdim2:
                 continue
-            rep = build_representation(geom)
+            rep = build_by_insertion(geom)
             unique = count_representations(rep) == 1
             try:
                 assert reconstruct_by_peeling(geom) == rep and unique
@@ -323,17 +326,6 @@ def _walk(walk, basis):
     return outcome, geom.queries, geom.closure_calls
 
 
-def _block_chains(rng, n):
-    """A random chain and the same chain with 2-3 element blocks reversed."""
-    left = rng.sample(range(n), n)
-    right, start = [], 0
-    while start < n:
-        size = rng.choice((2, 3))
-        right += reversed(left[start:start + size])
-        start += size
-    return left, right
-
-
 class TestReconstructMatchesReference:
     # the walk keeps its bookkeeping as it grows; the reference redoes it at
     # every step, and both must ask the same queries and end the same way
@@ -357,13 +349,38 @@ class TestReconstructMatchesReference:
         for n in range(6, 41):
             chains = seeded_chain_pair(rng, n)[0]
             bases.append(chains.basis)
-            bases.append(geometry_from_chains(chains.ground, *_block_chains(rng, n)).basis)
+            bases.append(geometry_from_chains(chains.ground, *block_chains(rng, n)).basis)
         assert self.check(bases) >= {"rep", "ambiguous"}
 
     def test_on_unvalidated_bases(self):
         rng = random.Random(2026)
         bases = [unvalidated_basis(rng) for _ in range(5000)]
         assert self.check(bases) == {"rep", "ambiguous", "none"}
+
+    def test_index_answering_outside_the_remainder(self):
+        # with the pair table full, the extreme-point index answers outside
+        # the remainder on these bases, and a walk that took such a point
+        # put it in a chain twice; keeping what lies in the remainder, both
+        # walks end the same, and as often in a representation with the
+        # table as without it
+        seen = {}
+        for table in (False, True):
+            kinds = {"rep": 0, "NotApplicable": 0}
+            for basis in index_outside_bases():
+                outcomes = []
+                for walk in (reconstruct_by_peeling, reconstruct_by_peeling_reference):
+                    geom = ConvexGeometry(basis)
+                    if table:
+                        geom.pair_closures()
+                    try:
+                        rep = walk(geom)
+                        outcomes.append(("rep", rep.left, rep.right))
+                    except NotApplicable as err:
+                        outcomes.append(("NotApplicable", err.witness, err.outcomes))
+                assert outcomes[0] == outcomes[1], basis
+                kinds[outcomes[0][0]] += 1
+            seen[table] = kinds
+        assert seen[False] == seen[True] == {"rep": 288, "NotApplicable": 1713}
 
 
 class TestDistinctEndingSegments:
