@@ -5,8 +5,9 @@ premise elements are present, the conclusion elements must be too.  The
 closure of a seed set is what forward chaining adds to it.
 """
 
-from segrep import validate_geometry
+from segrep import closed_family, validate_geometry
 from segrep.cli import parse_geometry
+from segrep.core import canonical_key
 
 TEXT = """
 elements a b c d
@@ -25,7 +26,7 @@ for label in gs.labels:
 
 # the whole family of closed sets, smallest first
 print("\nclosed sets:")
-for member in geom.closed_sets():
+for member in sorted(closed_family(basis), key=canonical_key):
     print(" ", gs.format_set(member))
 
 # extreme points: members a set cannot re-generate after dropping them

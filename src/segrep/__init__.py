@@ -23,11 +23,9 @@ from .properties import (
     verify_witness,
 )
 from .representation import (
-    DuplicateEndpoint,
     Infeasible,
     SegmentRepresentation,
     build_representation,
-    normalize_layout,
     segment_closure,
     segment_layout,
     verify_representation,

@@ -30,7 +30,6 @@ from .properties import decide_cdim2
 from .representation import (  # noqa: F401
     SegmentRepresentation,
     build_representation,
-    normalize_layout,
     segment_layout,
     verify_representation,
 )
@@ -119,30 +118,6 @@ def layout_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
         lo, hi = rows[e]
         lines.append(f"{ground.labels[e]} {lo} {hi}")
     return "\n".join(lines)
-
-
-def parse_layout_table(ground: GroundSet, text: str) -> SegmentRepresentation:
-    """Re-read a layout table into its canonical representation.
-
-    Line numbers in errors count from the header line; a missing element is
-    reported at the line after the table, a repeated one at its second row.
-    """
-    lines = text.strip().splitlines()
-    intervals: dict[int, tuple[float, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            label, lo, hi = line.split()
-            interval = (float(lo), float(hi))
-            e = ground.index(label)
-        except (ValueError, SegrepError) as exc:
-            raise ParseError(lineno, f"bad layout row ({exc})") from None
-        if e in intervals:
-            raise ParseError(lineno, f"second row for element {label!r}")
-        intervals[e] = interval
-    for e in range(ground.n):
-        if e not in intervals:
-            raise ParseError(len(lines) + 1, f"no row for element {ground.labels[e]!r}")
-    return normalize_layout([intervals[e] for e in range(ground.n)])
 
 
 def render_ascii(ground: GroundSet, rep: SegmentRepresentation) -> str:

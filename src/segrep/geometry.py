@@ -11,8 +11,7 @@ part by part and multiplies the part families; on a direct sum the
 extension tests cost their sum, and the product one union per closed set
 (:meth:`ImplicationBasis.closed_sets_by_extension` proves it).
 Validation drops the family once the axioms are decided, so a
-:class:`ConvexGeometry` holds only its basis; :meth:`ConvexGeometry.closed_sets`
-walks again, when asked.
+:class:`ConvexGeometry` holds only its basis.
 """
 
 from __future__ import annotations
@@ -213,16 +212,6 @@ class ConvexGeometry:
         runs.
         """
         return self.extreme_points_of_closed(self.closure(subset))
-
-    def closed_sets(self) -> tuple[int, ...]:
-        """Every closed set, in canonical order (by size, then by members).
-
-        Walks the family again with :func:`closed_family` on each call,
-        behind its default guard of n <= 20, and sorts it; nothing on the
-        decision path reads it.  Past 20 elements, call
-        :func:`closed_family` with ``max_n`` instead.
-        """
-        return tuple(sorted(closed_family(self.basis), key=canonical_key))
 
     def __repr__(self):
         return f"ConvexGeometry(n={self.n}, m={self.basis.m})"

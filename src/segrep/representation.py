@@ -29,10 +29,6 @@ class Infeasible(SegrepError):
         super().__init__(f"no segment representation: {stage}")
 
 
-class DuplicateEndpoint(SegrepError):
-    """Interval input with coinciding endpoints cannot be normalized."""
-
-
 class SegmentRepresentation(Value):
     """Unordered pair of chains, stored bottom-to-top.
 
@@ -169,14 +165,16 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     """
     # perfbench counts the orientations a build tries by wrapping
     # uniqueness.block_orientations, looked up at call time; the walk tries
-    # one.  This goes once segrep keeps its own stage counters (ROADMAP item 2).
+    # one, rep itself.  This goes once segrep keeps its own stage counters
+    # (ROADMAP item 2).
     from .uniqueness import block_orientations
 
     geom.pair_closures()
     chains, witness = _walk(geom)
     if chains is None:
         raise Infeasible("walk", witness)
-    rep = SegmentRepresentation(*next(block_orientations(SegmentRepresentation(*chains))))
+    rep = SegmentRepresentation(*chains)
+    next(block_orientations(rep))
     ok, seed = verify_representation(geom, rep)
     if not ok:
         raise Infeasible("verification", seed)
@@ -245,30 +243,3 @@ def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ..
     """
     lrank, rrank = rep._derive()[:2]
     return tuple((e, -lrank[e], rrank[e]) for e in sorted(lrank))
-
-
-def normalize_layout(intervals) -> SegmentRepresentation:
-    """Read a representation off arbitrary segments on a line.
-
-    When the segments do not already share a common point, the right
-    endpoints are first shifted by a uniform constant so they do (the shift
-    preserves containment of left and of right endpoints separately, hence
-    the induced closure).  The chains are then the elements by descending
-    left endpoint and ascending right endpoint.  All 2n endpoints must be
-    distinct and each interval non-degenerate.
-    """
-    starts = [float(a) for a, _ in intervals]
-    ends = [float(b) for _, b in intervals]
-    for a, b in zip(starts, ends):
-        if not a < b:
-            raise DuplicateEndpoint(f"degenerate interval [{a}, {b}]")
-    endpoints = starts + ends
-    if len(set(endpoints)) != len(endpoints):
-        raise DuplicateEndpoint("segments must not share endpoints")
-    if intervals and min(ends) < max(starts):
-        shift = (max(starts) - min(ends)) + 1.0
-        ends = [b + shift for b in ends]
-    order = range(len(starts))
-    left = tuple(sorted(order, key=lambda e: -starts[e]))
-    right = tuple(sorted(order, key=lambda e: ends[e]))
-    return SegmentRepresentation(left, right)

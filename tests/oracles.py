@@ -43,7 +43,13 @@ Test-only code: it lives under ``tests/`` and is not part of the
   closure that ``ImplicationBasis.closure`` reads off its tables, and
   ``kernel_mismatches`` compares the two; ``walk_by_definition`` pairs the
   closed-set walk with what it must return, read off
-  ``closed_sets_by_definition``.
+  ``closed_sets_by_definition``;
+* ``closed_sets`` is the family that ``closed_family`` walks, sorted into
+  canonical order;
+* ``normalize_layout`` reads a chain pair off arbitrary segments on a line,
+  raising ``DuplicateEndpoint`` on shared or degenerate endpoints, and
+  ``parse_layout_table`` re-reads through it the layout table that
+  ``segrep represent`` prints.
 
 The subset scans are guarded at ``max_n`` elements.
 """
@@ -54,7 +60,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from segrep import representation
+from segrep import geometry, representation
+from segrep.cli import ParseError
 from segrep.core import (
     GroundSet,
     GroundSetTooLarge,
@@ -66,7 +73,7 @@ from segrep.core import (
     mask_of,
     prefix_masks,
 )
-from segrep.geometry import ConvexGeometry
+from segrep.geometry import ConvexGeometry, closed_family
 from segrep.properties import PropertyReport, SqWitness, TwoExWitness
 from segrep.representation import (
     Infeasible,
@@ -461,7 +468,7 @@ def brute_force_cdim2(geom: ConvexGeometry, max_n: int = 8) -> BruteForceResult:
     n = geom.n
     if n > max_n:
         raise GroundSetTooLarge("brute_force_cdim2", n, max_n)
-    family = set(geom.closed_sets())
+    family = set(closed_sets(geom))
     if len(family) > (n + 1) ** 2:
         return BruteForceResult(False, ())
 
@@ -678,7 +685,7 @@ def check_exr(geom: ConvexGeometry, max_n: int = 15, closed_only: bool = False) 
     generate ``y``.  Instances with ``c == b`` hold vacuously.
     """
     if closed_only:
-        subsets = [s for s in geom.closed_sets() if s.bit_count() >= 2]
+        subsets = [s for s in closed_sets(geom) if s.bit_count() >= 2]
     else:
         subsets = _all_subsets(geom.ground.full, "check_exr", max_n, 2)
     return _pair_scan(geom, "ExR", subsets, _exr_violation)
@@ -756,6 +763,12 @@ def linear_alignment(ground: GroundSet, order) -> Alignment:
     return Alignment.from_masks(ground, prefix_masks(order))
 
 
+def closed_sets(geom: ConvexGeometry) -> tuple[int, ...]:
+    """Every closed set of ``geom``, in canonical order: :func:`closed_family`
+    sorted by ``geometry.canonical_key``, looked up at call time."""
+    return tuple(sorted(closed_family(geom.basis), key=geometry.canonical_key))
+
+
 def closed_sets_by_definition(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
     """Every subset equal to its closure, in canonical order, with no
     assumption on the basis."""
@@ -817,3 +830,58 @@ def walk_by_definition(basis: ImplicationBasis) -> tuple:
         for y in family)
     walked = basis.closed_sets_by_extension(family[0])
     return walked, None if dead_end else members, family
+
+
+class DuplicateEndpoint(SegrepError):
+    """Interval input with coinciding endpoints cannot be normalized."""
+
+
+def normalize_layout(intervals) -> SegmentRepresentation:
+    """Read a representation off arbitrary segments on a line.
+
+    When the segments do not already share a common point, the right
+    endpoints are first shifted by a uniform constant so they do (the shift
+    preserves containment of left and of right endpoints separately, hence
+    the induced closure).  The chains are then the elements by descending
+    left endpoint and ascending right endpoint.  All 2n endpoints must be
+    distinct and each interval non-degenerate.
+    """
+    starts = [float(a) for a, _ in intervals]
+    ends = [float(b) for _, b in intervals]
+    for a, b in zip(starts, ends):
+        if not a < b:
+            raise DuplicateEndpoint(f"degenerate interval [{a}, {b}]")
+    endpoints = starts + ends
+    if len(set(endpoints)) != len(endpoints):
+        raise DuplicateEndpoint("segments must not share endpoints")
+    if intervals and min(ends) < max(starts):
+        shift = (max(starts) - min(ends)) + 1.0
+        ends = [b + shift for b in ends]
+    order = range(len(starts))
+    left = tuple(sorted(order, key=lambda e: -starts[e]))
+    right = tuple(sorted(order, key=lambda e: ends[e]))
+    return SegmentRepresentation(left, right)
+
+
+def parse_layout_table(ground: GroundSet, text: str) -> SegmentRepresentation:
+    """Re-read a layout table into its canonical representation.
+
+    Line numbers in errors count from the header line; a missing element is
+    reported at the line after the table, a repeated one at its second row.
+    """
+    lines = text.strip().splitlines()
+    intervals: dict[int, tuple[float, float]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            label, lo, hi = line.split()
+            interval = (float(lo), float(hi))
+            e = ground.index(label)
+        except (ValueError, SegrepError) as exc:
+            raise ParseError(lineno, f"bad layout row ({exc})") from None
+        if e in intervals:
+            raise ParseError(lineno, f"second row for element {label!r}")
+        intervals[e] = interval
+    for e in range(ground.n):
+        if e not in intervals:
+            raise ParseError(len(lines) + 1, f"no row for element {ground.labels[e]!r}")
+    return normalize_layout([intervals[e] for e in range(ground.n)])

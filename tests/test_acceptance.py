@@ -16,13 +16,11 @@ from segrep import (
     decide_cdim2,
     enumerate_representations,
     is_unique,
-    normalize_layout,
     reconstruct_by_peeling,
     segment_closure,
     segment_layout,
 )
 from segrep.cli import main as cli_main
-from segrep.cli import parse_layout_table
 from fixtures import disjoint_chains_geometry, load_fixture
 from oracles import (
     brute_force_cdim2,
@@ -30,6 +28,8 @@ from oracles import (
     check_caratheodory,
     check_exr,
     check_sq_exhaustive,
+    normalize_layout,
+    parse_layout_table,
     reduce_to_binary_basis,
     verify_representation_exhaustive,
 )

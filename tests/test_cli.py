@@ -21,7 +21,6 @@ from segrep import (
     count_representations,
     decide_cdim2,
     iter_bits,
-    normalize_layout,
     properties,
     representation,
     uniqueness,
@@ -32,7 +31,6 @@ from segrep.cli import (
     layout_table,
     main,
     parse_geometry,
-    parse_layout_table,
 )
 from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
@@ -45,7 +43,9 @@ from oracles import (
     insert_by_kernel,
     insert_by_table,
     insert_closing_own,
+    normalize_layout,
     pair_closures_by_kernel,
+    parse_layout_table,
     verify_representation_by_pairs,
     verify_representation_by_proof,
 )
@@ -638,3 +638,18 @@ class TestDisplayHelpers:
             parse_layout_table(gs, "element left_endpoint right_endpoint\n" + body)
         assert err.value.line == line
 
+
+class TestReadme:
+    def test_quick_start_prints_its_comments(self):
+        # the README's python block runs as written, and each print prints
+        # the comment on its line; a public name it uses that goes away
+        # fails here
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        expected = [line.rsplit("# ", 1)[1] for line in block.splitlines()
+                    if line.startswith("print(")]
+        assert expected == ["(d c b a ∇ c b d a)", "1"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue().splitlines() == expected

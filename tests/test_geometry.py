@@ -35,6 +35,7 @@ from fixtures import (
 from oracles import (
     Alignment,
     GroundSetMismatch,
+    closed_sets,
     closed_sets_by_definition,
     extendability_witness,
     extreme_points_by_definition,
@@ -269,7 +270,7 @@ class TestExtremePoints:
                 geom = validate_geometry(basis)
             except NotAGeometry:
                 continue
-            for y in geom.closed_sets():
+            for y in closed_sets(geom):
                 assert geom.closure(geom.extreme_points(y)) == y
 
     def test_violators_break_extreme_generation_or_extendability(self):
@@ -412,7 +413,7 @@ class TestFamilies:
     def test_un_family(self):
         geom = validate_geometry(parse_geometry(fixture_text("un")))
         gs = geom.ground
-        assert set(geom.closed_sets()) == {
+        assert set(closed_sets(geom)) == {
             0, gs.mask("a"), gs.mask("b"), gs.mask("c"), gs.mask("ab"),
             gs.mask("bc"), gs.mask("abc"), gs.mask("bcd"), gs.full,
         }
@@ -420,11 +421,11 @@ class TestFamilies:
     def test_free_two_element_family(self):
         gs = GroundSet(("a", "b"))
         geom = validate_geometry(ImplicationBasis(gs, ()))
-        assert set(geom.closed_sets()) == {0, 1, 2, 3}
+        assert set(closed_sets(geom)) == {0, 1, 2, 3}
 
     def test_validated_geometry_keeps_no_family(self):
         # validation walks the 16,384 closed sets of the free geometry and
-        # drops them; closed_sets() walks again when asked
+        # drops them; closed_sets(geom) walks again when asked
         basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(14))), ())
         tracemalloc.start()
         try:
@@ -433,12 +434,12 @@ class TestFamilies:
         finally:
             tracemalloc.stop()
         assert held < 64 * 1024, held
-        assert geom.closed_sets() == tuple(sorted(range(1 << 14), key=canonical_key))
+        assert closed_sets(geom) == tuple(sorted(range(1 << 14), key=canonical_key))
 
     def test_notsuf_meet_irreducibles(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
         gs = geom.ground
-        family = set(geom.closed_sets())
+        family = set(closed_sets(geom))
         special = [gs.mask("bd"), gs.mask("ad"), gs.mask("c")]
         for s in special:
             assert s in family
@@ -488,7 +489,7 @@ class TestClosedSetsByExtension:
                 assert walked is None, basis
             return err.reason
         assert closed_family(basis) == frozenset(brute), basis
-        assert geom.closed_sets() == brute, basis
+        assert closed_sets(geom) == brute, basis
         assert walked is not None, basis
         return "geometry"
 
@@ -550,13 +551,13 @@ class TestClosedSetsByExtension:
             family = {a & b for a in prefix_masks(left) for b in prefix_masks(right)}
             cases.append((geom.basis, family))
         geom = disjoint_chains_geometry((3, 3, 3, 3))
-        cases.append((geom.basis, set(geom.closed_sets())))
+        cases.append((geom.basis, set(closed_sets(geom))))
         assert len(cases[-1][1]) == 4**4
         for basis, family in cases:
             kernel_seeds.clear()
             validate_geometry(basis, max_n=basis.ground.n)
             assert kernel_seeds == [0], (basis.ground.n, len(kernel_seeds))
-            # past the default guard of 20, closed_sets() refuses to walk
+            # past the default guard of 20, closed_sets(geom) refuses to walk
             assert closed_family(basis, max_n=basis.ground.n) == family
 
     def test_non_geometries_close_each_seed_once(self, kernel_seeds):
@@ -576,7 +577,7 @@ class TestClosedSetsByExtension:
         assert violators == 920
 
     def test_validation_does_not_sort(self, monkeypatch):
-        # the family stays unordered until closed_sets() is asked for it
+        # the family stays unordered until closed_sets(geom) asks for it
         calls = []
         original = geometry.canonical_key
 
@@ -589,7 +590,7 @@ class TestClosedSetsByExtension:
         geoms.append(disjoint_chains_geometry((3, 3, 3, 3)))
         assert calls == []
         for geom in geoms:
-            assert geom.closed_sets() == closed_sets_by_definition(geom.basis)
+            assert closed_sets(geom) == closed_sets_by_definition(geom.basis)
         assert calls
 
     def test_walk_beyond_the_small_pools(self, kernel_seeds):

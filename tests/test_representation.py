@@ -8,7 +8,6 @@ import pytest
 
 from segrep import (
     ConvexGeometry,
-    DuplicateEndpoint,
     GroundSet,
     GroundSetTooLarge,
     ImplicationBasis,
@@ -20,7 +19,6 @@ from segrep import (
     decide_cdim2,
     enumerate_representations,
     iter_bits,
-    normalize_layout,
     reconstruct_by_peeling,
     segment_closure,
     segment_layout,
@@ -38,11 +36,13 @@ from fixtures import (
     unvalidated_basis,
 )
 from oracles import (
+    DuplicateEndpoint,
     brute_force_cdim2,
     build_by_insertion,
     check_sq_exhaustive,
     join_alignments,
     linear_alignment,
+    normalize_layout,
     verify_representation_by_pairs,
     verify_representation_by_proof,
     verify_representation_exhaustive,
