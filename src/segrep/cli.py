@@ -48,15 +48,39 @@ def parse_geometry(text: str) -> ImplicationBasis:
     ground: GroundSet | None = None
     implications: list[Implication] = []
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
-        keyword, args = fields[0], fields[1:]
-        if keyword == "elements":
+        if not fields:
+            continue
+        keyword = fields[0]
+        # implications outnumber every other line: their branch comes first
+        if keyword == "imp":
+            if ground is None:
+                raise ParseError(lineno, "'imp' before 'elements' line")
+            try:
+                arrow = fields.index("->")
+            except ValueError:
+                raise ParseError(
+                    lineno, "'imp' needs '->' between premise and conclusion") from None
+            if arrow == 1:
+                raise ParseError(lineno, "empty premise side")
+            if arrow == len(fields) - 1:
+                raise ParseError(lineno, "empty conclusion side")
+            premise = conclusion = 0
+            try:
+                for label in fields[1:arrow]:
+                    premise |= bit[label]
+                for label in fields[arrow + 1:]:
+                    conclusion |= bit[label]
+            except KeyError as exc:
+                raise ParseError(lineno, f"unknown element {exc.args[0]!r}") from None
+            implications.append(Implication(premise, conclusion))
+        elif keyword == "elements":
             if ground is not None:
                 raise ParseError(lineno, "duplicate 'elements' line")
+            args = fields[1:]
             if not args:
                 raise ParseError(lineno, "'elements' needs at least one label")
             for label in args:
@@ -67,25 +91,6 @@ def parse_geometry(text: str) -> ImplicationBasis:
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             bit = {label: 1 << i for i, label in enumerate(args)}
-        elif keyword == "imp":
-            if ground is None:
-                raise ParseError(lineno, "'imp' before 'elements' line")
-            if "->" not in args:
-                raise ParseError(lineno, "'imp' needs '->' between premise and conclusion")
-            arrow = args.index("->")
-            if not arrow:
-                raise ParseError(lineno, "empty premise side")
-            if arrow == len(args) - 1:
-                raise ParseError(lineno, "empty conclusion side")
-            premise = conclusion = 0
-            try:
-                for label in args[:arrow]:
-                    premise |= bit[label]
-                for label in args[arrow + 1:]:
-                    conclusion |= bit[label]
-            except KeyError as exc:
-                raise ParseError(lineno, f"unknown element {exc.args[0]!r}") from None
-            implications.append(Implication(premise, conclusion))
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
     if ground is None:

@@ -153,6 +153,19 @@ _SLICE = (1 << _WIDTH) - 1
 _STEP = 1 << _WIDTH
 
 
+def _columns(rows, n: int) -> list[int]:
+    """The columns of a bit matrix: entry ``e`` is the mask of the ``r``
+    with bit ``e`` set in ``rows[r]``, each row a mask over ``range(n)``.
+    ``bin(row | 1 << n)`` is ``"0b1"`` and then the row's n bits, bit n - 1
+    first, so bit ``e`` sits at offset ``n + 2 - e`` of its n + 3
+    characters.  With the rows joined last first, every (n + 3)-th
+    character from there spells column ``e`` in binary, and base-2 ``int``
+    has no digit limit.  With no rows the slice is empty and reads as 0."""
+    top = 1 << n
+    text = "".join([bin(row | top) for row in reversed(rows)])
+    return [int(text[n + 2 - e::n + 3] or "0", 2) for e in range(n)]
+
+
 class ImplicationBasis(Value):
     """A finite list of implications plus the closure operator they generate.
 
@@ -171,13 +184,18 @@ class ImplicationBasis(Value):
     such as the pairwise basis of a chain pair.  Otherwise a worklist over
     the last round's additions fires the rules they complete, at the cost
     of the rules it touches.
+
+    Loading the basis takes one loop over the premise bits, which fills
+    ``_uses`` and ``_rules``, and one transposition of the gain rows for
+    ``_adds`` (:func:`_columns`), whose per-bit work runs in C.
     """
 
     # _uses[e] / _adds[e]: masks over implication indices whose premise /
-    # conclusion-minus-premise contains e.  _uses_of[b << _WIDTH | s] /
-    # _adds_of[...]: the OR of _uses[e] / _adds[e] over e = b * _WIDTH + j
-    # for the bits j of s, and _twice_of[...]: the rules in _uses[e] of two
-    # or more of those e; the top block's tables stop at the ground set.
+    # conclusion-minus-premise contains e; _adds is _gains transposed.
+    # _uses_of[b << _WIDTH | s] / _adds_of[...]: the OR of _uses[e] /
+    # _adds[e] over e = b * _WIDTH + j for the bits j of s, and
+    # _twice_of[...]: the rules in _uses[e] of two or more of those e; the
+    # top block's tables stop at the ground set.
     # _gains[r]: the conclusion-minus-premise of rule r.  _ruled: the
     # elements that some premise or gain names.  _rules[e]: (premise, gain)
     # of the implications with e in the premise and a gain.  _full: the
@@ -192,7 +210,6 @@ class ImplicationBasis(Value):
         n = ground.n
         full = ground.full
         uses = [0] * n
-        adds = [0] * n
         rules: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         gains = []
         ruled = 0
@@ -212,11 +229,9 @@ class ImplicationBasis(Value):
                 if gain:
                     rules[e].append(rule)
                 rest ^= low
-            rest = gain
-            while rest:
-                low = rest & -rest
-                adds[low.bit_length() - 1] |= bit
-                rest ^= low
+        # the dense side (a chain pair's rule has one or two premise elements
+        # and gains about eight): no gain bit is visited in Python
+        adds = _columns(gains, n)
         # each block's tables double per element: the new entries are the
         # old ones with the element in
         uses_of, adds_of, twice_of = [], [], []

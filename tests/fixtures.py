@@ -180,6 +180,17 @@ def seeded_chain_pair(rng: random.Random, n: int):
     return geometry_from_chains(ground, left, right), left, right
 
 
+def basis_text(basis: ImplicationBasis) -> str:
+    """``basis`` in the geometry file grammar, one line per implication."""
+    labels = basis.ground.labels
+    lines = ["elements " + " ".join(labels)]
+    for imp in basis.implications:
+        premise = " ".join(labels[e] for e in iter_bits(imp.premise))
+        conclusion = " ".join(labels[e] for e in iter_bits(imp.conclusion))
+        lines.append(f"imp {premise} -> {conclusion}")
+    return "\n".join(lines) + "\n"
+
+
 def block_chains(rng: random.Random, n: int):
     """A random chain and the same chain with 2-3 element blocks reversed."""
     left = rng.sample(range(n), n)

@@ -44,6 +44,10 @@ Test-only code: it lives under ``tests/`` and is not part of the
   ``kernel_mismatches`` compares the two; ``walk_by_definition`` pairs the
   closed-set walk with what it must return, read off
   ``closed_sets_by_definition``;
+* ``basis_tables_by_bits`` loads the basis tables by visiting every premise
+  and gain bit in Python, the loop that ``ImplicationBasis`` replaced by a
+  transposition of the gain rows, and ``parse_geometry_reference`` is the
+  file parser's former line loop;
 * ``closed_sets`` is the family that ``closed_family`` walks, sorted into
   canonical order;
 * ``normalize_layout`` reads a chain pair off arbitrary segments on a line,
@@ -807,6 +811,100 @@ def fixpoint(basis: ImplicationBasis, seed: int) -> int:
         if grown == closed:
             return closed
         closed = grown
+
+
+def basis_tables_by_bits(basis: ImplicationBasis) -> dict:
+    """The tables that ``ImplicationBasis`` loads before its block tables,
+    by attribute name, built by visiting every premise bit and every gain
+    bit in Python: the loop that loaded them before ``_adds`` came from a
+    transposition of the gain rows."""
+    n = basis.ground.n
+    full = basis.ground.full
+    uses = [0] * n
+    adds = [0] * n
+    rules: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    gains = []
+    ruled = 0
+    for i, imp in enumerate(basis.implications):
+        if imp.premise & ~full or imp.conclusion & ~full:
+            raise ValueError("implication references elements outside the ground set")
+        gain = imp.conclusion & ~imp.premise
+        gains.append(gain)
+        rule = (imp.premise, gain)
+        ruled |= imp.premise | gain
+        bit = 1 << i
+        rest = imp.premise
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            uses[e] |= bit
+            if gain:
+                rules[e].append(rule)
+            rest ^= low
+        rest = gain
+        while rest:
+            low = rest & -rest
+            adds[low.bit_length() - 1] |= bit
+            rest ^= low
+    return {
+        "_uses": tuple(uses),
+        "_adds": tuple(adds),
+        "_rules": tuple(tuple(r) for r in rules),
+        "_gains": tuple(gains),
+        "_ruled": ruled,
+        "_fanout": sum(map(len, rules)) // n if n else 0,
+    }
+
+
+def parse_geometry_reference(text: str) -> ImplicationBasis:
+    """``cli.parse_geometry`` as it read each line before it tested for
+    '#' first, split each line once and found '->' in one scan."""
+    ground: GroundSet | None = None
+    implications: list[Implication] = []
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        keyword, args = fields[0], fields[1:]
+        if keyword == "elements":
+            if ground is not None:
+                raise ParseError(lineno, "duplicate 'elements' line")
+            if not args:
+                raise ParseError(lineno, "'elements' needs at least one label")
+            for label in args:
+                if label in ("->", "∇") or any(c in label for c in ",{}"):
+                    raise ParseError(lineno, f"{label!r} cannot be an element label")
+            try:
+                ground = GroundSet(tuple(args))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            bit = {label: 1 << i for i, label in enumerate(args)}
+        elif keyword == "imp":
+            if ground is None:
+                raise ParseError(lineno, "'imp' before 'elements' line")
+            if "->" not in args:
+                raise ParseError(lineno, "'imp' needs '->' between premise and conclusion")
+            arrow = args.index("->")
+            if not arrow:
+                raise ParseError(lineno, "empty premise side")
+            if arrow == len(args) - 1:
+                raise ParseError(lineno, "empty conclusion side")
+            premise = conclusion = 0
+            try:
+                for label in args[:arrow]:
+                    premise |= bit[label]
+                for label in args[arrow + 1:]:
+                    conclusion |= bit[label]
+            except KeyError as exc:
+                raise ParseError(lineno, f"unknown element {exc.args[0]!r}") from None
+            implications.append(Implication(premise, conclusion))
+        else:
+            raise ParseError(lineno, f"unknown directive {keyword!r}")
+    if ground is None:
+        raise ParseError(len(lines) + 1, "missing 'elements' line")
+    return ImplicationBasis(ground, tuple(implications))
 
 
 def kernel_mismatches(cases) -> list[tuple[ImplicationBasis, int]]:

@@ -20,7 +20,6 @@ from segrep import (
     cli,
     count_representations,
     decide_cdim2,
-    iter_bits,
     properties,
     representation,
     uniqueness,
@@ -32,7 +31,7 @@ from segrep.cli import (
     main,
     parse_geometry,
 )
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
+from fixtures import FIXTURE_NAMES, basis_text, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
     brute_force_cdim2,
     build_by_insertion,
@@ -45,6 +44,7 @@ from oracles import (
     insert_closing_own,
     normalize_layout,
     pair_closures_by_kernel,
+    parse_geometry_reference,
     parse_layout_table,
     verify_representation_by_pairs,
     verify_representation_by_proof,
@@ -165,6 +165,93 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         basis = parse_geometry("# intro\n\nelements a b  # trailing\nimp a -> b\n")
         assert basis.m == 1
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """``text`` with one seeded edit: on one line, a token dropped, repeated
+    or swapped with another, '->' deleted or doubled, or one side of '->'
+    emptied; a line repeated or swapped with another; or a '#', a tab or a
+    CRLF inserted anywhere."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    kind = rng.choice(("drop", "repeat", "swap", "arrow", "arrow",
+                       "side", "line", "#", "tab", "crlf"))
+    if kind == "line":
+        k = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            lines.insert(k, lines[i])
+        else:
+            lines[i], lines[k] = lines[k], lines[i]
+        return "\n".join(lines)
+    j = rng.randrange(len(tokens))
+    arrow = tokens.index("->") if "->" in tokens else j
+    if kind == "drop":
+        del tokens[j]
+    elif kind == "repeat":
+        tokens.insert(j, tokens[j])
+    elif kind == "swap":
+        k = rng.randrange(len(tokens))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    elif kind == "arrow":
+        tokens[arrow:arrow + 1] = rng.choice(([], ["->", "->"]))
+    elif kind == "side":
+        tokens = tokens[:1] + tokens[arrow:] if rng.random() < 0.5 else tokens[:arrow + 1]
+    else:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + {"#": "#", "tab": "\t", "crlf": "\r\n"}[kind] + text[at:]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+class TestParseDifferential:
+    """The parser against the reference copy of its former line loop, on
+    seeded mutations of the fixtures and of chain-pair files."""
+
+    @staticmethod
+    def mutants():
+        rng = random.Random(34)
+        texts = [fixture_text(name) for name in FIXTURE_NAMES]
+        texts += [basis_text(seeded_chain_pair(rng, n)[0].basis) for n in (3, 6, 9)]
+        for text in texts:
+            for _ in range(40):
+                mutant = text
+                for _ in range(rng.randint(1, 3)):
+                    mutant = mutate(mutant, rng)
+                yield mutant
+
+    @staticmethod
+    def outcome(parse, text):
+        """The parsed basis, or the error's text and line."""
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return str(exc), exc.line
+
+    def test_mutants_parse_like_the_reference(self):
+        reasons = []
+        for text in self.mutants():
+            got = self.outcome(parse_geometry, text)
+            assert got == self.outcome(parse_geometry_reference, text), repr(text)
+            if isinstance(got, tuple):
+                reasons.append(got[0].split(": ", 1)[1])
+        # the edits reach every error that a line of a file can raise
+        for start in ("empty premise side", "empty conclusion side", "unknown element",
+                      "'imp' needs '->'", "'imp' before 'elements'", "duplicate 'elements'",
+                      "unknown directive", "'->' cannot be an element label",
+                      "'elements' needs at least one label", "duplicate ground-set label"):
+            assert any(r.startswith(start) for r in reasons), start
+
+    def test_mutants_exit_cleanly_through_check(self, tmp_path):
+        path = tmp_path / "mutant.geom"
+        codes = set()
+        for text in self.mutants():
+            path.write_bytes(text.encode())
+            code, _, err = run("check", str(path))
+            codes.add(code)
+            assert 0 <= code <= 3 and err.count("\n") <= 1, (repr(text), code, err)
+            assert "Traceback" not in err, repr(text)
+        assert {0, 1, 2} <= codes
 
 
 class TestExitCodes:
@@ -434,14 +521,8 @@ class TestCheck:
         # closes the n singletons and then only the pairs the chains cross on
         n = 40
         geom, left, right = seeded_chain_pair(random.Random(7), n)
-        labels = geom.ground.labels
-        lines = ["elements " + " ".join(labels)]
-        for imp in geom.basis.implications:
-            premise = " ".join(labels[e] for e in iter_bits(imp.premise))
-            conclusion = " ".join(labels[e] for e in iter_bits(imp.conclusion))
-            lines.append(f"imp {premise} -> {conclusion}")
         path = tmp_path / "chains.geom"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(basis_text(geom.basis))
         code, out, _ = run("check", str(path), "--json", "--max-n", str(n))
         assert code == 0
         lrank, rrank = {e: r for r, e in enumerate(left)}, {e: r for r, e in enumerate(right)}

@@ -1,6 +1,7 @@
 """Closure and the set-algebra substrate."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,9 +13,9 @@ from segrep import (
     mask_of,
 )
 from segrep.cli import parse_geometry
-from segrep.core import _WIDTH, canonical_key
-from fixtures import BLOCK_EDGE_NS, block_edge_cases
-from oracles import fixpoint, kernel_mismatches
+from segrep.core import _WIDTH, _columns, canonical_key
+from fixtures import BLOCK_EDGE_NS, FIXTURE_NAMES, block_edge_cases, fixture_text
+from oracles import basis_tables_by_bits, fixpoint, kernel_mismatches
 
 NOTSUF = "elements a b c d\nimp a b -> c\nimp b c -> d\nimp a -> d\n"
 UN = "elements a b c d\nimp d -> b c\nimp a c -> b\n"
@@ -139,6 +140,42 @@ class TestBlockTables:
                 extreme = mask_of(x for x in iter_bits(closed)
                                   if not (fixpoint(basis, closed & ~(1 << x)) >> x) & 1)
                 assert basis.extreme_points_of_closed(closed) == extreme, (basis, seed)
+
+
+class TestBasisLoad:
+    """The tables loaded with the gains transposed against the loop that
+    visits every premise and gain bit."""
+
+    def test_tables_match_the_bit_loop(self, pool_small):
+        bases = [basis for basis, _ in block_edge_cases(random.Random(31))]
+        bases += [geom.basis for geom in pool_small]
+        bases += [parse_geometry(fixture_text(name)) for name in FIXTURE_NAMES]
+        for basis in bases:
+            tables = basis_tables_by_bits(basis)
+            assert {name: getattr(basis, name) for name in tables} == tables, basis
+
+    def test_columns_transpose_bit_matrices(self):
+        rng = random.Random(34)
+        for m in (0, 1, 63, 64, 65):
+            for n in (0, 1, 3, 4, 63, 64, 65, 70):
+                full = (1 << n) - 1
+                rows = [rng.choice((0, full, rng.getrandbits(n), rng.getrandbits(n)))
+                        for _ in range(m)]
+                assert _columns(rows, n) == [
+                    mask_of(r for r, row in enumerate(rows) if (row >> e) & 1)
+                    for e in range(n)], (m, n)
+
+    def test_masks_outside_the_ground_set_raise(self):
+        gs = GroundSet(("a", "b", "c"))
+        for imp in (Implication(-1, 0b010), Implication(0b001, -2),
+                    Implication(0b1000, 0b001), Implication(0b001, 0b1010)):
+            implications = (Implication(0b001, 0b010), imp)
+            with pytest.raises(ValueError) as expected:
+                basis_tables_by_bits(SimpleNamespace(ground=gs, implications=implications))
+            with pytest.raises(ValueError) as err:
+                ImplicationBasis(gs, implications)
+            assert str(err.value) == str(expected.value) == (
+                "implication references elements outside the ground set")
 
 
 class TestValueSemantics:

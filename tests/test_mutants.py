@@ -13,13 +13,19 @@ mismatch:
 * a twice entry with one rule bit added counts a rule named once as named
   twice, so the walk takes an extension that rule forbids: the walk
   against the family by definition on :func:`fixtures.direct_sums`.
+
+Two more rows patch the transposition that loads ``_adds`` from the gain
+rows (``core._columns``): one joins the rows in rule order, so that rule r
+reads as rule m - 1 - r, and one reads the column of element e + 1 for e
+(the sentinel bit of every row for the top element).  Both put rules in
+the wrong adds entries, and the kernel gate rejects both.
 """
 
 import random
 
 import pytest
 
-from segrep import ImplicationBasis
+from segrep import ImplicationBasis, core
 from segrep.core import _WIDTH
 from fixtures import block_edge_cases, direct_sums
 from oracles import kernel_mismatches, walk_by_definition
@@ -75,3 +81,30 @@ def test_gate_rejects_table_mutant(monkeypatch, name):
 
     monkeypatch.setattr(ImplicationBasis, "__init__", mutated)
     assert gate()
+
+
+def columns_in_rule_order(rows, n):
+    """``core._columns`` with the rows joined first to last."""
+    top = 1 << n
+    text = "".join([bin(row | top) for row in rows])
+    return [int(text[n + 2 - e::n + 3] or "0", 2) for e in range(n)]
+
+
+def columns_one_element_up(rows, n):
+    """``core._columns`` reading column e + 1 for each e."""
+    top = 1 << n
+    text = "".join([bin(row | top) for row in reversed(rows)])
+    return [int(text[n + 1 - e::n + 3] or "0", 2) for e in range(n)]
+
+
+# mutant -> the replacement for core._columns; the kernel gate rejects each
+TRANSPOSITION_MUTANTS = {
+    "gain-rows-in-rule-order": columns_in_rule_order,
+    "column-one-element-up": columns_one_element_up,
+}
+
+
+@pytest.mark.parametrize("name", TRANSPOSITION_MUTANTS)
+def test_kernel_gate_rejects_transposition_mutant(monkeypatch, name):
+    monkeypatch.setattr(core, "_columns", TRANSPOSITION_MUTANTS[name])
+    assert kernel_gate()

@@ -1,8 +1,9 @@
 """Property-based differential tests: the closure kernel against a naive
 fixpoint (on small random bases, on wide chain-pair bases and on long
-implication chains), the pair table against the kernel on the wide bases,
-extreme points against their definition, before and after decide, and the
-extreme-point index against the basis on the wide bases that are convex
+implication chains), the basis tables against the loop over every premise
+and gain bit on the small random bases, the pair table against the kernel
+on the wide bases, extreme points against their definition, before and
+after decide, and the extreme-point index against the basis on the wide bases that are convex
 geometries, the closed-set walk against the brute-force family on the wide
 bases with n <= 10, the polynomial decision and builder against the
 brute-force oracle on generated bases with n <= 7, and the round trip from a
@@ -33,7 +34,8 @@ from segrep import (  # noqa: E402
 )
 from fixtures import geometry_from_chains  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_cdim2, extreme_points_by_definition, fixpoint, verify_representation_exhaustive,
+    basis_tables_by_bits, brute_force_cdim2, extreme_points_by_definition, fixpoint,
+    verify_representation_exhaustive,
 )
 
 
@@ -80,6 +82,14 @@ def test_closure_matches_naive_fixpoint(case):
     basis, seeds = case
     for seed in seeds:
         assert basis.closure(seed) == fixpoint(basis, seed)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_basis_tables_match_the_bit_loop(case):
+    basis, _seeds = case
+    tables = basis_tables_by_bits(basis)
+    assert {name: getattr(basis, name) for name in tables} == tables
 
 
 @st.composite
