@@ -44,10 +44,13 @@ class ParseError(SegrepError):
 
 
 def parse_geometry(text: str) -> ImplicationBasis:
-    """Parse the geometry file grammar into an implicational basis."""
+    """Parse the geometry file grammar into an implicational basis; only a
+    line feed, a carriage return or both in that order end a line."""
     ground: GroundSet | None = None
     implications: list[Implication] = []
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -213,15 +216,14 @@ def _max_n_keyword(text: str) -> dict:
 def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
     """Read, parse and validate the input file; start the command's report."""
     with open(args.file, "rb") as handle:
-        raw = handle.read()
+        # Text mode's newline translation; no UTF-8 sequence holds either byte.
+        raw = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         # utf-8-sig drops a byte-order mark, so sha256 hashes the text after it.
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
-    # The newline translation that reading in text mode does.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     geom = validate_geometry(parse_geometry(text), **args.guard)
     return Report(command, args.file, text), geom
 

@@ -177,13 +177,12 @@ class ImplicationBasis(Value):
     rules they block and the rules that could gain one of them.  Every rule
     of the second kind and not the first fires, and the round adds its gain.
     That is n/4 table reads plus one OR per rule that fires, on m-bit masks
-    (n elements, m implications).  The round runs again only when the added
-    elements times the mean number of gaining rules per element exceed the
-    elements still outside, and at most twice; a round that fires nothing
-    ends the call, as the second does on a direct (iteration-free) basis
-    such as the pairwise basis of a chain pair.  Otherwise a worklist over
-    the last round's additions fires the rules they complete, at the cost
-    of the rules it touches.
+    (n elements, m implications).  A round that fires nothing ends the
+    call.  When the first round fires, a second one runs, and on a direct
+    (iteration-free) basis such as the pairwise basis of a chain pair it
+    fires nothing.  When the second fires too, a worklist over its
+    additions fires the rules they complete, at the cost of the rules it
+    touches: a long implication chain closes there, not in n rounds.
 
     Loading the basis takes one loop over the premise bits, which fills
     ``_uses`` and ``_rules``, and one transposition of the gain rows for
@@ -199,11 +198,10 @@ class ImplicationBasis(Value):
     # _gains[r]: the conclusion-minus-premise of rule r.  _ruled: the
     # elements that some premise or gain names.  _rules[e]: (premise, gain)
     # of the implications with e in the premise and a gain.  _full: the
-    # ground-set mask.  _fanout: the mean length of _rules[e], the rules the
-    # worklist scans per element it pops.
+    # ground-set mask.
     __slots__ = ("ground", "implications", "_uses", "_adds", "_uses_of",
                  "_adds_of", "_twice_of", "_gains", "_ruled", "_rules",
-                 "_full", "_fanout")
+                 "_full")
     _fields = ("ground", "implications")
 
     def __init__(self, ground: GroundSet, implications: tuple[Implication, ...]):
@@ -255,7 +253,6 @@ class ImplicationBasis(Value):
         self._ruled = ruled
         self._rules = tuple(tuple(r) for r in rules)
         self._full = full
-        self._fanout = sum(map(len, rules)) // n if n else 0
 
     @property
     def m(self) -> int:
@@ -421,9 +418,9 @@ class ImplicationBasis(Value):
         closed = seed
         second = False
         while True:
-            # One bit-parallel round: an implication is blocked if a premise
-            # element lies outside, and pending if a gain element does; every
-            # pending one that is not blocked (empty premises included) fires.
+            # One round (see the class docstring): a rule is blocked if a
+            # premise element lies outside and pending if a gain element does;
+            # every pending one not blocked (empty premises included) fires.
             blocked = pending = i = 0
             rest = outside & ruled
             while rest:
@@ -443,9 +440,7 @@ class ImplicationBasis(Value):
             added &= outside
             closed |= added
             outside ^= added
-            # A second round runs only when the worklist would scan more
-            # rules than this round visits elements.
-            if second or added.bit_count() * self._fanout <= outside.bit_count():
+            if second:
                 break
             second = True
         # Worklist: every rule whose premise was closed before the last round

@@ -191,6 +191,31 @@ def basis_text(basis: ImplicationBasis) -> str:
     return "\n".join(lines) + "\n"
 
 
+def split_basis(basis: ImplicationBasis) -> ImplicationBasis:
+    """An equivalent basis with one gain element per rule: each rule A -> B
+    becomes the chain A -> b1, A + b1 -> b2, ... over the elements of B - A
+    in index order.  A -> B implies each rule of its chain, and the chain
+    implies A -> B; a rule that gains nothing goes."""
+    rules = []
+    for imp in basis.implications:
+        premise = imp.premise
+        for e in iter_bits(imp.conclusion & ~premise):
+            rules.append(Implication(premise, 1 << e))
+            premise |= 1 << e
+    return ImplicationBasis(basis.ground, tuple(rules))
+
+
+def padded_basis(basis: ImplicationBasis, rng: random.Random) -> ImplicationBasis:
+    """``basis`` plus up to n implied rules A -> φ(A), each A a seeded set
+    of three to six elements (none when n < 3)."""
+    n = basis.ground.n
+    rules = list(basis.implications)
+    for _ in range(n if n >= 3 else 0):
+        premise = mask_of(rng.sample(range(n), rng.randint(3, min(n, 6))))
+        rules.append(Implication(premise, basis.closure(premise)))
+    return ImplicationBasis(basis.ground, tuple(rules))
+
+
 def block_chains(rng: random.Random, n: int):
     """A random chain and the same chain with 2-3 element blocks reversed."""
     left = rng.sample(range(n), n)

@@ -852,7 +852,6 @@ def basis_tables_by_bits(basis: ImplicationBasis) -> dict:
         "_rules": tuple(tuple(r) for r in rules),
         "_gains": tuple(gains),
         "_ruled": ruled,
-        "_fanout": sum(map(len, rules)) // n if n else 0,
     }
 
 

@@ -254,6 +254,52 @@ class TestParseDifferential:
         assert {0, 1, 2} <= codes
 
 
+# The characters other than a line feed and a carriage return at which
+# str.splitlines breaks a line; str.split counts each as whitespace.
+NOT_LINE_BREAKS = {
+    "vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+    "nel": "\x85", "ls": "\u2028", "ps": "\u2029",
+}
+
+
+class TestLineBreaks:
+    """Only a line feed, a carriage return or the two together end a line."""
+
+    @pytest.mark.parametrize("name", NOT_LINE_BREAKS)
+    def test_other_separators_are_blanks_within_a_line(self, tmp_path, name):
+        sep = NOT_LINE_BREAKS[name]
+        text = f"# note{sep} more\nelements a b{sep}c\nimp a ->{sep}b{sep}\n"
+        basis = parse_geometry(text)
+        assert basis.ground.labels == ("a", "b", "c")
+        assert basis.implications == (Implication(0b001, 0b010),)
+        with pytest.raises(ParseError) as err:
+            parse_geometry(text + "imp a -> zz\n")
+        assert (err.value.line, err.value.reason) == (4, "unknown element 'zz'")
+        path = tmp_path / "sep.geom"
+        path.write_bytes((text + "imp a -> zz\n").encode())
+        assert run("check", str(path)) == (2, "", "error: line 4: unknown element 'zz'\n")
+
+    @pytest.mark.parametrize("raw, code, err", [
+        (b"elements a b\n# x\xe2\x80\xa8 y\nimp a -> b\n", 0, ""),
+        (b"elements a b\x0c\nimp a -> zz\n", 2, "error: line 2: unknown element 'zz'\n"),
+        (b"elements a b\rimp a -> \xff\r", 2,
+         "error: line 2: not valid UTF-8 (invalid start byte)\n"),
+    ], ids=["line-separator-in-a-comment", "form-feed-ends-line-1", "bad-byte-after-a-bare-cr"])
+    def test_files_with_other_separators(self, tmp_path, raw, code, err):
+        path = tmp_path / "sep.geom"
+        path.write_bytes(raw)
+        got = run("check", str(path))
+        assert (got[0], got[2]) == (code, err)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_are_counted_as_splitlines_counts_them(self, brk):
+        # a final break opens no line, an empty text has none
+        for body in ("", "# a", "# a{0}", "# a{0}{0}", "{0}", "elements a{0}imp a -> b{0}zz"):
+            text = body.format(brk)
+            outcome = TestParseDifferential.outcome
+            assert outcome(parse_geometry, text) == outcome(parse_geometry_reference, text), text
+
+
 class TestExitCodes:
     def test_check_outcomes(self, files):
         assert run("check", files["notsuf"])[0] == 1

@@ -19,6 +19,12 @@ rows (``core._columns``): one joins the rows in rule order, so that rule r
 reads as rule m - 1 - r, and one reads the column of element e + 1 for e
 (the sentinel bit of every row for the top element).  Both put rules in
 the wrong adds entries, and the kernel gate rejects both.
+
+Two rows patch the lists ``_rules`` that the kernel's worklist reads after
+its second round: one empties every list, so the worklist fires nothing,
+and one drops the first rule of the basis with a two-element premise from
+every list.  Both leave a rule unfired that a third round would fire, and
+the kernel gate rejects both.
 """
 
 import random
@@ -107,4 +113,40 @@ TRANSPOSITION_MUTANTS = {
 @pytest.mark.parametrize("name", TRANSPOSITION_MUTANTS)
 def test_kernel_gate_rejects_transposition_mutant(monkeypatch, name):
     monkeypatch.setattr(core, "_columns", TRANSPOSITION_MUTANTS[name])
+    assert kernel_gate()
+
+
+def no_rules(basis):
+    """Every list empty."""
+    return tuple(() for _ in basis._rules)
+
+
+def drop_a_two_element_premise(basis):
+    """Every list less the first rule of the basis with a two-element
+    premise and a gain."""
+    for imp in basis.implications:
+        gain = imp.conclusion & ~imp.premise
+        if imp.premise.bit_count() == 2 and gain:
+            rule = imp.premise, gain
+            return tuple(tuple(r for r in entries if r != rule) for entries in basis._rules)
+    return basis._rules
+
+
+# mutant -> the change to the worklist's lists; the kernel gate rejects each
+WORKLIST_MUTANTS = {
+    "worklist-fires-nothing": no_rules,
+    "worklist-drops-a-two-element-premise": drop_a_two_element_premise,
+}
+
+
+@pytest.mark.parametrize("name", WORKLIST_MUTANTS)
+def test_kernel_gate_rejects_worklist_mutant(monkeypatch, name):
+    change = WORKLIST_MUTANTS[name]
+    build = ImplicationBasis.__init__
+
+    def mutated(basis, ground, implications):
+        build(basis, ground, implications)
+        basis._rules = change(basis)
+
+    monkeypatch.setattr(ImplicationBasis, "__init__", mutated)
     assert kernel_gate()

@@ -96,8 +96,8 @@ def test_basis_tables_match_the_bit_loop(case):
 def wide_bases(draw):
     """The pairwise basis of a chain pair with n <= 16, plus an implication
     chain and up to four random implications, and some seeds.  Every exit of
-    the kernel occurs: pass 1 adds nothing, the second round is skipped, it
-    adds nothing, and it adds so that the worklist finishes."""
+    the kernel occurs: the first round fires nothing, the second fires
+    nothing, and the second fires so that the worklist finishes."""
     n = draw(st.integers(1, 16))
     full = (1 << n) - 1
     left = draw(st.permutations(range(n)))
