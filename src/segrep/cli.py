@@ -7,6 +7,11 @@ File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
 A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
 
+A report is the command's keys in a fixed order, printed as ``key: value``
+lines or, with ``--json``, as one JSON object; both are UTF-8 in any locale.
+Identical inputs give byte-identical reports: wall-clock time appears only
+with ``--timing``.
+
 Exit codes: 0 the geometry is representable by segments (convex dimension at
 most 2), 1 it is not, 2 invalid input or not a convex geometry, 3 the guard
 on validation's closed-set walk was hit (the message names the flag to raise)
@@ -176,30 +181,6 @@ def render_svg(ground: GroundSet, rep: SegmentRepresentation) -> str:
     return "\n".join(parts)
 
 
-class Report:
-    """Ordered key/value payload, printable as text or JSON.
-
-    Identical inputs produce byte-identical reports; wall-clock timing is
-    only included when explicitly requested.
-    """
-
-    def __init__(self, command: str, path: str, text: str):
-        self.items: list[tuple[str, object]] = []
-        self.add("command", command)
-        self.add("input", path)
-        self.add("sha256", hashlib.sha256(text.encode()).hexdigest())
-
-    def add(self, key: str, value) -> None:
-        self.items.append((key, value))
-
-    def emit(self, as_json: bool) -> str:
-        if as_json:
-            import json  # only here: text reports skip its import cost
-
-            return json.dumps(dict(self.items), indent=2)
-        return "\n".join(f"{key}: {value}" for key, value in self.items)
-
-
 def _max_n_keyword(text: str) -> dict:
     """Parse ``--max-n`` into the ``max_n`` keyword of ``validate_geometry``,
     whose closed-set walk is the one guarded call; a guard counts elements,
@@ -213,7 +194,7 @@ def _max_n_keyword(text: str) -> dict:
     return {"max_n": value}
 
 
-def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
+def _load(args) -> tuple[dict, ConvexGeometry]:
     """Read, parse and validate the input file; start the command's report."""
     with open(args.file, "rb") as handle:
         # Text mode's newline translation; no UTF-8 sequence holds either byte.
@@ -225,70 +206,72 @@ def _load(args, command: str) -> tuple[Report, ConvexGeometry]:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
     geom = validate_geometry(parse_geometry(text), **args.guard)
-    return Report(command, args.file, text), geom
+    report = {"command": args.command, "input": args.file,
+              "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return report, geom
 
 
-def _describe_basis(report: Report, geom: ConvexGeometry) -> None:
-    report.add("elements", geom.n)
-    report.add("implications", geom.basis.m)
-    report.add("basis_size", geom.basis.size)
+def _describe_basis(report: dict, geom: ConvexGeometry) -> None:
+    report["elements"] = geom.n
+    report["implications"] = geom.basis.m
+    report["basis_size"] = geom.basis.size
 
 
-def _represent(report: Report, geom: ConvexGeometry) -> SegmentRepresentation | None:
+def _represent(report: dict, geom: ConvexGeometry) -> SegmentRepresentation | None:
     """Decide; on a yes, build the representation and report its chain
     display.  None on a no."""
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
-    report.add("cdim2", decision.cdim2)
+    report["cdim2"] = decision.cdim2
     if not decision.cdim2:
         return None
     rep = build_representation(geom)
-    report.add("representation", chain_display(geom.ground, rep))
+    report["representation"] = chain_display(geom.ground, rep)
     return rep
 
 
-def cmd_check(args, report: Report, geom: ConvexGeometry) -> int:
+def cmd_check(args, report: dict, geom: ConvexGeometry) -> int:
     _describe_basis(report, geom)
     decision = decide_cdim2(geom)
-    report.add("two_ex", decision.two_ex.holds)
+    report["two_ex"] = decision.two_ex.holds
     if not decision.two_ex.holds:
-        report.add("two_ex_witness", decision.two_ex.describe(geom.ground))
-    report.add("sq", decision.sq.holds)
+        report["two_ex_witness"] = decision.two_ex.describe(geom.ground)
+    report["sq"] = decision.sq.holds
     if not decision.sq.holds:
-        report.add("sq_witness", decision.sq.describe(geom.ground))
-    report.add("cdim2", decision.cdim2)
+        report["sq_witness"] = decision.sq.describe(geom.ground)
+    report["cdim2"] = decision.cdim2
     return 0 if decision.cdim2 else 1
 
 
-def cmd_represent(args, report: Report, geom: ConvexGeometry) -> int:
+def cmd_represent(args, report: dict, geom: ConvexGeometry) -> int:
     rep = _represent(report, geom)
     if rep is None:
         return 1
-    report.add("segments", "\n" + layout_table(geom.ground, rep))
+    report["segments"] = "\n" + layout_table(geom.ground, rep)
     return 0
 
 
-def cmd_unique(args, report: Report, geom: ConvexGeometry) -> int:
+def cmd_unique(args, report: dict, geom: ConvexGeometry) -> int:
     rep = _represent(report, geom)
     if rep is None:
         return 1
-    report.add("blocks", "\n" + block_table(geom.ground, rep))
-    report.add("representation_count", count_representations(rep))
-    report.add("unique", is_unique(rep).unique)
+    report["blocks"] = "\n" + block_table(geom.ground, rep)
+    report["representation_count"] = count_representations(rep)
+    report["unique"] = is_unique(rep).unique
     return 0
 
 
-def cmd_closure(args, report: Report, geom: ConvexGeometry) -> int:
+def cmd_closure(args, report: dict, geom: ConvexGeometry) -> int:
     seed = geom.ground.mask(args.set)
     closed = geom.closure(seed)
-    report.add("seed", geom.ground.format_set(seed))
-    report.add("closure", geom.ground.format_set(closed))
+    report["seed"] = geom.ground.format_set(seed)
+    report["closure"] = geom.ground.format_set(closed)
     extreme = geom.basis.extreme_points_of_closed(closed)
-    report.add("extreme_points", geom.ground.format_set(extreme))
+    report["extreme_points"] = geom.ground.format_set(extreme)
     return 0
 
 
-def cmd_render(args, report: Report, geom: ConvexGeometry) -> int:
+def cmd_render(args, report: dict, geom: ConvexGeometry) -> int:
     rep = _represent(report, geom)
     if rep is None:
         print("not representable by segments on a line", file=sys.stderr)
@@ -336,17 +319,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Labels, '∇' and the help text print as UTF-8 whatever the locale; a
+    # StringIO that an in-process caller swapped in has no reconfigure.
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     code = 0  # render writes only on a yes
     try:
-        report, geom = _load(args, args.command)
+        report, geom = _load(args)
         code = args.handler(args, report, geom)
         if "json" in args:
-            report.add("closure_calls", geom.closure_calls)
+            report["closure_calls"] = geom.closure_calls
             if args.timing:
-                report.add("elapsed_ms", round((time.monotonic() - started) * 1000, 3))
-            print(report.emit(args.json))
+                report["elapsed_ms"] = round((time.monotonic() - started) * 1000, 3)
+            if args.json:
+                import json  # only here: text reports skip its import cost
+
+                print(json.dumps(report, indent=2))
+            else:
+                print("\n".join(f"{key}: {value}" for key, value in report.items()))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

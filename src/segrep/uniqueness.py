@@ -102,19 +102,15 @@ def count_representations(rep: SegmentRepresentation) -> int:
 
 
 class UniquenessReport:
-    __slots__ = ("unique", "switchable_block")
+    __slots__ = ("unique",)
 
-    def __init__(self, unique: bool, switchable_block: Block | None):
-        self.unique, self.switchable_block = unique, switchable_block
+    def __init__(self, unique: bool):
+        self.unique = unique
 
 
 def is_unique(rep: SegmentRepresentation) -> UniquenessReport:
-    """Uniqueness holds exactly when at most one block is switchable; the
-    report names that block when there is one."""
-    switchable = [b for b in block_decomposition(rep) if b.switchable]
-    if len(switchable) > 1:
-        return UniquenessReport(False, None)
-    return UniquenessReport(True, switchable[0] if switchable else None)
+    """Uniqueness holds exactly when the representation count is 1."""
+    return UniquenessReport(count_representations(rep) == 1)
 
 
 def enumerate_representations(

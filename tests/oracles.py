@@ -29,7 +29,8 @@ Test-only code: it lives under ``tests/`` and is not part of the
   ``insert_by_kernel`` closes its own point and each pair it checks again
   instead, and ``insert_closing_own`` closes only its own point again;
 * ``reconstruct_by_peeling_reference`` is the reconstruction walk with its
-  bookkeeping redone from scratch at every step;
+  bookkeeping redone from scratch at every step, and
+  ``reconstruct_mismatches`` compares the two walk for walk;
 * ``brute_force_cdim2`` finds every representation by pairing the maximal
   chains of the closed-set lattice;
 * ``check_caratheodory``, ``reduce_to_binary_basis`` and ``check_exr`` test
@@ -85,7 +86,12 @@ from segrep.representation import (
     segment_closure,
     verify_representation,
 )
-from segrep.uniqueness import NotApplicable, block_orientations, count_representations
+from segrep.uniqueness import (
+    NotApplicable,
+    block_orientations,
+    count_representations,
+    reconstruct_by_peeling,
+)
 
 
 def _all_subsets(mask: int, operation: str, max_n: int, min_size: int = 0) -> list[int]:
@@ -442,6 +448,47 @@ def reconstruct_by_peeling_reference(geom: ConvexGeometry) -> SegmentRepresentat
             if outcomes == 1:
                 return candidate
     raise NotApplicable(full if first_split is None else first_split, outcomes)
+
+
+class RecordingGeometry(ConvexGeometry):
+    """A geometry that lists the subsets it is asked extreme points of."""
+
+    __slots__ = ("queries",)
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.queries = []
+
+    def extreme_points(self, subset):
+        self.queries.append(subset)
+        return super().extreme_points(subset)
+
+
+def reconstruct_mismatches(bases, table: bool = False) -> tuple[list, list]:
+    """Run ``reconstruct_by_peeling`` and
+    :func:`reconstruct_by_peeling_reference` on a fresh
+    :class:`RecordingGeometry` over each basis, its pair table filled first
+    when ``table``.  Returns the bases on which the two differ in outcome,
+    in the subsets asked extreme points of or in closure queries, and the
+    outcome of ``reconstruct_by_peeling`` on each basis: ``("rep", left,
+    right)`` or ``("NotApplicable", witness, outcomes)``."""
+    mismatches, outcomes = [], []
+    for basis in bases:
+        runs = []
+        for walk in (reconstruct_by_peeling, reconstruct_by_peeling_reference):
+            geom = RecordingGeometry(basis)
+            if table:
+                geom.pair_closures()
+            try:
+                rep = walk(geom)
+                outcome = ("rep", rep.left, rep.right)
+            except NotApplicable as err:
+                outcome = ("NotApplicable", err.witness, err.outcomes)
+            runs.append((outcome, geom.queries, geom.closure_calls))
+        if runs[0] != runs[1]:
+            mismatches.append(basis)
+        outcomes.append(runs[0][0])
+    return mismatches, outcomes
 
 
 @dataclass(frozen=True)

@@ -648,6 +648,27 @@ class TestClosureCmd:
         assert json.loads(out)["closure_calls"] == 1
 
 
+class TestOutputEncoding:
+    # a legacy console's stdout encoding ('∇' is in neither, 'ő' not in
+    # latin-1) changes no byte that a command prints, nor its exit code
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("command", ["represent", "unique", "render", "closure", "help"])
+    def test_reports_are_utf8_in_any_locale(self, files, tmp_path, command, encoding):
+        accented = tmp_path / "accented.geom"
+        accented.write_text("elements é ő\nimp é -> ő\n", encoding="utf-8")
+        argv = {"closure": ["closure", str(accented), "é"],
+                "help": ["--help"]}.get(command, [command, files["un"]])
+        results = []
+        for stdout_encoding in ("utf-8", encoding):
+            env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]),
+                       PYTHONIOENCODING=stdout_encoding)
+            proc = subprocess.run([sys.executable, "-m", "segrep", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert results[1] == results[0] == (0, results[0][1], b"")
+        assert ("ő" if command == "closure" else "∇").encode() in results[0][1]
+
+
 class TestOracle:
     """The differential that the test oracles hold the fast decision to."""
 

@@ -25,16 +25,28 @@ its second round: one empties every list, so the worklist fires nothing,
 and one drops the first rule of the basis with a two-element premise from
 every list.  Both leave a rule unfired that a third round would fire, and
 the kernel gate rejects both.
+
+Four rows patch one snippet of the reconstruction walk
+(``representation._walk``, which ``uniqueness`` binds too).  Three of them
+change the outcome or the queries on the pools and fixtures, and the
+reference walk rejects them (:func:`oracles.reconstruct_mismatches`): the
+other chain read from the walking side, the greater candidate taken at a
+seam, and a seam recorded at step 0, so that no later seam is recorded.
+The walk without ``& remainder`` ends as the reference does on fresh
+geometries; with the pair table filled first, it puts an element in a chain
+twice on :func:`fixtures.index_outside_bases`, and ``SegmentRepresentation``
+raises.
 """
 
+import inspect
 import random
 
 import pytest
 
-from segrep import ImplicationBasis, core
+from segrep import ImplicationBasis, core, representation, uniqueness
 from segrep.core import _WIDTH
-from fixtures import block_edge_cases, direct_sums
-from oracles import kernel_mismatches, walk_by_definition
+from fixtures import FIXTURE_NAMES, block_edge_cases, direct_sums, index_outside_bases, load_fixture
+from oracles import kernel_mismatches, reconstruct_mismatches, walk_by_definition
 
 
 def drop_rule(entry, uses):
@@ -150,3 +162,41 @@ def test_kernel_gate_rejects_worklist_mutant(monkeypatch, name):
 
     monkeypatch.setattr(ImplicationBasis, "__init__", mutated)
     assert kernel_gate()
+
+
+def patch_walk(monkeypatch, snippet, replacement):
+    """Bind, in both modules, ``representation._walk`` with one snippet of
+    its source replaced."""
+    source = inspect.getsource(representation._walk)
+    assert source.count(snippet) == 1, snippet
+    namespace = dict(vars(representation))
+    exec(source.replace(snippet, replacement), namespace)
+    for module in (representation, uniqueness):
+        monkeypatch.setattr(module, "_walk", namespace["_walk"])
+
+
+# mutant -> (the snippet of the walk it replaces, the replacement); the
+# reference walk rejects each
+WALK_MUTANTS = {
+    "other-chain-read-from-the-walking-side": (
+        "chains[side ^ 1], removed[side]", "chains[side], removed[side]"),
+    "greater-candidate-at-a-seam": (
+        "new = extreme & -extreme", "new = 1 << extreme.bit_length() - 1"),
+    "seam-recorded-at-step-0": (
+        "if k == 2 and split == full:", "if k == 2 and step == 0:"),
+}
+
+
+@pytest.mark.parametrize("name", WALK_MUTANTS)
+def test_reference_walk_rejects_walk_mutant(monkeypatch, pool_small, pool_n6, name):
+    # the fixtures are loaded first: loading one builds its representation
+    geoms = pool_small + pool_n6 + [load_fixture(f).geometry for f in FIXTURE_NAMES]
+    patch_walk(monkeypatch, *WALK_MUTANTS[name])
+    assert reconstruct_mismatches(g.basis for g in geoms)[0]
+
+
+def test_filled_table_rejects_the_walk_without_and_remainder(monkeypatch):
+    patch_walk(monkeypatch, "geom.extreme_points(remainder) & remainder",
+               "geom.extreme_points(remainder)")
+    with pytest.raises(ValueError, match="chains must be permutations"):
+        reconstruct_mismatches(index_outside_bases(), table=True)

@@ -22,8 +22,9 @@ from segrep import (
     verify_witness,
 )
 from segrep.cli import parse_geometry
+from segrep.geometry import closed_family
 import oracles
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
@@ -316,6 +317,38 @@ class TestEquivalences:
             assert (fast.holds, fast.witness) == (slow.holds, slow.witness), geom.basis
             failing += not fast.holds
         assert (len(geoms), failing) == (1746, 758)
+
+    def test_two_ex_iff_the_family_counts_one_plus_n_plus_free_pairs(self, pool_small, pool_n6):
+        """On a convex geometry, 2Ex holds iff the family has 1 + n + u
+        closed sets, where u counts the pairs {i, j} that neither singleton
+        closure holds: the pairs whose closure ``pair_closures()`` asks for.
+
+        1. X ↦ Ex(X) maps the closed sets one-to-one onto the free sets S,
+           those with Ex(φ(S)) = S: a closed set is the closure of its
+           extreme points, so φ(Ex(X)) = X.
+        2. ∅ and every singleton are free.  A pair {i, j} is free iff
+           i ∉ φ({j}) and j ∉ φ({i}): if j ∈ φ({i}), then φ({i, j}) =
+           φ({i}), whose one extreme point is i.
+        3. 2Ex says that no free set has three or more elements, since
+           Ex(X) = Ex(φ(X)) for every X.
+
+        So the family has 1 + n + u sets when 2Ex holds, and more when it
+        fails.
+        """
+        rng = random.Random(15)
+        geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
+        geoms += [seeded_chain_pair(rng, n)[0] for n in range(1, 29) for _ in range(10)]
+        verdicts = set()
+        for geom in geoms:
+            basis, n = geom.basis, geom.n
+            own = [basis.closure(1 << i) for i in range(n)]
+            u = sum(not (own[i] >> j) & 1 and not (own[j] >> i) & 1
+                    for i in range(n) for j in range(i + 1, n))
+            counted = len(closed_family(basis, max_n=n)) == 1 + n + u
+            holds = check_2ex(geom).holds
+            assert counted == holds, basis
+            verdicts.add(holds)
+        assert verdicts == {True, False}
 
     def test_exr_matches_sq_under_two_ex(self, pool_two_ex):
         for geom in pool_two_ex[:200]:

@@ -1,11 +1,11 @@
 """Block structure, representation counting, and chain reconstruction."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from segrep import (
-    ConvexGeometry,
     GroundSet,
     Implication,
     ImplicationBasis,
@@ -34,7 +34,7 @@ from fixtures import (
     seeded_chain_pair,
     unvalidated_basis,
 )
-from oracles import brute_force_cdim2, build_by_insertion, reconstruct_by_peeling_reference
+from oracles import brute_force_cdim2, build_by_insertion, reconstruct_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,10 @@ class TestBlockCache:
         assert derived == []
 
 
+def switchable_blocks(rep):
+    return [b for b in block_decomposition(rep) if b.switchable]
+
+
 class TestCountAndUnique:
     def test_switch_counts_two(self, switch_rep):
         assert count_representations(switch_rep) == 2
@@ -123,14 +127,14 @@ class TestCountAndUnique:
     def test_unique_counts_one(self):
         rep = build_representation(load_fixture("unique").geometry)
         assert count_representations(rep) == 1
-        report = is_unique(rep)
-        assert report.unique
-        assert report.switchable_block.members == (1 << 5) - 1
+        assert is_unique(rep).unique
+        [block] = switchable_blocks(rep)
+        assert block.members == (1 << 5) - 1
 
     def test_identical_chains_count_one(self):
         assert count_representations(SegmentRepresentation((0, 1), (0, 1))) == 1
-        report = is_unique(SegmentRepresentation((0, 1, 2), (0, 1, 2)))
-        assert report.unique and report.switchable_block is None
+        rep = SegmentRepresentation((0, 1, 2), (0, 1, 2))
+        assert is_unique(rep).unique and switchable_blocks(rep) == []
 
     def test_switch_not_unique(self, switch_rep):
         assert not is_unique(switch_rep).unique
@@ -139,9 +143,9 @@ class TestCountAndUnique:
         fixture = load_fixture("seven")
         gs = fixture.geometry.ground
         rep = build_representation(fixture.geometry)
-        report = is_unique(rep)
-        assert report.unique
-        assert report.switchable_block.members == gs.mask("abcd")
+        assert is_unique(rep).unique
+        [block] = switchable_blocks(rep)
+        assert block.members == gs.mask("abcd")
 
     def test_count_matches_oracle(self, pool_small):
         for geom in pool_small[:300]:
@@ -300,44 +304,15 @@ class TestReconstruct:
         assert all(count <= 2 * constant * n**2 for n, count in counts.items()), counts
 
 
-class RecordingGeometry(ConvexGeometry):
-    """A geometry that lists the subsets it is asked extreme points of."""
-
-    __slots__ = ("queries",)
-
-    def __init__(self, basis):
-        super().__init__(basis)
-        self.queries = []
-
-    def extreme_points(self, subset):
-        self.queries.append(subset)
-        return super().extreme_points(subset)
-
-
-def _walk(walk, basis):
-    """What ``walk`` makes of a fresh geometry over ``basis``: its outcome,
-    the subsets it asked extreme points of, and its closure queries."""
-    geom = RecordingGeometry(basis)
-    try:
-        rep = walk(geom)
-        outcome = ("rep", rep.left, rep.right)
-    except NotApplicable as err:
-        outcome = ("NotApplicable", err.witness, err.outcomes)
-    return outcome, geom.queries, geom.closure_calls
-
-
 class TestReconstructMatchesReference:
     # the walk keeps its bookkeeping as it grows; the reference redoes it at
     # every step, and both must ask the same queries and end the same way
 
     def check(self, bases):
-        kinds = set()
-        for basis in bases:
-            fast = _walk(reconstruct_by_peeling, basis)
-            assert fast == _walk(reconstruct_by_peeling_reference, basis), basis
-            kind, _, outcomes = fast[0]
-            kinds.add("rep" if kind == "rep" else "ambiguous" if outcomes else "none")
-        return kinds
+        mismatches, outcomes = reconstruct_mismatches(bases)
+        assert not mismatches, mismatches[0]
+        return {"rep" if kind == "rep" else "ambiguous" if count else "none"
+                for kind, _, count in outcomes}
 
     def test_on_the_pools_and_fixtures(self, pool_small, pool_n6):
         geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
@@ -365,21 +340,9 @@ class TestReconstructMatchesReference:
         # table as without it
         seen = {}
         for table in (False, True):
-            kinds = {"rep": 0, "NotApplicable": 0}
-            for basis in index_outside_bases():
-                outcomes = []
-                for walk in (reconstruct_by_peeling, reconstruct_by_peeling_reference):
-                    geom = ConvexGeometry(basis)
-                    if table:
-                        geom.pair_closures()
-                    try:
-                        rep = walk(geom)
-                        outcomes.append(("rep", rep.left, rep.right))
-                    except NotApplicable as err:
-                        outcomes.append(("NotApplicable", err.witness, err.outcomes))
-                assert outcomes[0] == outcomes[1], basis
-                kinds[outcomes[0][0]] += 1
-            seen[table] = kinds
+            mismatches, outcomes = reconstruct_mismatches(index_outside_bases(), table)
+            assert not mismatches, mismatches[0]
+            seen[table] = Counter(kind for kind, _, _ in outcomes)
         assert seen[False] == seen[True] == {"rep": 288, "NotApplicable": 1713}
 
 
