@@ -8,7 +8,8 @@ File grammar (UTF-8, one statement per line, ``#`` starts a comment):
 A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
 
 A report is the command's keys in a fixed order, printed as ``key: value``
-lines or, with ``--json``, as one JSON object; both are UTF-8 in any locale.
+lines or, with ``--json``, as one JSON object; both, and error messages, are
+UTF-8 in any locale.
 Identical inputs give byte-identical reports: wall-clock time appears only
 with ``--timing``.
 
@@ -31,14 +32,15 @@ import time
 from .core import GroundSet, GroundSetTooLarge, Implication, ImplicationBasis, SegrepError
 from .geometry import ConvexGeometry, validate_geometry
 from .properties import decide_cdim2
-# Unused here, verify_representation stays bound for perfbench/layers.py.
+# Unused here, verify_representation and is_unique stay bound for
+# perfbench/layers.py.
 from .representation import (  # noqa: F401
     SegmentRepresentation,
     build_representation,
     segment_layout,
     verify_representation,
 )
-from .uniqueness import block_decomposition, count_representations, is_unique
+from .uniqueness import block_decomposition, count_representations, is_unique  # noqa: F401
 
 
 class ParseError(SegrepError):
@@ -256,8 +258,8 @@ def cmd_unique(args, report: dict, geom: ConvexGeometry) -> int:
     if rep is None:
         return 1
     report["blocks"] = "\n" + block_table(geom.ground, rep)
-    report["representation_count"] = count_representations(rep)
-    report["unique"] = is_unique(rep).unique
+    count = report["representation_count"] = count_representations(rep)
+    report["unique"] = count == 1
     return 0
 
 
@@ -319,11 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Labels, '∇' and the help text print as UTF-8 whatever the locale; a
-    # StringIO that an in-process caller swapped in has no reconfigure.
-    reconfigure = getattr(sys.stdout, "reconfigure", None)
-    if reconfigure is not None:
-        reconfigure(encoding="utf-8")
+    # Labels, '∇', the help text and error messages print as UTF-8 whatever
+    # the locale; a StringIO that an in-process caller swapped in has no
+    # reconfigure.
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(encoding="utf-8")
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     code = 0  # render writes only on a yes

@@ -84,10 +84,11 @@ class Value:
 class GroundSet(Value):
     """Ordered universe of distinct, non-empty element labels.
 
-    Elements are addressed internally by their index in declaration order.
+    Elements are addressed internally by their index in declaration order;
+    ``full``, the mask of the whole ground set, is set once at construction.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "full", "_index")
     _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]):
@@ -99,16 +100,12 @@ class GroundSet(Value):
                 raise ValueError(f"duplicate ground-set label {label!r}")
             index[label] = i
         self.labels = labels
+        self.full = (1 << len(labels)) - 1
         self._index = index
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def full(self) -> int:
-        """Mask of the whole ground set."""
-        return (1 << len(self.labels)) - 1
 
     def index(self, label: str) -> int:
         try:
@@ -197,11 +194,9 @@ class ImplicationBasis(Value):
     # top block's tables stop at the ground set.
     # _gains[r]: the conclusion-minus-premise of rule r.  _ruled: the
     # elements that some premise or gain names.  _rules[e]: (premise, gain)
-    # of the implications with e in the premise and a gain.  _full: the
-    # ground-set mask.
+    # of the implications with e in the premise and a gain.
     __slots__ = ("ground", "implications", "_uses", "_adds", "_uses_of",
-                 "_adds_of", "_twice_of", "_gains", "_ruled", "_rules",
-                 "_full")
+                 "_adds_of", "_twice_of", "_gains", "_ruled", "_rules")
     _fields = ("ground", "implications")
 
     def __init__(self, ground: GroundSet, implications: tuple[Implication, ...]):
@@ -252,7 +247,6 @@ class ImplicationBasis(Value):
         self._gains = tuple(gains)
         self._ruled = ruled
         self._rules = tuple(tuple(r) for r in rules)
-        self._full = full
 
     @property
     def m(self) -> int:
@@ -276,7 +270,7 @@ class ImplicationBasis(Value):
         over the members tests the rules that gain each."""
         uses_of, adds = self._uses_of, self._adds
         blocked = i = 0
-        rest = self._full & ~closed & self._ruled
+        rest = self.ground.full & ~closed & self._ruled
         while rest:
             blocked |= uses_of[i | (rest & _SLICE)]
             rest >>= _WIDTH
@@ -388,7 +382,7 @@ class ImplicationBasis(Value):
         the rules."""
         links = [u | a for u, a in zip(self._uses, self._adds)]
         parts = []
-        rest = self._full
+        rest = self.ground.full
         while rest:
             part = new = rest & -rest
             while new:
@@ -407,7 +401,7 @@ class ImplicationBasis(Value):
 
     def closure(self, seed: int) -> int:
         """Least superset of ``seed`` closed under every implication."""
-        full = self._full
+        full = self.ground.full
         if seed & ~full:
             raise ValueError("seed is not a subset of the ground set")
         outside = full & ~seed

@@ -170,10 +170,9 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     from .uniqueness import block_orientations
 
     geom.pair_closures()
-    chains, witness = _walk(geom)
-    if chains is None:
+    rep, witness = _walk(geom)
+    if rep is None:
         raise Infeasible("walk", witness)
-    rep = SegmentRepresentation(*chains)
     next(block_orientations(rep))
     ok, seed = verify_representation(geom, rep)
     if not ok:
@@ -181,7 +180,7 @@ def build_representation(geom: ConvexGeometry) -> SegmentRepresentation:
     return rep
 
 
-def _walk(geom: ConvexGeometry) -> tuple[tuple[list[int], list[int]] | None, int]:
+def _walk(geom: ConvexGeometry) -> tuple[SegmentRepresentation | None, int]:
     """Read a chain pair off the extreme points of shrinking subsets.
 
     The tops of both chains are recovered alternately: dropping the known
@@ -198,8 +197,8 @@ def _walk(geom: ConvexGeometry) -> tuple[tuple[list[int], list[int]] | None, int
     The index is exact only on a convex geometry, so only points inside the
     remainder count.  The bookkeeping is linear in n.
 
-    Returns the chains bottom-to-top, unverified, and the first seam with
-    two candidates (the ground set if none); or None and where the walk
+    Returns the representation, unverified, and the first seam with two
+    candidates (the ground set if none); or None and where the walk
     stopped: a remainder with no or over two extreme points, or the first
     seam (or the ground set) when the surviving maximum is not extreme.
     """
@@ -232,7 +231,7 @@ def _walk(geom: ConvexGeometry) -> tuple[tuple[list[int], list[int]] | None, int
         chains[side].append(new.bit_length() - 1)
         removed[side] = gone | new
     left, right = chains
-    return (left[::-1], right[::-1]), split
+    return SegmentRepresentation(left[::-1], right[::-1]), split
 
 
 def segment_layout(rep: SegmentRepresentation) -> tuple[tuple[int, int, int], ...]:

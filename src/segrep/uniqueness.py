@@ -139,12 +139,10 @@ def reconstruct_by_peeling(geom: ConvexGeometry) -> SegmentRepresentation:
     ``count_representations`` of the outcome is the number of
     representations; the outcome is returned only when it is 1, and else
     ``NotApplicable`` carries the walk's witness."""
-    chains, witness = _walk(geom)
+    candidate, witness = _walk(geom)
     outcomes = 0
-    if chains is not None:
-        candidate = SegmentRepresentation(*chains)
-        if verify_representation(geom, candidate)[0]:
-            outcomes = count_representations(candidate)
-            if outcomes == 1:
-                return candidate
+    if candidate is not None and verify_representation(geom, candidate)[0]:
+        outcomes = count_representations(candidate)
+        if outcomes == 1:
+            return candidate
     raise NotApplicable(witness, outcomes)

@@ -13,6 +13,7 @@ import pytest
 
 from segrep import (
     GroundSet,
+    ImplicationBasis,
     Infeasible,
     build_representation,
     check_2ex,
@@ -98,3 +99,17 @@ def pool_representations(pool_small):
             continue
         pairs += [(geom, r) for r in (rep, *enumerate_representations(rep))]
     return pairs
+
+
+@pytest.fixture()
+def basis_passes(monkeypatch):
+    """Closed sets whose extreme points are read off the basis, in call order."""
+    passes = []
+    original = ImplicationBasis.extreme_points_of_closed
+
+    def counting(basis, closed):
+        passes.append(closed)
+        return original(basis, closed)
+
+    monkeypatch.setattr(ImplicationBasis, "extreme_points_of_closed", counting)
+    return passes

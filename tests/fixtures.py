@@ -237,6 +237,27 @@ def unvalidated_basis(rng: random.Random) -> ImplicationBasis:
     return ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rules))
 
 
+def padded_notsufs(rng: random.Random) -> list[ConvexGeometry]:
+    """``notsuf`` with a chain of k = 1, 2, 4, 8 or 12 more elements on top,
+    three of each, relabelled at random: the first chain element pulls in
+    all four, each later one its predecessor.  2Ex holds and Sq fails."""
+    geoms = []
+    for k in (1, 2, 4, 8, 12):
+        n = 4 + k
+        rules = [(0b0011, 0b0100), (0b0110, 0b1000), (0b0001, 0b1000), (1 << 4, 0b1111)]
+        rules += [(1 << i, 1 << (i - 1)) for i in range(5, n)]
+        for _ in range(3):
+            order = rng.sample(range(n), n)
+
+            def move(mask):
+                return mask_of(order[e] for e in iter_bits(mask))
+
+            ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+            imps = tuple(Implication(move(p), move(c)) for p, c in rules)
+            geoms.append(validate_geometry(ImplicationBasis(ground, imps), max_n=n))
+    return geoms
+
+
 def index_outside_bases() -> list[ImplicationBasis]:
     """Bases on which the extreme-point index answers outside the queried
     set once the pair table is full: the 4-element non-geometry with the

@@ -40,6 +40,12 @@ Test-only code: it lives under ``tests/`` and is not part of the
   keeps every subset equal to its closure, on any basis, and
   ``extendability_witness`` tests the alignment-style definition of a
   convex geometry;
+* ``index_mismatches``, ``sq_recheck_faults``, ``peel_and_scan_faults``,
+  ``sq_scan_mismatches`` and ``block_cache_mismatches`` are the comparisons
+  of the gates on the extreme-point index, the Sq re-check, the index
+  reads after decide, ``check_sq`` and the block cache; each looks up the
+  package function it checks at call time, so the mutant rows of
+  ``tests/test_mutants.py`` run the same comparison on a patched one;
 * ``fixpoint`` closes by firing every rule until nothing changes, the
   closure that ``ImplicationBasis.closure`` reads off its tables, and
   ``kernel_mismatches`` compares the two; ``walk_by_definition`` pairs the
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from segrep import geometry, representation
+from segrep import geometry, properties, representation, uniqueness
 from segrep.cli import ParseError
 from segrep.core import (
     GroundSet,
@@ -974,6 +980,89 @@ def walk_by_definition(basis: ImplicationBasis) -> tuple:
         for y in family)
     walked = basis.closed_sets_by_extension(family[0])
     return walked, None if dead_end else members, family
+
+
+def index_mismatches(geoms) -> list[tuple[ImplicationBasis, int]]:
+    """The ``(basis, closed)`` pairs, over every closed set of each of
+    ``geoms``, where a fresh geometry with its pair table filled answers
+    extreme points otherwise than one pass over the basis."""
+    mismatches = []
+    for geom in geoms:
+        basis = geom.basis
+        fresh = ConvexGeometry(basis)
+        fresh.pair_closures()
+        mismatches += [(basis, closed) for closed in closed_family(basis)
+                       if fresh.extreme_points_of_closed(closed)
+                       != basis.extreme_points_of_closed(closed)]
+    return mismatches
+
+
+def sq_recheck_faults(geom: ConvexGeometry) -> list[str]:
+    """Plant in the index of ``geom``, which must fail Sq, the entry that a
+    forged witness needs: the failing report's own, with its observed set
+    replaced by ``{c}``.  Then re-check both witnesses, which must read the
+    basis: the faults are the true one failing or asking other than four
+    closures, and the forged one verifying."""
+    report = properties.check_sq(geom)
+    w = report.witness
+    forged = SqWitness(w.subset, w.a, w.b, w.c, w.d, 1 << w.c)
+    geom._extreme[geom.closure(w.subset & ~(1 << w.b))] = forged.observed
+    faults = []
+    calls = geom.closure_calls
+    if not properties.verify_witness(geom, report):
+        faults.append("the true witness fails")
+    if geom.closure_calls != calls + 4:
+        faults.append(f"the re-check asked {geom.closure_calls - calls} closures")
+    if properties.verify_witness(geom, PropertyReport("Sq", forged)):
+        faults.append("the forged witness verifies")
+    return faults
+
+
+def peel_and_scan_faults(geom: ConvexGeometry, passes: list) -> list[str]:
+    """Decide, ``check_sq``, build and reconstruct on ``geom``, which must
+    be a yes.  ``passes`` lists the closed sets whose extreme points are
+    read off the basis.  After decide, every extreme-point set of a yes is
+    an index entry, so each set listed is a fault, and so is a build or a
+    reconstruction asking other than one closure per walk step, 2n."""
+    passes.clear()
+    faults = []
+    if not (properties.decide_cdim2(geom).cdim2 and properties.check_sq(geom).holds):
+        faults.append("not a yes")
+    for stage in (representation.build_representation, uniqueness.reconstruct_by_peeling):
+        calls = geom.closure_calls
+        try:
+            stage(geom)
+        except NotApplicable as exc:
+            if exc.outcomes < 2:
+                faults.append("no representation")
+        if geom.closure_calls != calls + 2 * geom.n:
+            faults.append(f"{stage.__name__} asked {geom.closure_calls - calls} closures")
+    return faults + [f"extreme points of {closed:#x} read off the basis" for closed in passes]
+
+
+def sq_scan_mismatches(geoms) -> list[ImplicationBasis]:
+    """The bases of ``geoms`` on which ``check_sq`` and
+    :func:`check_sq_by_pair_scan` give different reports, witness
+    included."""
+    return [geom.basis for geom in geoms
+            if properties.check_sq(geom).witness != check_sq_by_pair_scan(geom).witness]
+
+
+def block_cache_mismatches(pairs) -> list[SegmentRepresentation]:
+    """The representations of ``(geom, rep)`` ``pairs`` whose second block
+    decomposition is not the tuple of the first, or differs from that of
+    a fresh representation of the same chains."""
+    def fields(blocks):
+        return [(b.start, b.end, b.members, b.left_sub, b.right_sub) for b in blocks]
+
+    mismatches = []
+    for _geom, rep in pairs:
+        blocks = uniqueness.block_decomposition(rep)
+        fresh = SegmentRepresentation(rep.left, rep.right)
+        if (uniqueness.block_decomposition(rep) is not blocks
+                or fields(uniqueness.block_decomposition(fresh)) != fields(blocks)):
+            mismatches.append(rep)
+    return mismatches
 
 
 class DuplicateEndpoint(SegrepError):

@@ -253,6 +253,24 @@ class TestParseDifferential:
             assert "Traceback" not in err, repr(text)
         assert {0, 1, 2} <= codes
 
+    # each command's runs on one mutant: unique and render in both formats,
+    # closure of {a}, which some files do not name
+    EXTRA_ARGS = {"represent": [[]], "unique": [[], ["--json"]], "closure": [["a"]],
+                  "render": [[], ["--format", "svg"]]}
+
+    @pytest.mark.parametrize("command", EXTRA_ARGS)
+    def test_mutants_exit_cleanly_through_every_command(self, tmp_path, command):
+        path = tmp_path / "mutant.geom"
+        codes = set()
+        for text in self.mutants():
+            path.write_bytes(text.encode())
+            for extra in self.EXTRA_ARGS[command]:
+                code, _, err = run(command, str(path), *extra)
+                codes.add(code)
+                assert 0 <= code <= 3 and err.count("\n") <= 1, (repr(text), extra, code, err)
+                assert "Traceback" not in err, repr(text)
+        assert codes >= ({0, 2} if command == "closure" else {0, 1, 2})
+
 
 # The characters other than a line feed and a carriage return at which
 # str.splitlines breaks a line; str.split counts each as whitespace.
@@ -667,6 +685,22 @@ class TestOutputEncoding:
             results.append((proc.returncode, proc.stdout, proc.stderr))
         assert results[1] == results[0] == (0, results[0][1], b"")
         assert ("ő" if command == "closure" else "∇").encode() in results[0][1]
+
+    # an error message names the label as a UTF-8 locale prints it ('ű' is
+    # in neither encoding), with the same exit code
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_errors_are_utf8_in_any_locale(self, tmp_path, encoding):
+        accented = tmp_path / "accented.geom"
+        accented.write_text("elements é ő\nimp é -> ű\n", encoding="utf-8")
+        results = []
+        for stderr_encoding in ("utf-8", encoding):
+            env = dict(os.environ, PYTHONPATH=str(Path(segrep.__file__).parents[1]),
+                       PYTHONIOENCODING=stderr_encoding)
+            proc = subprocess.run([sys.executable, "-m", "segrep", "check", str(accented)],
+                                  capture_output=True, env=env, timeout=60)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert results[1] == results[0] == (2, b"", results[0][2])
+        assert "unknown element 'ű'".encode() in results[0][2]
 
 
 class TestOracle:

@@ -11,14 +11,11 @@ from segrep import (
     ImplicationBasis,
     Infeasible,
     NotAGeometry,
-    NotApplicable,
     build_representation,
     check_2ex,
-    check_sq,
     closed_family,
     decide_cdim2,
     geometry,
-    reconstruct_by_peeling,
     validate_geometry,
 )
 from segrep.cli import parse_geometry
@@ -40,8 +37,10 @@ from oracles import (
     extendability_witness,
     extreme_points_by_definition,
     fixpoint,
+    index_mismatches,
     join_alignments,
     linear_alignment,
+    peel_and_scan_faults,
     walk_by_definition,
 )
 
@@ -338,30 +337,12 @@ class TestExtremePoints:
                     assert not geom.closure(seed) & ~domain
 
 
-@pytest.fixture()
-def basis_passes(monkeypatch):
-    """Closed sets whose extreme points are read off the basis, in call order."""
-    passes = []
-    original = ImplicationBasis.extreme_points_of_closed
-
-    def counting(basis, closed):
-        passes.append(closed)
-        return original(basis, closed)
-
-    monkeypatch.setattr(ImplicationBasis, "extreme_points_of_closed", counting)
-    return passes
-
-
 class TestExtremeIndex:
     def test_lookup_matches_the_basis_on_every_closed_set(self, pool_small, pool_n6):
         # after the pair table, index hits and basis passes alike give the
         # basis's answer on every closed set
         geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
-        for geom in geoms:
-            geom.pair_closures()
-            for closed in closed_family(geom.basis):
-                assert geom.extreme_points_of_closed(closed) == (
-                    geom.basis.extreme_points_of_closed(closed)), (geom.basis, closed)
+        assert not index_mismatches(geoms)
 
     def test_every_closed_set_is_a_hit_under_two_ex(self, pool_small, pool_n6, basis_passes):
         # with at most two extreme points per set, every closed set is the
@@ -386,21 +367,8 @@ class TestExtremeIndex:
         # on a 40-element chain pair the extreme points of check_sq and of
         # the walk that builds and reconstructs all come from the index,
         # while the walk still asks one closure per query
-        n = 40
-        geom = seeded_chain_pair(random.Random(40), n)[0]
-        basis_passes.clear()
-        assert decide_cdim2(geom).cdim2
-        assert check_sq(geom).holds
-        calls = geom.closure_calls
-        build_representation(geom)
-        assert geom.closure_calls == calls + 2 * n
-        calls = geom.closure_calls
-        try:
-            reconstruct_by_peeling(geom)
-        except NotApplicable as exc:
-            assert exc.outcomes > 1
-        assert geom.closure_calls == calls + 2 * n
-        assert basis_passes == []
+        geom = seeded_chain_pair(random.Random(40), 40)[0]
+        assert not peel_and_scan_faults(geom, basis_passes)
 
     def test_before_the_table_every_query_reads_the_basis(self, basis_passes):
         geom = validate_geometry(parse_geometry(fixture_text("unique")))

@@ -36,17 +36,66 @@ The walk without ``& remainder`` ends as the reference does on fresh
 geometries; with the pair table filled first, it puts an element in a chain
 twice on :func:`fixtures.index_outside_bases`, and ``SegmentRepresentation``
 raises.
+
+Five rows patch one snippet of another function, each rejected by the
+comparison of the test that guards it (the helpers in ``tests/oracles.py``):
+
+* the pair entry ``(1 << i) | (1 << j)`` of the extreme-point index that
+  ``ConvexGeometry.pair_closures`` fills, written ``1 << i``:
+  ``index_mismatches``, the gate of
+  ``TestExtremeIndex::test_lookup_matches_the_basis_on_every_closed_set``;
+* ``SqWitness.verify`` reading the index, not the basis, so that a forged
+  witness verifies: ``sq_recheck_faults``, the gate of
+  ``TestSq::test_witness_recheck_reads_the_basis_not_the_index``;
+* ``check_sq`` reading the basis, not the index: ``peel_and_scan_faults``,
+  the gate of
+  ``TestExtremeIndex::test_peel_and_scan_read_no_basis_after_decide``;
+* ``check_sq`` keeping the greatest violating set, not the least:
+  ``sq_scan_mismatches``, the gate of
+  ``TestSq::test_matches_the_pair_scan_oracle``;
+* ``block_decomposition`` without its cache: ``block_cache_mismatches``,
+  the gate of
+  ``TestBlockCache::test_a_second_decomposition_is_the_same_tuple``.
 """
 
 import inspect
 import random
+import textwrap
 
 import pytest
 
-from segrep import ImplicationBasis, core, representation, uniqueness
+from segrep import (
+    ConvexGeometry,
+    ImplicationBasis,
+    SqWitness,
+    core,
+    properties,
+    representation,
+    uniqueness,
+    validate_geometry,
+)
+from segrep.cli import parse_geometry
 from segrep.core import _WIDTH
-from fixtures import FIXTURE_NAMES, block_edge_cases, direct_sums, index_outside_bases, load_fixture
-from oracles import kernel_mismatches, reconstruct_mismatches, walk_by_definition
+from fixtures import (
+    FIXTURE_NAMES,
+    block_edge_cases,
+    direct_sums,
+    fixture_text,
+    index_outside_bases,
+    load_fixture,
+    padded_notsufs,
+    seeded_chain_pair,
+)
+from oracles import (
+    block_cache_mismatches,
+    index_mismatches,
+    kernel_mismatches,
+    peel_and_scan_faults,
+    reconstruct_mismatches,
+    sq_recheck_faults,
+    sq_scan_mismatches,
+    walk_by_definition,
+)
 
 
 def drop_rule(entry, uses):
@@ -164,15 +213,22 @@ def test_kernel_gate_rejects_worklist_mutant(monkeypatch, name):
     assert kernel_gate()
 
 
+def patch_source(monkeypatch, function, snippet, replacement, owners):
+    """Bind ``function``, a module function or a method, in each of
+    ``owners`` with one snippet of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(snippet) == 1, snippet
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(snippet, replacement), namespace)
+    for owner in owners:
+        monkeypatch.setattr(owner, function.__name__, namespace[function.__name__])
+
+
 def patch_walk(monkeypatch, snippet, replacement):
     """Bind, in both modules, ``representation._walk`` with one snippet of
     its source replaced."""
-    source = inspect.getsource(representation._walk)
-    assert source.count(snippet) == 1, snippet
-    namespace = dict(vars(representation))
-    exec(source.replace(snippet, replacement), namespace)
-    for module in (representation, uniqueness):
-        monkeypatch.setattr(module, "_walk", namespace["_walk"])
+    patch_source(monkeypatch, representation._walk, snippet, replacement,
+                 (representation, uniqueness))
 
 
 # mutant -> (the snippet of the walk it replaces, the replacement); the
@@ -200,3 +256,68 @@ def test_filled_table_rejects_the_walk_without_and_remainder(monkeypatch):
                "geom.extreme_points(remainder)")
     with pytest.raises(ValueError, match="chains must be permutations"):
         reconstruct_mismatches(index_outside_bases(), table=True)
+
+
+# Each gate below loads its inputs and returns the comparison, which runs
+# once the mutant is in: the fixtures are loaded first, since loading one
+# re-checks its expectations through the code a mutant patches.
+
+def gate_geometries(request):
+    return (request.getfixturevalue("pool_small") + request.getfixturevalue("pool_n6")
+            + [load_fixture(name).geometry for name in FIXTURE_NAMES])
+
+
+def index_gate(request):
+    geoms = gate_geometries(request)
+    return lambda: index_mismatches(geoms)
+
+
+def sq_recheck_gate(request):
+    geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
+    return lambda: sq_recheck_faults(geom)
+
+
+def peel_and_scan_gate(request):
+    passes = request.getfixturevalue("basis_passes")
+    geom = seeded_chain_pair(random.Random(40), 40)[0]
+    return lambda: peel_and_scan_faults(geom, passes)
+
+
+def sq_scan_gate(request):
+    geoms = gate_geometries(request) + padded_notsufs(random.Random(21))
+    return lambda: sq_scan_mismatches(geoms)
+
+
+def block_cache_gate(request):
+    pairs = request.getfixturevalue("pool_representations")
+    return lambda: block_cache_mismatches(pairs)
+
+
+# mutant -> (the function it patches, where it is bound, the snippet it
+# replaces, the replacement, the gate that must reject it)
+SOURCE_MUTANTS = {
+    "pair-entry-holds-one-element": (
+        ConvexGeometry.pair_closures, (ConvexGeometry,),
+        "extreme[closed] = (1 << i) | (1 << j)", "extreme[closed] = 1 << i", index_gate),
+    "sq-recheck-reads-the-index": (
+        SqWitness.verify, (SqWitness,),
+        "geom.basis.extreme_points_of_closed", "geom.extreme_points_of_closed",
+        sq_recheck_gate),
+    "check-sq-reads-the-basis": (
+        properties.check_sq, (properties,),
+        "extreme = geom.extreme_points_of_closed",
+        "extreme = geom.basis.extreme_points_of_closed", peel_and_scan_gate),
+    "check-sq-keeps-the-greatest-set": (
+        properties.check_sq, (properties,), "key < least[0]", "key > least[0]", sq_scan_gate),
+    "block-cache-bypassed": (
+        uniqueness.block_decomposition, (uniqueness,),
+        "if rep._blocks is None:", "if True:", block_cache_gate),
+}
+
+
+@pytest.mark.parametrize("name", SOURCE_MUTANTS)
+def test_gate_rejects_source_mutant(monkeypatch, request, name):
+    function, owners, snippet, replacement, gate = SOURCE_MUTANTS[name]
+    compare = gate(request)
+    patch_source(monkeypatch, function, snippet, replacement, owners)
+    assert compare()

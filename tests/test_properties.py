@@ -16,42 +16,24 @@ from segrep import (
     check_2ex,
     check_sq,
     decide_cdim2,
-    iter_bits,
-    mask_of,
     validate_geometry,
     verify_witness,
 )
 from segrep.cli import parse_geometry
 from segrep.geometry import closed_family
 import oracles
-from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, seeded_chain_pair
+from fixtures import FIXTURE_NAMES, fixture_text, load_fixture, padded_notsufs, seeded_chain_pair
 from oracles import (
     CaratheodoryFails,
     CaratheodoryWitness,
     check_2ex_exhaustive,
     check_caratheodory,
     check_exr,
-    check_sq_by_pair_scan,
     check_sq_exhaustive,
     reduce_to_binary_basis,
+    sq_recheck_faults,
+    sq_scan_mismatches,
 )
-
-
-def padded_notsuf(k: int, rng: random.Random):
-    """``notsuf`` with a chain of ``k`` more elements on top, relabelled at
-    random: the first chain element pulls in all four, each later one its
-    predecessor.  2Ex holds and Sq fails."""
-    n = 4 + k
-    rules = [(0b0011, 0b0100), (0b0110, 0b1000), (0b0001, 0b1000), (1 << 4, 0b1111)]
-    rules += [(1 << i, 1 << (i - 1)) for i in range(5, n)]
-    order = rng.sample(range(n), n)
-
-    def move(mask):
-        return mask_of(order[e] for e in iter_bits(mask))
-
-    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
-    imps = tuple(Implication(move(p), move(c)) for p, c in rules)
-    return validate_geometry(ImplicationBasis(ground, imps), max_n=n)
 
 
 @pytest.fixture(scope="module")
@@ -203,23 +185,12 @@ class TestSq:
         # a wrong index entry planted on notsuf changes geom.extreme_points
         # but not the re-check: the true witness still verifies, and a
         # forged one that the planted entry would confirm does not
-        geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
-        report = check_sq(geom)
-        w = report.witness
-        after_b = geom.closure(w.subset & ~(1 << w.b))
-        forged = SqWitness(w.subset, w.a, w.b, w.c, w.d, 1 << w.c)
-        geom._extreme[after_b] = forged.observed
-        assert geom.extreme_points(after_b) == forged.observed != w.observed
-        calls = geom.closure_calls
-        assert verify_witness(geom, report)
-        assert geom.closure_calls == calls + 4
-        assert not verify_witness(geom, PropertyReport("Sq", forged))
+        assert not sq_recheck_faults(validate_geometry(parse_geometry(fixture_text("notsuf"))))
 
     def test_an_empty_index_gives_the_same_report(self, pool_small, pool_n6):
         # with the index emptied, every extreme-point set is read off the
         # basis, and the report, witness included, is the same
-        rng = random.Random(22)
-        padded = [padded_notsuf(k, rng) for k in (1, 2, 4, 8, 12) for _ in range(3)]
+        padded = padded_notsufs(random.Random(22))
         geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
         for geom in geoms + padded:
             bare = ConvexGeometry(geom.basis)
@@ -251,14 +222,10 @@ class TestSq:
     def test_matches_the_pair_scan_oracle(self, pool_small, pool_n6):
         # the same report, witness included, as the oracle's scan over the
         # sorted pair closures, which asks geom.extreme_points for every set
-        rng = random.Random(21)
-        padded = [padded_notsuf(k, rng) for k in (1, 2, 4, 8, 12) for _ in range(3)]
+        padded = padded_notsufs(random.Random(21))
         geoms = pool_small + pool_n6 + [load_fixture(name).geometry for name in FIXTURE_NAMES]
-        failing = 0
-        for geom in geoms + padded:
-            fast, oracle = check_sq(geom), check_sq_by_pair_scan(geom)
-            assert (fast.name, fast.witness) == (oracle.name, oracle.witness), geom.basis
-            failing += not fast.holds
+        assert not sq_scan_mismatches(geoms + padded)
+        failing = sum(not check_sq(geom).holds for geom in geoms + padded)
         assert all(not check_sq(geom).holds and check_2ex(geom).holds for geom in padded)
         assert failing > len(padded)
 

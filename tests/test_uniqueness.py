@@ -34,7 +34,12 @@ from fixtures import (
     seeded_chain_pair,
     unvalidated_basis,
 )
-from oracles import brute_force_cdim2, build_by_insertion, reconstruct_mismatches
+from oracles import (
+    block_cache_mismatches,
+    brute_force_cdim2,
+    build_by_insertion,
+    reconstruct_mismatches,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +101,7 @@ class TestBlockDecomposition:
 
 class TestBlockCache:
     def test_a_second_decomposition_is_the_same_tuple(self, pool_representations):
-        def fields(blocks):
-            return [(b.start, b.end, b.members, b.left_sub, b.right_sub) for b in blocks]
-
-        for _geom, rep in pool_representations:
-            blocks = block_decomposition(rep)
-            assert block_decomposition(rep) is blocks
-            fresh = SegmentRepresentation(rep.left, rep.right)
-            assert fields(block_decomposition(fresh)) == fields(blocks)
+        assert not block_cache_mismatches(pool_representations)
 
     def test_the_census_derives_no_table(self, monkeypatch):
         # six switchable two-element blocks: 32 representations, and none
