@@ -5,7 +5,8 @@ File grammar (UTF-8, one statement per line, ``#`` starts a comment):
     elements <label>+          exactly one, before any implication
     imp <label>+ -> <label>+   zero or more
 
-A label is not '->' or '∇' and holds no ',', '{' or '}': reports print these.
+A label is non-empty and distinct, holds no whitespace or '#', is not '->' or
+'∇' and holds no ',', '{' or '}'; library-built ground sets obey this too.
 
 A report is the command's keys in a fixed order, printed as ``key: value``
 lines or, with ``--json``, as one JSON object; both, and error messages, are
@@ -31,7 +32,7 @@ import time
 
 from .core import GroundSet, GroundSetTooLarge, Implication, ImplicationBasis, SegrepError
 from .geometry import ConvexGeometry, validate_geometry
-from .properties import decide_cdim2
+from .properties import Decision, decide_cdim2
 # Unused here, verify_representation and is_unique stay bound for
 # perfbench/layers.py.
 from .representation import (  # noqa: F401
@@ -90,22 +91,18 @@ def parse_geometry(text: str) -> ImplicationBasis:
         elif keyword == "elements":
             if ground is not None:
                 raise ParseError(lineno, "duplicate 'elements' line")
-            args = fields[1:]
-            if not args:
+            if len(fields) == 1:
                 raise ParseError(lineno, "'elements' needs at least one label")
-            for label in args:
-                if label in ("->", "∇") or any(c in label for c in ",{}"):
-                    raise ParseError(lineno, f"{label!r} cannot be an element label")
             try:
-                ground = GroundSet(tuple(args))
+                ground = GroundSet(fields[1:])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-            bit = {label: 1 << i for i, label in enumerate(args)}
+            bit = ground.bit
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
     if ground is None:
         raise ParseError(len(lines) + 1, "missing 'elements' line")
-    return ImplicationBasis(ground, tuple(implications))
+    return ImplicationBasis(ground, implications)
 
 
 def chain_display(ground: GroundSet, rep: SegmentRepresentation) -> str:
@@ -127,12 +124,8 @@ def block_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
 
 
 def layout_table(ground: GroundSet, rep: SegmentRepresentation) -> str:
-    rows = {e: (lo, hi) for e, lo, hi in segment_layout(rep)}
-    lines = ["element left_endpoint right_endpoint"]
-    for e in range(ground.n):
-        lo, hi = rows[e]
-        lines.append(f"{ground.labels[e]} {lo} {hi}")
-    return "\n".join(lines)
+    rows = (f"{ground.labels[e]} {lo} {hi}" for e, lo, hi in segment_layout(rep))
+    return "\n".join(("element left_endpoint right_endpoint", *rows))
 
 
 def render_ascii(ground: GroundSet, rep: SegmentRepresentation) -> str:
@@ -202,28 +195,28 @@ def _load(args) -> tuple[dict, ConvexGeometry]:
         # Text mode's newline translation; no UTF-8 sequence holds either byte.
         raw = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        # utf-8-sig drops a byte-order mark, so sha256 hashes the text after it.
+        # utf-8-sig drops one byte-order mark, and sha256 hashes the bytes after it.
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
     geom = validate_geometry(parse_geometry(text), **args.guard)
     report = {"command": args.command, "input": args.file,
-              "sha256": hashlib.sha256(text.encode()).hexdigest()}
+              "sha256": hashlib.sha256(raw.removeprefix(b"\xef\xbb\xbf")).hexdigest()}
     return report, geom
 
 
-def _describe_basis(report: dict, geom: ConvexGeometry) -> None:
+def _decide(report: dict, geom: ConvexGeometry) -> Decision:
     report["elements"] = geom.n
     report["implications"] = geom.basis.m
     report["basis_size"] = geom.basis.size
+    return decide_cdim2(geom)
 
 
 def _represent(report: dict, geom: ConvexGeometry) -> SegmentRepresentation | None:
     """Decide; on a yes, build the representation and report its chain
     display.  None on a no."""
-    _describe_basis(report, geom)
-    decision = decide_cdim2(geom)
+    decision = _decide(report, geom)
     report["cdim2"] = decision.cdim2
     if not decision.cdim2:
         return None
@@ -233,14 +226,11 @@ def _represent(report: dict, geom: ConvexGeometry) -> SegmentRepresentation | No
 
 
 def cmd_check(args, report: dict, geom: ConvexGeometry) -> int:
-    _describe_basis(report, geom)
-    decision = decide_cdim2(geom)
-    report["two_ex"] = decision.two_ex.holds
-    if not decision.two_ex.holds:
-        report["two_ex_witness"] = decision.two_ex.describe(geom.ground)
-    report["sq"] = decision.sq.holds
-    if not decision.sq.holds:
-        report["sq_witness"] = decision.sq.describe(geom.ground)
+    decision = _decide(report, geom)
+    for key, result in (("two_ex", decision.two_ex), ("sq", decision.sq)):
+        report[key] = result.holds
+        if not result.holds:
+            report[key + "_witness"] = result.describe(geom.ground)
     report["cdim2"] = decision.cdim2
     return 0 if decision.cdim2 else 1
 

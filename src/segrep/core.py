@@ -82,41 +82,49 @@ class Value:
 
 
 class GroundSet(Value):
-    """Ordered universe of distinct, non-empty element labels.
+    """Ordered universe of element labels, kept as a tuple.
 
-    Elements are addressed internally by their index in declaration order;
-    ``full``, the mask of the whole ground set, is set once at construction.
+    A label is non-empty and distinct, holds no whitespace and no '#', is
+    not '->' or '∇', and holds none of ',', '{' and '}'; a ground set built
+    through the library obeys this as a parsed one does, or raises
+    ValueError.  Elements are addressed internally by their index in
+    declaration order; ``full``, the mask of the whole ground set, and
+    ``bit``, each label's one-element mask, are set once at construction.
     """
 
-    __slots__ = ("labels", "full", "_index")
+    __slots__ = ("labels", "full", "bit")
     _fields = ("labels",)
 
-    def __init__(self, labels: tuple[str, ...]):
-        index: dict[str, int] = {}
+    def __init__(self, labels):
+        self.labels = labels = tuple(labels)
+        for label in labels:  # the reserved forms first; "" fails below
+            if label and (label in ("->", "∇") or label.split() != [label]
+                          or any(c in label for c in "#,{}")):
+                raise ValueError(f"{label!r} cannot be an element label")
+        self.bit = bit = {}
         for i, label in enumerate(labels):
             if not label:
                 raise ValueError("ground-set labels must be non-empty")
-            if label in index:
+            if label in bit:
                 raise ValueError(f"duplicate ground-set label {label!r}")
-            index[label] = i
-        self.labels = labels
+            bit[label] = 1 << i
         self.full = (1 << len(labels)) - 1
-        self._index = index
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownLabel(f"unknown element {label!r}") from None
+        return self.mask((label,)).bit_length() - 1
 
     def mask(self, labels) -> int:
+        bit = self.bit
         out = 0
-        for label in labels:
-            out |= 1 << self.index(label)
+        try:
+            for label in labels:
+                out |= bit[label]
+        except KeyError as exc:
+            raise UnknownLabel(f"unknown element {exc.args[0]!r}") from None
         return out
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
@@ -164,7 +172,7 @@ def _columns(rows, n: int) -> list[int]:
 
 
 class ImplicationBasis(Value):
-    """A finite list of implications plus the closure operator they generate.
+    """A tuple of implications plus the closure operator they generate.
 
     ``closure`` computes the least fixpoint over tables built once per basis.
     The elements are cut into blocks of four, and each block has a table
@@ -199,7 +207,8 @@ class ImplicationBasis(Value):
                  "_adds_of", "_twice_of", "_gains", "_ruled", "_rules")
     _fields = ("ground", "implications")
 
-    def __init__(self, ground: GroundSet, implications: tuple[Implication, ...]):
+    def __init__(self, ground: GroundSet, implications):
+        self.implications = implications = tuple(implications)
         n = ground.n
         full = ground.full
         uses = [0] * n
@@ -238,7 +247,6 @@ class ImplicationBasis(Value):
             adds_of += a_tab
             twice_of += t_tab
         self.ground = ground
-        self.implications = implications
         self._uses = tuple(uses)
         self._adds = tuple(adds)
         self._uses_of = tuple(uses_of)

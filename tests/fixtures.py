@@ -180,6 +180,31 @@ def seeded_chain_pair(rng: random.Random, n: int):
     return geometry_from_chains(ground, left, right), left, right
 
 
+def verification_cases(rng: random.Random):
+    """``(geom, rep)`` pairs for ``verify_representation``.  First the
+    chain-pair geometries of :func:`seeded_chain_pair`, n from 2 to 8, each
+    with its own chains and with every adjacent transposition of either
+    chain.  Then the free geometry on n elements, n from 3 to 8, against a
+    random chain and its reverse: every singleton is closed in both, but
+    the segments of two elements hold the ones between them, so only the
+    pair seeds tell the two apart."""
+    cases = []
+    for n in range(2, 9):
+        for _ in range(12):
+            geom, left, right = seeded_chain_pair(rng, n)
+            cases.append((geom, SegmentRepresentation(left, right)))
+            for i in range(n - 1):
+                swapped = left[:i] + [left[i + 1], left[i]] + left[i + 2:]
+                cases.append((geom, SegmentRepresentation(swapped, right)))
+                swapped = right[:i] + [right[i + 1], right[i]] + right[i + 2:]
+                cases.append((geom, SegmentRepresentation(left, swapped)))
+    for n in range(3, 9):
+        free = validate_geometry(ImplicationBasis(GroundSet(f"e{i}" for i in range(n)), ()))
+        order = rng.sample(range(n), n)
+        cases.append((free, SegmentRepresentation(order, order[::-1])))
+    return cases
+
+
 def basis_text(basis: ImplicationBasis) -> str:
     """``basis`` in the geometry file grammar, one line per implication."""
     labels = basis.ground.labels

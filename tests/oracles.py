@@ -41,10 +41,11 @@ Test-only code: it lives under ``tests/`` and is not part of the
   ``extendability_witness`` tests the alignment-style definition of a
   convex geometry;
 * ``index_mismatches``, ``sq_recheck_faults``, ``peel_and_scan_faults``,
-  ``sq_scan_mismatches`` and ``block_cache_mismatches`` are the comparisons
-  of the gates on the extreme-point index, the Sq re-check, the index
-  reads after decide, ``check_sq`` and the block cache; each looks up the
-  package function it checks at call time, so the mutant rows of
+  ``sq_scan_mismatches``, ``block_cache_mismatches`` and
+  ``verify_mismatches`` are the comparisons of the gates on the
+  extreme-point index, the Sq re-check, the index reads after decide,
+  ``check_sq``, the block cache and ``verify_representation``; each looks
+  up the package function it checks at call time, so the mutant rows of
   ``tests/test_mutants.py`` run the same comparison on a patched one;
 * ``fixpoint`` closes by firing every rule until nothing changes, the
   closure that ``ImplicationBasis.closure`` reads off its tables, and
@@ -995,6 +996,15 @@ def index_mismatches(geoms) -> list[tuple[ImplicationBasis, int]]:
                        if fresh.extreme_points_of_closed(closed)
                        != basis.extreme_points_of_closed(closed)]
     return mismatches
+
+
+def verify_mismatches(cases) -> list[tuple[ConvexGeometry, SegmentRepresentation]]:
+    """The ``(geom, rep)`` pairs of ``cases`` on which
+    ``verify_representation`` answers otherwise than
+    :func:`verify_representation_by_pairs`, witness included."""
+    return [(geom, rep) for geom, rep in cases
+            if representation.verify_representation(geom, rep)
+            != verify_representation_by_pairs(geom, rep)]
 
 
 def sq_recheck_faults(geom: ConvexGeometry) -> list[str]:

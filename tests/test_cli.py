@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import hashlib
 import os
 import random
 import subprocess
@@ -344,6 +345,17 @@ class TestExitCodes:
         code, out, err = run("check", str(bom), "--json")
         assert (code, err) == (0, "")
         assert list(json.loads(out).items()) == list({**plain, "input": str(bom)}.items())
+
+    @pytest.mark.parametrize("mark, end", [
+        (b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n"), (b"\xef\xbb\xbf", b"\r"), (b"", b"\r\n"),
+    ])
+    def test_sha256_is_that_of_the_lf_statements_after_the_mark(self, tmp_path, mark, end):
+        statements = ["elements a é ő", "imp é -> ő", "# ű"]
+        path = tmp_path / "hashed.geom"
+        path.write_bytes(mark + end.join(s.encode() for s in statements) + end)
+        code, out, _ = run("check", str(path), "--json")
+        lf = "".join(s + "\n" for s in statements).encode()
+        assert (code, json.loads(out)["sha256"]) == (0, hashlib.sha256(lf).hexdigest())
 
     @pytest.mark.parametrize("argv", [
         ("render", "--json"), ("check", "--exhaustive"), ("represent", "--builder", "paper"),

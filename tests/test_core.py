@@ -9,6 +9,7 @@ from segrep import (
     GroundSet,
     Implication,
     ImplicationBasis,
+    UnknownLabel,
     iter_bits,
     mask_of,
 )
@@ -197,6 +198,17 @@ class TestValueSemantics:
         assert GroundSet(("a", "b")) == GroundSet(("a", "b"))
         assert GroundSet(("a", "b")) != GroundSet(("b", "a"))
 
+    def test_ground_sets_keep_their_labels_as_a_tuple(self):
+        assert GroundSet(["a", "b"]) == GroundSet(("a", "b"))
+        assert hash(GroundSet(["a", "b"])) == hash(GroundSet(("a", "b")))
+        assert GroundSet(["a", "b"]).labels == ("a", "b")
+
+    def test_bases_keep_their_implications_as_a_tuple(self):
+        gs = GroundSet(("a", "b"))
+        imp = Implication(0b01, 0b10)
+        assert ImplicationBasis(gs, [imp]) == ImplicationBasis(gs, (imp,))
+        assert hash(ImplicationBasis(gs, [imp])) == hash(ImplicationBasis(gs, (imp,)))
+
 
 class TestGroundSet:
     def test_rejects_duplicates_and_empty_labels(self):
@@ -204,6 +216,28 @@ class TestGroundSet:
             GroundSet(("a", "a"))
         with pytest.raises(ValueError):
             GroundSet(("a", ""))
+
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "a#", "->", "∇", "a,b", "{", "}"])
+    def test_rejects_labels_that_do_not_print_unambiguously(self, label):
+        with pytest.raises(ValueError, match="cannot be an element label"):
+            GroundSet(("x", label))
+
+    def test_reserved_labels_are_named_before_empty_or_duplicate_ones(self):
+        # the order the file parser reports in: reserved forms over the
+        # whole line first, then emptiness and duplicates from the left
+        with pytest.raises(ValueError, match="'a,b' cannot be"):
+            GroundSet(("a", "", "a", "a,b"))
+        with pytest.raises(ValueError, match="non-empty"):
+            GroundSet(("a", "", "a"))
+        with pytest.raises(ValueError, match="duplicate"):
+            GroundSet(("a", "a", ""))
+
+    def test_unknown_labels_raise_unknown_label(self):
+        gs = GroundSet(("x", "y"))
+        assert gs.index("y") == 1
+        for ask in (lambda: gs.index("z"), lambda: gs.mask(("x", "z"))):
+            with pytest.raises(UnknownLabel, match="unknown element 'z'"):
+                ask()
 
     def test_mask_round_trip(self):
         gs = GroundSet(("x", "y", "z"))

@@ -37,7 +37,7 @@ geometries; with the pair table filled first, it puts an element in a chain
 twice on :func:`fixtures.index_outside_bases`, and ``SegmentRepresentation``
 raises.
 
-Five rows patch one snippet of another function, each rejected by the
+Eight rows patch one snippet of another function, each rejected by the
 comparison of the test that guards it (the helpers in ``tests/oracles.py``):
 
 * the pair entry ``(1 << i) | (1 << j)`` of the extreme-point index that
@@ -55,7 +55,15 @@ comparison of the test that guards it (the helpers in ``tests/oracles.py``):
   ``TestSq::test_matches_the_pair_scan_oracle``;
 * ``block_decomposition`` without its cache: ``block_cache_mismatches``,
   the gate of
-  ``TestBlockCache::test_a_second_decomposition_is_the_same_tuple``.
+  ``TestBlockCache::test_a_second_decomposition_is_the_same_tuple``;
+* the singleton entry ``1 << i`` of the same index written as the whole
+  singleton closure ``C_i``: ``index_mismatches`` again;
+* ``ConvexGeometry.extreme_points`` reading the basis, not the index:
+  ``peel_and_scan_faults`` again, which lists every basis pass after
+  decide;
+* ``verify_representation`` with its pair loop run over no pair:
+  ``verify_mismatches`` on :func:`fixtures.verification_cases`, the gate
+  of ``TestVerify::test_matches_the_pair_scan_where_only_pairs_differ``.
 """
 
 import inspect
@@ -85,6 +93,7 @@ from fixtures import (
     load_fixture,
     padded_notsufs,
     seeded_chain_pair,
+    verification_cases,
 )
 from oracles import (
     block_cache_mismatches,
@@ -94,6 +103,7 @@ from oracles import (
     reconstruct_mismatches,
     sq_recheck_faults,
     sq_scan_mismatches,
+    verify_mismatches,
     walk_by_definition,
 )
 
@@ -293,6 +303,11 @@ def block_cache_gate(request):
     return lambda: block_cache_mismatches(pairs)
 
 
+def verify_gate(request):
+    cases = verification_cases(random.Random(16))
+    return lambda: verify_mismatches(cases)
+
+
 # mutant -> (the function it patches, where it is bound, the snippet it
 # replaces, the replacement, the gate that must reject it)
 SOURCE_MUTANTS = {
@@ -312,6 +327,16 @@ SOURCE_MUTANTS = {
     "block-cache-bypassed": (
         uniqueness.block_decomposition, (uniqueness,),
         "if rep._blocks is None:", "if True:", block_cache_gate),
+    "singleton-entry-is-the-closure": (
+        ConvexGeometry.pair_closures, (ConvexGeometry,),
+        "extreme[c_i] = 1 << i", "extreme[c_i] = c_i", index_gate),
+    "extreme-points-bypass-the-index": (
+        ConvexGeometry.extreme_points, (ConvexGeometry,),
+        "return self.extreme_points_of_closed(", "return self.basis.extreme_points_of_closed(",
+        peel_and_scan_gate),
+    "verify-skips-the-pair-loop": (
+        representation.verify_representation, (representation,),
+        "for y in range(x + 1, n):", "for y in ():", verify_gate),
 }
 
 

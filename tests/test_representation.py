@@ -34,6 +34,7 @@ from fixtures import (
     load_fixture,
     seeded_chain_pair,
     unvalidated_basis,
+    verification_cases,
 )
 from oracles import (
     DuplicateEndpoint,
@@ -43,6 +44,7 @@ from oracles import (
     join_alignments,
     linear_alignment,
     normalize_layout,
+    verify_mismatches,
     verify_representation_by_pairs,
     verify_representation_by_proof,
     verify_representation_exhaustive,
@@ -210,6 +212,11 @@ class TestVerify:
             assert verify_representation_exhaustive(geom, rep)[0] == expected[0]
             verdicts.add(expected[0])
         assert verdicts == {True, False}
+
+    def test_matches_the_pair_scan_where_only_pairs_differ(self):
+        # the free geometries against a chain and its reverse agree on
+        # every singleton: only the pair loop rejects those
+        assert not verify_mismatches(verification_cases(random.Random(16)))
 
     def test_reads_the_table_after_decide(self, pool_small, pool_n6):
         # after decide no seed reaches the kernel, on any geometry, and the
