@@ -293,19 +293,24 @@ class ImplicationBasis(Value):
             rest ^= low
         return out
 
-    def closed_sets_by_extension(self, start: int) -> frozenset[int] | None:
+    def closed_sets_by_extension(self, start: int) -> frozenset[int] | tuple[int, int]:
         """The closed sets reached from the closed set ``start`` by adding
         one element at a time, each step to a closed set, with no closure
-        call; None when one of them, other than the ground set, has no
-        closed one-element extension.
+        call; or, when one of them is a dead end, ``(y, part)``: ``y`` is a
+        closed set of the walk in ``part`` (:meth:`parts`), short of it,
+        with no closed one-element extension inside it.
 
-        The walk goes part by part (:meth:`parts`): every rule lies inside
-        one part, so a set is closed iff its trace on each part is closed
-        in that part, and the family is the product of the part families.
-        A closed set dead-ends iff its trace dead-ends in some part, and a
-        trace that dead-ends in its part does so in the whole with the
-        other parts full; so the walk returns None iff some part's walk,
-        from ``start`` inside that part, dead-ends.
+        The walk goes part by part, in :meth:`parts` order: every rule lies
+        inside one part, so a set is closed iff its trace on each part is
+        closed in that part, and the family is the product of the part
+        families.  A closed set dead-ends iff its trace dead-ends in some
+        part, and a trace that dead-ends in its part does so in the whole
+        with the other parts full; so the walk finds a dead end iff some
+        part's walk, from ``start`` inside that part, does.  That walk
+        finishes the level that holds its first dead end and returns the
+        canonically least one of the level (:func:`canonical_key`).  It
+        need not be the part's least dead end, which the walk may never
+        reach.
 
         Within a part, for closed ``y`` and ``x`` outside it, ``y + x`` is
         closed unless a rule whose only premise element outside ``y`` is
@@ -318,7 +323,8 @@ class ImplicationBasis(Value):
         When no set dead-ends, every closed ``Y`` is reached: a chain of
         closed sets grows from ``start`` to the ground set, its
         intersections with ``Y`` grow by at most one element a step, so
-        ``Y - y`` is closed for some ``y``; induct on ``|Y|``.
+        ``Y - y`` is closed for some ``y``; induct on ``|Y|``.  So a walk
+        that meets no dead end leaves none unreached.
 
         When no rule fires, every ``y + x`` is closed and needs no test of
         its own (always so on a part with no premises); otherwise one pass
@@ -341,6 +347,7 @@ class ImplicationBasis(Value):
                 levels.append(level)
                 up = set()
                 add = up.add
+                dead = []
                 for y in level:
                     outside = part & ~y
                     once = twice = gout = 0
@@ -372,7 +379,9 @@ class ImplicationBasis(Value):
                             add(y | low)
                         rest ^= low
                     if not extended:
-                        return None
+                        dead.append(y)
+                if dead:
+                    return min(dead, key=canonical_key), part
                 level = up
             walks.append(levels)
         family = [0]

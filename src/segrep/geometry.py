@@ -10,6 +10,9 @@ procedure in :mod:`segrep.properties` never needs that walk.  The walk goes
 part by part and multiplies the part families; on a direct sum the
 extension tests cost their sum, and the product one union per closed set
 (:meth:`ImplicationBasis.closed_sets_by_extension` proves it).
+On any other basis the walk stops at a dead end, a closed set with no
+closed one-element extension inside its part, and names an anti-exchange
+witness there with one closure per element of the part outside it.
 Validation drops the family once the axioms are decided, so a
 :class:`ConvexGeometry` holds only its basis.
 """
@@ -21,7 +24,6 @@ from .core import (
     GroundSetTooLarge,
     ImplicationBasis,
     SegrepError,
-    canonical_key,
     iter_bits,
 )
 
@@ -31,7 +33,8 @@ class NotAGeometry(SegrepError):
 
     ``reason`` is ``"empty-set-not-closed"`` or ``"anti-exchange"``;
     ``witness`` is the closure of the empty set, or a triple
-    ``(closed_set, x, z)`` violating anti-exchange.
+    ``(closed_set, x, z)`` with ``x < z`` violating anti-exchange, read at
+    the first dead end of the closed-set walk (:func:`closed_family`).
     """
 
     def __init__(self, reason: str, witness, ground: GroundSet):
@@ -58,6 +61,18 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
     (:meth:`ImplicationBasis.closed_sets_by_extension`, which proves the
     product).  The guard counts every element, not the largest part.
     Raises :class:`NotAGeometry` on any other basis.
+
+    A dead end ``y`` of the walk in ``part`` is itself an anti-exchange
+    violation.  Take ``x``, the element of ``part - y`` whose ``y + x`` has
+    the smallest closure (the least ``x`` on a tie), and ``z``, the least
+    element that this closure adds to ``y + x``; no ``y + x`` is closed, so
+    ``z`` exists.  The empty set is closed and every rule lies inside one
+    part, so each closure of ``y + e`` stays inside ``part``, and ``z`` lies
+    in ``part - y``.  Then φ(y + z) ⊆ φ(y + x), as ``z`` is in φ(y + x), and
+    φ(y + z) is no smaller, by the choice of ``x``; so the two are equal and
+    ``x`` is in φ(y + z).  The witness ``(y, min(x, z), max(x, z))`` costs
+    one closure call per element of ``part - y``.  A walk that reports a
+    false dead end gives a closed ``y + x`` and raises RuntimeError.
     """
     empty = basis.closure(0)
     if empty:
@@ -66,48 +81,21 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
     if n > max_n:
         raise GroundSetTooLarge("closed_family", n, max_n)
     walked = basis.closed_sets_by_extension(0)
-    if walked is None:
-        raise NotAGeometry("anti-exchange", _anti_exchange_witness(basis), basis.ground)
-    return walked
-
-
-def _anti_exchange_witness(basis: ImplicationBasis) -> tuple[int, int, int]:
-    """First ``(y, x, z)`` with ``y`` closed, ``x < z`` outside it and each
-    in the closure of ``y`` plus the other, where the empty set is closed
-    and some closed set short of the ground set has no closed extension.
-
-    Visits the closed sets in canonical order, one size at a time, and stops
-    at the first violation.  Every closed ``T`` other than the empty set is
-    the closure of ``y + x`` for a maximal closed ``y`` inside it, so the
-    closed sets of one size are all found once the smaller ones have been
-    visited.  Each seed ``y + x`` is closed once.
-    """
-    full = basis.ground.full
-    closures: dict[int, int] = {}
-    by_size: list[set[int]] = [set() for _ in range(basis.ground.n + 1)]
-    by_size[0].add(0)
-    for bucket in by_size:
-        for y in sorted(bucket, key=canonical_key):
-            outside = full & ~y
-            if outside.bit_count() < 2:
-                continue
-            added = {}
-            for x in iter_bits(outside):
-                seed = y | (1 << x)
-                closed = closures.get(seed)
-                if closed is None:
-                    closed = closures[seed] = basis.closure(seed)
-                    by_size[closed.bit_count()].add(closed)
-                added[x] = closed
-            for x, closed in added.items():
-                # the z > x outside y that y + x generates
-                for z in iter_bits(closed & outside & -(2 << x)):
-                    if (added[z] >> x) & 1:
-                        return y, x, z
-    raise RuntimeError(
-        "a closed set has no closed one-element extension, yet no "
-        "anti-exchange violation was found"
-    )
+    if isinstance(walked, frozenset):
+        return walked
+    y, part = walked
+    x = grown = None
+    for e in iter_bits(part & ~y):
+        closed = basis.closure(y | 1 << e)
+        if grown is None or closed.bit_count() < grown.bit_count():
+            x, grown = e, closed
+    added = grown & ~(y | 1 << x)
+    if not added:
+        raise RuntimeError(
+            f"the closed-set walk reported a dead end at {y:#x}, yet adding "
+            f"element {x} gives a closed set")
+    z = (added & -added).bit_length() - 1
+    raise NotAGeometry("anti-exchange", (y, min(x, z), max(x, z)), basis.ground)
 
 
 class ConvexGeometry:
@@ -221,10 +209,11 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     """Check the convex-geometry axioms and return the validated system.
 
     Raises :class:`NotAGeometry` with a concrete witness when the empty set
-    is not closed or when anti-exchange fails (the first violation over the
-    closed sets in canonical order).  A convex geometry costs one closure
-    call, the empty set's; on any other basis no seed is closed twice.  The
-    walk's family is dropped once the axioms are decided.
+    is not closed or when anti-exchange fails (the violation that
+    :func:`closed_family` names at the walk's first dead end ``y`` in a
+    part).  A convex geometry costs one closure call, the empty set's; any
+    other basis at most one more per element of the part outside ``y``.
+    The walk's family is dropped once the axioms are decided.
     """
     closed_family(basis, max_n=max_n)
     return ConvexGeometry(basis)

@@ -51,7 +51,11 @@ Test-only code: it lives under ``tests/`` and is not part of the
   closure that ``ImplicationBasis.closure`` reads off its tables, and
   ``kernel_mismatches`` compares the two; ``walk_by_definition`` pairs the
   closed-set walk with what it must return, read off
-  ``closed_sets_by_definition``;
+  ``closed_sets_by_definition`` and ``dead_end_by_definition``, the walk's
+  first dead end found with ``fixpoint`` closures over the classes of
+  elements that share a rule; ``anti_exchange_witness_by_definition``
+  names the witness that validation must report there, and
+  ``anti_exchange_mismatches`` compares the two;
 * ``basis_tables_by_bits`` loads the basis tables by visiting every premise
   and gain bit in Python, the loop that ``ImplicationBasis`` replaced by a
   transposition of the gain rows, and ``parse_geometry_reference`` is the
@@ -72,7 +76,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from segrep import geometry, properties, representation, uniqueness
+from segrep import core, geometry, properties, representation, uniqueness
 from segrep.cli import ParseError
 from segrep.core import (
     GroundSet,
@@ -823,8 +827,8 @@ def linear_alignment(ground: GroundSet, order) -> Alignment:
 
 def closed_sets(geom: ConvexGeometry) -> tuple[int, ...]:
     """Every closed set of ``geom``, in canonical order: :func:`closed_family`
-    sorted by ``geometry.canonical_key``, looked up at call time."""
-    return tuple(sorted(closed_family(geom.basis), key=geometry.canonical_key))
+    sorted by ``core.canonical_key``, looked up at call time."""
+    return tuple(sorted(closed_family(geom.basis), key=core.canonical_key))
 
 
 def closed_sets_by_definition(basis: ImplicationBasis, max_n: int = 20) -> tuple[int, ...]:
@@ -970,17 +974,89 @@ def kernel_mismatches(cases) -> list[tuple[ImplicationBasis, int]]:
 def walk_by_definition(basis: ImplicationBasis) -> tuple:
     """``(walked, expected, family)``: the walk from the least closed set
     (:meth:`ImplicationBasis.closed_sets_by_extension`), what it must
-    return, and :func:`closed_sets_by_definition`.  It must return None
-    when a closed set short of the ground set has no closed one-element
-    extension, and else the whole family."""
-    full = basis.ground.full
+    return, and :func:`closed_sets_by_definition`.  It must return the
+    dead end of :func:`dead_end_by_definition` when there is one, and else
+    the whole family."""
     family = closed_sets_by_definition(basis)
-    members = set(family)
-    dead_end = any(
-        y != full and all(y | (1 << x) not in members for x in iter_bits(full & ~y))
-        for y in family)
     walked = basis.closed_sets_by_extension(family[0])
-    return walked, None if dead_end else members, family
+    return walked, dead_end_by_definition(basis, family[0]) or set(family), family
+
+
+def parts_by_definition(basis: ImplicationBasis) -> list[int]:
+    """The classes of elements that share a rule, in its premise or its
+    conclusion, as masks in the order of their least elements; an element
+    that no rule names is a class of its own."""
+    classes = [1 << i for i in range(basis.ground.n)]
+    for imp in basis.implications:
+        named = imp.premise | imp.conclusion
+        if named:
+            joined = sum(c for c in classes if c & named)
+            classes = [c for c in classes if not c & named] + [joined]
+    return sorted(classes, key=lambda c: c & -c)
+
+
+def dead_end_by_definition(basis: ImplicationBasis, start: int):
+    """``(y, part)``, the dead end that the closed-set walk from the closed
+    set ``start`` must report, or None when it meets none.
+
+    For each class of :func:`parts_by_definition` in turn, the sets reached
+    from ``start``'s trace on it by closed one-element extensions inside it
+    (a trace is closed when :func:`fixpoint` adds nothing to it in the
+    class), one level at a time.  The first level that holds a dead end, a
+    set short of the class with no such extension, gives its least dead
+    end by members."""
+    for part in parts_by_definition(basis):
+        level = {start & part}
+        while level:
+            up, dead = set(), []
+            for y in level:
+                grown = [y | 1 << x for x in iter_bits(part & ~y)]
+                closed = [s for s in grown if fixpoint(basis, s) & part == s]
+                up.update(closed)
+                if grown and not closed:
+                    dead.append(y)
+            if dead:
+                return min(dead, key=lambda s: list(iter_bits(s))), part
+            level = up
+    return None
+
+
+def anti_exchange_witness_by_definition(basis: ImplicationBasis):
+    """The anti-exchange witness ``(y, x, z)`` that validation must name on
+    a basis whose empty set is closed, or None when the walk from it meets
+    no dead end.  At the dead end ``y`` in ``part`` of
+    :func:`dead_end_by_definition`, ``x`` is the element of ``part - y``
+    whose ``y + x`` has the smallest :func:`fixpoint` closure, the least on
+    a tie, ``z`` the least element that closure adds to ``y + x``, and the
+    pair comes back in increasing order."""
+    found = dead_end_by_definition(basis, 0)
+    if found is None:
+        return None
+    y, part = found
+    closures = {e: fixpoint(basis, y | 1 << e) for e in iter_bits(part & ~y)}
+    x = min(closures, key=lambda e: (closures[e].bit_count(), e))
+    added = closures[x] & ~(y | 1 << x)
+    z = (added & -added).bit_length() - 1
+    return y, min(x, z), max(x, z)
+
+
+def anti_exchange_mismatches(bases) -> list[ImplicationBasis]:
+    """The bases of ``bases`` whose empty set is closed and on which
+    ``geometry.closed_family``, looked up at call time, names another
+    anti-exchange witness than :func:`anti_exchange_witness_by_definition`,
+    or names one where it names none or the reverse."""
+    mismatches = []
+    for basis in bases:
+        if fixpoint(basis, 0):
+            continue
+        try:
+            geometry.closed_family(basis)
+            witness = None
+        except geometry.NotAGeometry as err:
+            witness = err.witness
+        if witness != anti_exchange_witness_by_definition(basis):
+            mismatches.append(basis)
+    return mismatches
 
 
 def index_mismatches(geoms) -> list[tuple[ImplicationBasis, int]]:

@@ -338,6 +338,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 2: ") and "UTF-8" in err
 
+    def test_anti_exchange_is_named_at_the_walks_dead_end(self, tmp_path):
+        # {} extends to {c}, and {c} has no closed one-element extension:
+        # {a,c} and {b,c} both close to {a,b,c}
+        path = tmp_path / "dead_end.geom"
+        path.write_text("elements a b c\nimp a -> b\nimp b -> a\nimp a c -> b\n")
+        assert run("check", str(path)) == (2, "", (
+            "error: not a convex geometry: anti-exchange fails at closed set "
+            "{c} with x=a, z=b\n"))
+
     def test_byte_order_mark_is_accepted(self, tmp_path, files):
         bom = tmp_path / "bom.geom"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(files["un"]).read_bytes())

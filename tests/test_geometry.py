@@ -14,6 +14,7 @@ from segrep import (
     build_representation,
     check_2ex,
     closed_family,
+    core,
     decide_cdim2,
     geometry,
     validate_geometry,
@@ -32,8 +33,11 @@ from fixtures import (
 from oracles import (
     Alignment,
     GroundSetMismatch,
+    anti_exchange_mismatches,
+    anti_exchange_witness_by_definition,
     closed_sets,
     closed_sets_by_definition,
+    dead_end_by_definition,
     extendability_witness,
     extreme_points_by_definition,
     fixpoint,
@@ -83,6 +87,20 @@ def literal_axiom_violation(basis):
                 ):
                     return ("anti-exchange", (y, x, z))
     return None
+
+
+def expected_violation(basis):
+    """:func:`literal_axiom_violation`'s verdict, with the anti-exchange
+    witness that validation names at the closed-set walk's first dead end
+    (:func:`oracles.anti_exchange_witness_by_definition`) in place of the
+    first one in canonical order; that witness must re-derive."""
+    verdict = literal_axiom_violation(basis)
+    if verdict is None or verdict[0] != "anti-exchange":
+        return verdict
+    y, x, z = witness = anti_exchange_witness_by_definition(basis)
+    assert fixpoint(basis, y) == y and not y >> x & 1 and not y >> z & 1, basis
+    assert fixpoint(basis, y | 1 << x) >> z & 1 and fixpoint(basis, y | 1 << z) >> x & 1, basis
+    return "anti-exchange", witness
 
 
 @pytest.fixture()
@@ -146,7 +164,7 @@ class TestValidate:
         anti_exchange_failures = 0
         for _ in range(500):
             basis = random_basis(rng, rng.randint(1, 6), rng.randint(0, 8))
-            expected = literal_axiom_violation(basis)
+            expected = expected_violation(basis)
             try:
                 validate_geometry(basis)
                 got = None
@@ -158,10 +176,30 @@ class TestValidate:
 
     def test_dead_end_without_violation_raises(self, monkeypatch):
         # Unreachable by the Edelman-Jamison theorem; forced here to show the
-        # inconsistency stops the run instead of passing the geometry.
-        monkeypatch.setattr(ImplicationBasis, "closed_sets_by_extension", lambda basis, start: None)
+        # inconsistency stops the run instead of passing the geometry: the
+        # walk reports a false dead end, the empty set of the whole ground
+        # set, which has closed one-element extensions.
+        monkeypatch.setattr(ImplicationBasis, "closed_sets_by_extension",
+                            lambda basis, start: (0, basis.ground.full))
         with pytest.raises(RuntimeError):
             validate_geometry(parse_geometry(fixture_text("un")))
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_late_violation_closes_one_seed_per_element_outside(self, kernel_seeds, k):
+        # free e0 ... e(k-1), then x and y, each pulling in the other once
+        # all of them are in: anti-exchange fails only at {e0 ... e(k-1)},
+        # the walk's dead end, and naming it closes y + x for each of the
+        # two elements outside
+        labels = [f"e{i}" for i in range(k)]
+        text = (f"elements {' '.join(labels)} x y\n"
+                f"imp {' '.join(labels)} x -> y\nimp {' '.join(labels)} y -> x\n")
+        basis = parse_geometry(text)
+        kernel_seeds.clear()
+        with pytest.raises(NotAGeometry) as err:
+            validate_geometry(basis)
+        y = (1 << k) - 1
+        assert (err.value.reason, err.value.witness) == ("anti-exchange", (y, k, k + 1))
+        assert kernel_seeds == [0, y | 1 << k, y | 1 << k + 1]
 
 
 class TestPairClosures:
@@ -454,7 +492,8 @@ class TestClosedSetsByExtension:
                 assert (err.reason, err.witness) == ("empty-set-not-closed", brute[0])
             else:
                 assert err.reason == "anti-exchange"
-                assert walked is None, basis
+                assert isinstance(walked, tuple), basis
+                assert anti_exchange_mismatches([basis]) == [], basis
             return err.reason
         assert closed_family(basis) == frozenset(brute), basis
         assert closed_sets(geom) == brute, basis
@@ -478,7 +517,7 @@ class TestClosedSetsByExtension:
         # sums of one to three draws on shuffled elements: a set is closed iff
         # its trace on each part is, and the walk multiplies the part
         # families; it dead-ends iff some closed set short of the ground set
-        # does, and validation reports the literal first violation
+        # does, and validation names its witness at the walk's dead end
         seen = {"sums": 0, "parts": 0, "empty": 0, "dead": 0}
         for basis in direct_sums(random.Random(30)):
             walked, expected, brute = walk_by_definition(basis)
@@ -488,11 +527,11 @@ class TestClosedSetsByExtension:
                 verdict = None
             except NotAGeometry as err:
                 verdict = (err.reason, err.witness)
-            assert verdict == literal_axiom_violation(basis), basis
+            assert verdict == expected_violation(basis), basis
             seen["sums"] += 1
             seen["parts"] += len(basis.parts()) > 1
             seen["empty"] += brute[0] != 0
-            seen["dead"] += expected is None
+            seen["dead"] += isinstance(expected, tuple)
         assert seen == {"sums": 2104, "parts": 1382, "empty": 976, "dead": 1153}
 
     def test_edges_of_the_walk(self, kernel_seeds):
@@ -529,8 +568,9 @@ class TestClosedSetsByExtension:
             assert closed_family(basis, max_n=basis.ground.n) == family
 
     def test_non_geometries_close_each_seed_once(self, kernel_seeds):
-        # the walk that finds the anti-exchange witness closes each y + x
-        # once, and no second scan closes them again
+        # naming the anti-exchange witness closes each y + x once, for each
+        # element outside the walk's dead end y in its part, and nothing
+        # else beyond the empty set
         rng = random.Random(31)
         violators = 0
         for _ in range(2400):
@@ -542,18 +582,20 @@ class TestClosedSetsByExtension:
                 if err.reason == "anti-exchange":
                     violators += 1
                     assert len(kernel_seeds) == len(set(kernel_seeds)), basis
+                    y, part = dead_end_by_definition(basis, 0)
+                    assert len(kernel_seeds) <= 1 + (part & ~y).bit_count(), basis
         assert violators == 920
 
     def test_validation_does_not_sort(self, monkeypatch):
         # the family stays unordered until closed_sets(geom) asks for it
         calls = []
-        original = geometry.canonical_key
+        original = core.canonical_key
 
         def counting(mask):
             calls.append(mask)
             return original(mask)
 
-        monkeypatch.setattr(geometry, "canonical_key", counting)
+        monkeypatch.setattr(core, "canonical_key", counting)
         geoms = [validate_geometry(parse_geometry(fixture_text(name))) for name in FIXTURE_NAMES]
         geoms.append(disjoint_chains_geometry((3, 3, 3, 3)))
         assert calls == []
@@ -588,7 +630,7 @@ class TestClosedSetsByExtension:
         mutual = (Implication(1 << x, 1 << y), Implication(1 << y, 1 << x))
         basis = ImplicationBasis(chains.ground, chains.basis.implications + mutual)
         kernel_seeds.clear()
-        assert basis.closed_sets_by_extension(0) is None
+        assert basis.closed_sets_by_extension(0) == dead_end_by_definition(basis, 0)
         assert kernel_seeds == []
         assert self.outcome(basis) == "anti-exchange"
 
@@ -603,11 +645,13 @@ class TestClosedSetsByExtension:
                 mutual = (Implication(1 << x, 1 << y), Implication(1 << y, 1 << x))
                 basis = ImplicationBasis(chains.ground, chains.basis.implications + mutual)
                 kernel_seeds.clear()
-                assert basis.closed_sets_by_extension(0) is None, (n, x, y)
+                walked = basis.closed_sets_by_extension(0)
+                assert walked == dead_end_by_definition(basis, 0), (n, x, y)
                 assert kernel_seeds == []
                 with pytest.raises(NotAGeometry) as err:
                     validate_geometry(basis, max_n=n)
                 assert err.value.reason == "anti-exchange"
+                assert err.value.witness == anti_exchange_witness_by_definition(basis)
                 closed, a, b = err.value.witness
                 assert basis.closure(closed) == closed
                 assert (basis.closure(closed | 1 << a) >> b) & 1

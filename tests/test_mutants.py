@@ -37,7 +37,7 @@ geometries; with the pair table filled first, it puts an element in a chain
 twice on :func:`fixtures.index_outside_bases`, and ``SegmentRepresentation``
 raises.
 
-Eight rows patch one snippet of another function, each rejected by the
+Ten rows patch one snippet of another function, each rejected by the
 comparison of the test that guards it (the helpers in ``tests/oracles.py``):
 
 * the pair entry ``(1 << i) | (1 << j)`` of the extreme-point index that
@@ -63,7 +63,13 @@ comparison of the test that guards it (the helpers in ``tests/oracles.py``):
   decide;
 * ``verify_representation`` with its pair loop run over no pair:
   ``verify_mismatches`` on :func:`fixtures.verification_cases`, the gate
-  of ``TestVerify::test_matches_the_pair_scan_where_only_pairs_differ``.
+  of ``TestVerify::test_matches_the_pair_scan_where_only_pairs_differ``;
+* ``closed_family`` taking ``x`` with the largest closure of ``y + x`` at
+  the walk's dead end ``y``, not the smallest, and
+  ``ImplicationBasis.closed_sets_by_extension`` keeping the greatest dead
+  end of its level, not the least: ``anti_exchange_mismatches`` on 2,400
+  :func:`fixtures.varied_basis` draws, the gate of
+  ``TestClosedSetsByExtension::test_random_bases``.
 """
 
 import inspect
@@ -77,6 +83,7 @@ from segrep import (
     ImplicationBasis,
     SqWitness,
     core,
+    geometry,
     properties,
     representation,
     uniqueness,
@@ -93,9 +100,11 @@ from fixtures import (
     load_fixture,
     padded_notsufs,
     seeded_chain_pair,
+    varied_basis,
     verification_cases,
 )
 from oracles import (
+    anti_exchange_mismatches,
     block_cache_mismatches,
     index_mismatches,
     kernel_mismatches,
@@ -308,6 +317,12 @@ def verify_gate(request):
     return lambda: verify_mismatches(cases)
 
 
+def anti_exchange_gate(request):
+    rng = random.Random(31)
+    bases = [varied_basis(rng) for _ in range(2400)]
+    return lambda: anti_exchange_mismatches(bases)
+
+
 # mutant -> (the function it patches, where it is bound, the snippet it
 # replaces, the replacement, the gate that must reject it)
 SOURCE_MUTANTS = {
@@ -337,6 +352,13 @@ SOURCE_MUTANTS = {
     "verify-skips-the-pair-loop": (
         representation.verify_representation, (representation,),
         "for y in range(x + 1, n):", "for y in ():", verify_gate),
+    "witness-takes-the-largest-closure": (
+        geometry.closed_family, (geometry,),
+        "closed.bit_count() < grown.bit_count()", "closed.bit_count() > grown.bit_count()",
+        anti_exchange_gate),
+    "walk-keeps-the-greatest-dead-end": (
+        ImplicationBasis.closed_sets_by_extension, (ImplicationBasis,),
+        "min(dead, key=canonical_key)", "max(dead, key=canonical_key)", anti_exchange_gate),
 }
 
 

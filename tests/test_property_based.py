@@ -34,7 +34,8 @@ from segrep import (  # noqa: E402
 )
 from fixtures import geometry_from_chains  # noqa: E402
 from oracles import (  # noqa: E402
-    basis_tables_by_bits, brute_force_cdim2, extreme_points_by_definition, fixpoint,
+    anti_exchange_witness_by_definition, basis_tables_by_bits, brute_force_cdim2,
+    dead_end_by_definition, extreme_points_by_definition, fixpoint,
     verify_representation_exhaustive,
 )
 
@@ -170,18 +171,20 @@ def test_extreme_index_on_wide_geometries_matches_the_basis(case):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(wide_bases())
 def test_closed_set_walk_on_wide_bases_matches_the_brute_force_family(case):
-    # the walk gives the whole family, or None exactly when some closed set
-    # other than the ground set has no closed one-element extension
+    # the walk gives the whole family, or the dead end of the oracle's walk
+    # when some closed set other than the ground set has no closed
+    # one-element extension; validation names the oracle's witness there
     basis, _seeds = case
-    n = basis.ground.n
-    assume(n <= 10)
+    assume(basis.ground.n <= 10)
     full = basis.ground.full
     family = {s for s in range(full + 1) if basis.closure(s) == s}
-    dead_end = any(
-        y != full and all(y | (1 << x) not in family for x in range(n) if not (y >> x) & 1)
-        for y in family)
-    walked = basis.closed_sets_by_extension(basis.closure(0))
-    assert walked == (None if dead_end else family)
+    start = basis.closure(0)
+    walked = basis.closed_sets_by_extension(start)
+    assert walked == (dead_end_by_definition(basis, start) or family)
+    if start == 0 and isinstance(walked, tuple):
+        with pytest.raises(NotAGeometry) as err:
+            validate_geometry(basis)
+        assert err.value.witness == anti_exchange_witness_by_definition(basis)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
