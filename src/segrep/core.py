@@ -9,6 +9,10 @@ everything below the parser works on indices.
 
 from __future__ import annotations
 
+from collections.abc import Set
+from itertools import product
+from math import prod
+
 
 class SegrepError(Exception):
     """Base class for errors raised by this package."""
@@ -146,6 +150,46 @@ class Implication(Value):
     def __init__(self, premise: int, conclusion: int):
         self.premise = premise
         self.conclusion = conclusion
+
+
+class ClosedFamily(Set):
+    """The closed sets reached by a closed-set walk that met no dead end,
+    kept as the product of its part families
+    (:meth:`ImplicationBasis.closed_sets_by_extension`): a member is the
+    union of one closed set of each part.  ``full`` is the ground mask and
+    ``parts`` the ``(part, family)`` pairs, each family a frozenset of masks
+    inside its part.
+
+    No union is stored.  The size is the product of the family sizes; a
+    mask is a member when it lies inside ``full`` and its trace on each
+    part is in that part's family; iterating yields each union once, in no
+    particular order.  As a ``collections.abc.Set`` it compares equal to
+    any set or frozenset with the same members, in either order, and it is
+    not hashable.
+    """
+
+    __slots__ = ("full", "parts")
+
+    def __init__(self, full: int, parts):
+        self.full = full
+        self.parts = tuple(parts)
+
+    # the set operators of the Set mixins build their result from an
+    # iterable, which this constructor does not take
+    @classmethod
+    def _from_iterable(cls, masks):
+        return frozenset(masks)
+
+    def __len__(self):
+        return prod(len(family) for _, family in self.parts)
+
+    def __contains__(self, mask):
+        return not mask & ~self.full and all(
+            mask & part in family for part, family in self.parts)
+
+    def __iter__(self):
+        # the parts are disjoint, so the sum of one set per part is their union
+        return map(sum, product(*(family for _, family in self.parts)))
 
 
 # Elements per block of the basis tables.  A kernel round or a walk step
@@ -293,12 +337,13 @@ class ImplicationBasis(Value):
             rest ^= low
         return out
 
-    def closed_sets_by_extension(self, start: int) -> frozenset[int] | tuple[int, int]:
+    def closed_sets_by_extension(self, start: int) -> ClosedFamily | tuple[int, int]:
         """The closed sets reached from the closed set ``start`` by adding
         one element at a time, each step to a closed set, with no closure
-        call; or, when one of them is a dead end, ``(y, part)``: ``y`` is a
-        closed set of the walk in ``part`` (:meth:`parts`), short of it,
-        with no closed one-element extension inside it.
+        call, as a lazy product (:class:`ClosedFamily`); or, when one of
+        them is a dead end, ``(y, part)``: ``y`` is a closed set of the walk
+        in ``part`` (:meth:`parts`), short of it, with no closed one-element
+        extension inside it.
 
         The walk goes part by part, in :meth:`parts` order: every rule lies
         inside one part, so a set is closed iff its trace on each part is
@@ -331,13 +376,15 @@ class ImplicationBasis(Value):
         over the elements outside ``y`` tests each.  The walk goes one size
         at a time: every set of the next level has one element more than a
         set of this one, so a plain set per level holds each once.  The
-        parts are disjoint, so every union of their closed sets is new, and
-        the family comes back as an unordered frozenset.
+        parts are disjoint, so every union of their closed sets is new.
+        The family comes back as the part families alone, and a union is
+        built only when a caller iterates it: a direct sum's walk costs the
+        sum of its part walks, not the size of the product.
         """
         uses, uses_of, adds_of, twice_of = (
             self._uses, self._uses_of, self._adds_of, self._twice_of)
         ruled = self._ruled
-        walks = []
+        families = []
         for part in self.parts():
             levels = []
             level = {start & part}
@@ -383,11 +430,8 @@ class ImplicationBasis(Value):
                 if dead:
                     return min(dead, key=canonical_key), part
                 level = up
-            walks.append(levels)
-        family = [0]
-        for levels in walks:
-            family = [y | z for level in levels for z in level for y in family]
-        return frozenset(family)
+            families.append((part, frozenset().union(*levels)))
+        return ClosedFamily(self.ground.full, families)
 
     def parts(self) -> list[int]:
         """The ground set split into its parts, as masks in the order of

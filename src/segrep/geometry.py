@@ -7,19 +7,21 @@ closure of ``Y + z``.  :func:`closed_family` alone decides this while it
 walks the closed sets, which can number 2^n, so it is meant for desk-scale
 ground sets (default guard n <= 20, on n itself); the dimension-2 decision
 procedure in :mod:`segrep.properties` never needs that walk.  The walk goes
-part by part and multiplies the part families; on a direct sum the
-extension tests cost their sum, and the product one union per closed set
-(:meth:`ImplicationBasis.closed_sets_by_extension` proves it).
+part by part and returns the product of the part families unbuilt, a
+:class:`~segrep.core.ClosedFamily`; on a direct sum it costs the sum of the
+part walks (:meth:`ImplicationBasis.closed_sets_by_extension` proves it),
+and a union per closed set is paid only by a caller that iterates it.
 On any other basis the walk stops at a dead end, a closed set with no
 closed one-element extension inside its part, and names an anti-exchange
 witness there with one closure per element of the part outside it.
-Validation drops the family once the axioms are decided, so a
+Validation drops the family unread once the axioms are decided, so a
 :class:`ConvexGeometry` holds only its basis.
 """
 
 from __future__ import annotations
 
 from .core import (
+    ClosedFamily,
     GroundSet,
     GroundSetTooLarge,
     ImplicationBasis,
@@ -51,8 +53,10 @@ class NotAGeometry(SegrepError):
         super().__init__(f"not a convex geometry: {detail}")
 
 
-def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
-    """Every closed set of a convex geometry, as an unordered frozenset.
+def closed_family(basis: ImplicationBasis, max_n: int = 20) -> ClosedFamily:
+    """Every closed set of a convex geometry, as the lazy product of its
+    part families (:class:`~segrep.core.ClosedFamily`): ``len`` and ``in``
+    read the part families, and only iterating builds the unions.
 
     Decides the axioms on the way by Edelman and Jamison's (1985) criterion:
     the empty set is closed and every proper closed set has a closed
@@ -81,7 +85,7 @@ def closed_family(basis: ImplicationBasis, max_n: int = 20) -> frozenset[int]:
     if n > max_n:
         raise GroundSetTooLarge("closed_family", n, max_n)
     walked = basis.closed_sets_by_extension(0)
-    if isinstance(walked, frozenset):
+    if not isinstance(walked, tuple):
         return walked
     y, part = walked
     x = grown = None
@@ -213,7 +217,8 @@ def validate_geometry(basis: ImplicationBasis, max_n: int = 20) -> ConvexGeometr
     :func:`closed_family` names at the walk's first dead end ``y`` in a
     part).  A convex geometry costs one closure call, the empty set's; any
     other basis at most one more per element of the part outside ``y``.
-    The walk's family is dropped once the axioms are decided.
+    The walk's family is dropped without being iterated, so validation
+    never builds the product of the part families.
     """
     closed_family(basis, max_n=max_n)
     return ConvexGeometry(basis)

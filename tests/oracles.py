@@ -61,7 +61,9 @@ Test-only code: it lives under ``tests/`` and is not part of the
   transposition of the gain rows, and ``parse_geometry_reference`` is the
   file parser's former line loop;
 * ``closed_sets`` is the family that ``closed_family`` walks, sorted into
-  canonical order;
+  canonical order, and ``family_mismatches`` compares the lazy family that
+  the walk returns (``core.ClosedFamily``) with the definition: its size,
+  its members and its ``in`` test;
 * ``normalize_layout`` reads a chain pair off arbitrary segments on a line,
   raising ``DuplicateEndpoint`` on shared or degenerate endpoints, and
   ``parse_layout_table`` re-reads through it the layout table that
@@ -980,6 +982,33 @@ def walk_by_definition(basis: ImplicationBasis) -> tuple:
     family = closed_sets_by_definition(basis)
     walked = basis.closed_sets_by_extension(family[0])
     return walked, dead_end_by_definition(basis, family[0]) or set(family), family
+
+
+def family_mismatches(bases) -> list[tuple[ImplicationBasis, str]]:
+    """The ``(basis, check)`` pairs of ``bases`` on which the family that
+    the closed-set walk returns from the least closed set fails ``check``;
+    a walk that dead-ends is skipped.  ``"len"``: its ``len`` differs from
+    the number of sets it yields, or it yields one twice; ``"members"``:
+    what it yields is not :func:`closed_sets_by_definition`; ``"in"``, for
+    n <= 10: ``s in family`` differs, for some ``s`` below ``2 << n``, from
+    ``s`` lying inside the ground set with ``fixpoint(basis, s) == s``.
+    The range reaches one element past the ground set."""
+    mismatches = []
+    for basis in bases:
+        expected = closed_sets_by_definition(basis)
+        family = basis.closed_sets_by_extension(expected[0])
+        if isinstance(family, tuple):
+            continue
+        listed = list(family)
+        if not len(family) == len(listed) == len(set(listed)):
+            mismatches.append((basis, "len"))
+        if set(listed) != set(expected):
+            mismatches.append((basis, "members"))
+        n, full = basis.ground.n, basis.ground.full
+        if n <= 10 and any((s in family) != (not s & ~full and fixpoint(basis, s) == s)
+                           for s in range(2 << n)):
+            mismatches.append((basis, "in"))
+    return mismatches
 
 
 def parts_by_definition(basis: ImplicationBasis) -> list[int]:

@@ -40,6 +40,7 @@ from oracles import (
     dead_end_by_definition,
     extendability_witness,
     extreme_points_by_definition,
+    family_mismatches,
     fixpoint,
     index_mismatches,
     join_alignments,
@@ -442,6 +443,32 @@ class TestFamilies:
         assert held < 64 * 1024, held
         assert closed_sets(geom) == tuple(sorted(range(1 << 14), key=canonical_key))
 
+    def test_validating_twenty_free_elements_stays_small(self):
+        # 20 parts of two closed sets each, at the default guard: the walk
+        # keeps the 40 part sets, and the 2^20 unions are never built
+        basis = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(20))), ())
+        tracemalloc.start()
+        try:
+            validate_geometry(basis)
+            _held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_the_family_is_a_set(self):
+        # equal to a set or a frozenset of its members, in either order, but
+        # not hashable; the set operators return frozensets
+        family = closed_family(disjoint_chains_geometry((2, 3)).basis)
+        members = set(family)
+        assert len(members) == 12
+        assert family == members and members == family
+        assert family == frozenset(members) and frozenset(members) == family
+        assert family != members - {0} and members - {0} != family
+        with pytest.raises(TypeError):
+            hash(family)
+        assert family & {0, 1 << 5} == frozenset({0})
+        assert family | {1 << 5} == frozenset(members | {1 << 5})
+
     def test_notsuf_meet_irreducibles(self):
         geom = validate_geometry(parse_geometry(fixture_text("notsuf")))
         gs = geom.ground
@@ -533,6 +560,37 @@ class TestClosedSetsByExtension:
             seen["empty"] += brute[0] != 0
             seen["dead"] += isinstance(expected, tuple)
         assert seen == {"sums": 2104, "parts": 1382, "empty": 976, "dead": 1153}
+
+    def test_lazy_family_matches_the_definition(self, pool_small, pool_n6):
+        # size, members and membership of the family the walk returns, on
+        # the pools, the fixtures and the direct sums of up to three parts
+        bases = [geom.basis for geom in pool_small + pool_n6]
+        bases += [load_fixture(name).geometry.basis for name in FIXTURE_NAMES]
+        bases += direct_sums(random.Random(30))
+        assert family_mismatches(bases) == []
+
+    def test_validation_never_iterates_the_family(self, monkeypatch):
+        # validation decides the axioms and drops the family unbuilt: on 16
+        # free elements, on the direct sums and on chain pairs up to n = 28
+        def refuse(family):
+            raise RuntimeError("validation iterated the closed-set family")
+
+        monkeypatch.setattr(core.ClosedFamily, "__iter__", refuse)
+        free = ImplicationBasis(GroundSet(tuple(f"e{i}" for i in range(16))), ())
+        rng = random.Random(9)
+        bases = [free, *direct_sums(random.Random(30))]
+        bases += [seeded_chain_pair(rng, n)[0].basis for n in range(6, 29, 2)]
+        verdicts = {}
+        for basis in bases:
+            try:
+                validate_geometry(basis, max_n=basis.ground.n)
+                verdict = "geometry"
+            except NotAGeometry as err:
+                verdict = err.reason
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        assert verdicts == {"geometry": 395, "anti-exchange": 746, "empty-set-not-closed": 976}
+        with pytest.raises(RuntimeError):
+            list(closed_family(free))
 
     def test_edges_of_the_walk(self, kernel_seeds):
         # no element: no part, and the empty product is {∅}; 16 free

@@ -37,7 +37,7 @@ geometries; with the pair table filled first, it puts an element in a chain
 twice on :func:`fixtures.index_outside_bases`, and ``SegmentRepresentation``
 raises.
 
-Ten rows patch one snippet of another function, each rejected by the
+Twelve rows patch one snippet of another function, each rejected by the
 comparison of the test that guards it (the helpers in ``tests/oracles.py``):
 
 * the pair entry ``(1 << i) | (1 << j)`` of the extreme-point index that
@@ -69,7 +69,12 @@ comparison of the test that guards it (the helpers in ``tests/oracles.py``):
   ``ImplicationBasis.closed_sets_by_extension`` keeping the greatest dead
   end of its level, not the least: ``anti_exchange_mismatches`` on 2,400
   :func:`fixtures.varied_basis` draws, the gate of
-  ``TestClosedSetsByExtension::test_random_bases``.
+  ``TestClosedSetsByExtension::test_random_bases``;
+* ``core.ClosedFamily``'s ``len`` adding the part family sizes instead of
+  multiplying them, and its ``in`` skipping the test that the set lies
+  inside the ground set: ``family_mismatches`` on the pools, the fixtures
+  and :func:`fixtures.direct_sums`, the gate of
+  ``TestClosedSetsByExtension::test_lazy_family_matches_the_definition``.
 """
 
 import inspect
@@ -106,6 +111,7 @@ from fixtures import (
 from oracles import (
     anti_exchange_mismatches,
     block_cache_mismatches,
+    family_mismatches,
     index_mismatches,
     kernel_mismatches,
     peel_and_scan_faults,
@@ -323,6 +329,12 @@ def anti_exchange_gate(request):
     return lambda: anti_exchange_mismatches(bases)
 
 
+def family_gate(request):
+    bases = [geom.basis for geom in gate_geometries(request)]
+    bases += direct_sums(random.Random(30))
+    return lambda: family_mismatches(bases)
+
+
 # mutant -> (the function it patches, where it is bound, the snippet it
 # replaces, the replacement, the gate that must reject it)
 SOURCE_MUTANTS = {
@@ -359,6 +371,12 @@ SOURCE_MUTANTS = {
     "walk-keeps-the-greatest-dead-end": (
         ImplicationBasis.closed_sets_by_extension, (ImplicationBasis,),
         "min(dead, key=canonical_key)", "max(dead, key=canonical_key)", anti_exchange_gate),
+    "family-len-adds-the-part-sizes": (
+        core.ClosedFamily.__len__, (core.ClosedFamily,),
+        "return prod(", "return sum(", family_gate),
+    "family-in-skips-the-ground-set": (
+        core.ClosedFamily.__contains__, (core.ClosedFamily,),
+        "not mask & ~self.full and ", "", family_gate),
 }
 
 
